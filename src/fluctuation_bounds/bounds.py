@@ -90,17 +90,17 @@ def open_bound(
 def adjoint_heisenberg_rate(
     model: LindbladModel, a: TimeDependentObservable, t: float
 ) -> np.ndarray:
-    """Adot = partial_t A + i[H, A] + sum_k (L^dag A L - (1/2){L^dag L, A})."""
+    """Adot = partial_t A + i[H, A] + sum_k (L^dag A L - (1/2){L^dag L, A}).
+
+    The generator part is the Heisenberg adjoint of the model's operator
+    sum, sum_m w_m(t) A_m^dag A B_m^dag.
+    """
     a_t = a.evaluate(t)
     if a.dim != model.dim:
         raise ValueError(f"dimension mismatch: observable {a.dim} vs model {model.dim}")
-    out = a.partial_time(t)
-    if model.hamiltonian is not None:
-        h = model.hamiltonian.evaluate(t)
-        out = out + 1j * (h @ a_t - a_t @ h)
-    for L, Ld, LdL in zip(model.jump_operators, model.jump_dagger, model.jump_norm):
-        out = out + Ld @ a_t @ L - 0.5 * (LdL @ a_t + a_t @ LdL)
-    return out
+    left, right = model.terms()
+    terms = left.conj().transpose(0, 2, 1) @ a_t @ right.conj().transpose(0, 2, 1)
+    return a.partial_time(t) + np.tensordot(model.weights(t), terms, axes=1)
 
 
 def closed_bound(

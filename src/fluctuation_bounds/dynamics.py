@@ -1,12 +1,26 @@
 """Continuous-time evolution of density matrices.
 
-Covers the Lindblad right-hand side, fixed-step RK4 integration, the
+Covers the Lindblad generator, fixed-step RK4 integration, the
 closed-form amplitude-damping solution, short-time Taylor and Dyson
 propagators, and extraction of the Hermitian generator that drives the
 eigenvector flow of a trajectory.
 
-Integration never repairs its state: trace and positivity are measured
-every step and a violation aborts with the failing time in the message.
+The generator is built once per model as an operator sum
+
+    rho_dot = sum_m w_m(t) A_m rho B_m
+
+with M = 2 + (jump operators) + 2 (time-dependent Hamiltonian terms)
+terms: -iK rho and rho iK^dagger for K = H_static - (i/2) sum L^dagger L,
+one L rho L^dagger per jump, and -i B_k rho, rho i B_k for each
+time-dependent term c_k(t) B_k, weighted by w = c_k(t).  Every other
+weight is 1.  Whatever M is, one application is two 2-D matmuls,
+``left(t) @ (rho @ right).reshape(d*M, d)`` (layout in LindbladModel),
+at O(M d^3) cost.  The RK4 integrator, ``lindblad_rhs`` and the
+Heisenberg adjoint in ``bounds`` all read this one representation.
+
+Integration never repairs its state: trace and positivity of every step
+are measured, in batches of CHECK_BLOCK steps, and the first violation
+aborts with the failing time in the message.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    as_density_matrices,
     as_density_matrix,
     as_matrix,
     hermitian_eigendecomposition,
@@ -27,6 +42,7 @@ from .observables import TimeDependentObservable
 
 TAU_PSD_RUN = 1e-8   # positivity floor while integrating
 TAU_TRACE_RUN = 1e-8
+CHECK_BLOCK = 64     # integration steps per batched trace/positivity check
 G_MIN = 1e-6         # smallest admissible eigenvalue gap for eigenvector pairing
 EXTERNAL_MODEL = "externally supplied"
 
@@ -44,18 +60,56 @@ class LindbladModel:
     """Markovian generator: Hamiltonian part plus jump operators.
 
     Jump operators carry their rates, e.g. L = sqrt(Gamma) sigma_minus.
-    ``jump_dagger`` and ``jump_norm`` (L^dagger L) are cached products.
+    The generator is cached as the operator sum sum_m w_m(t) A_m rho B_m
+    in two (d, d*M) matrices laid out so that one application is two
+    plain 2-D matmuls:
+
+      ``right[:, m*d + j] = B_m[:, j]``  (the B_m side by side)
+      ``left[:, i*M + m] = A_m[:, i]``   (the A_m interleaved column by column)
+
+    so ``(rho @ right).reshape(d*M, d)`` has row i*M + m equal to row i
+    of rho B_m, and ``left @`` that sums A_m rho B_m over m.  The last
+    2 * len(drive) terms come in pairs, one pair per time-dependent
+    Hamiltonian coefficient in ``drive``; every other weight is 1.
     """
 
     hamiltonian: TimeDependentObservable | None
     jump_operators: tuple
-    jump_dagger: tuple
-    jump_norm: tuple
     dim: int
+    left: np.ndarray
+    right: np.ndarray
+    drive: tuple  # CoefficientFunction per time-dependent Hamiltonian term
 
     @property
     def is_closed(self) -> bool:
         return len(self.jump_operators) == 0
+
+    @property
+    def n_terms(self) -> int:
+        return self.right.shape[1] // self.dim
+
+    def terms(self):
+        """(A, B): the operator-sum factors as two (M, d, d) stacks."""
+        d = self.dim
+        a = self.left.reshape(d, d, -1).transpose(2, 0, 1)
+        b = self.right.reshape(d, -1, d).transpose(1, 0, 2)
+        return a, b
+
+    def weights(self, t: float) -> np.ndarray:
+        """w_m(t), shape (M,)."""
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t!r}")
+        w = [1.0] * (self.n_terms - 2 * len(self.drive))
+        for coeff in self.drive:
+            w += [coeff.value(t)] * 2
+        return np.array(w)
+
+    def left_at(self, t: float) -> np.ndarray:
+        """``left`` with each A_m scaled by w_m(t)."""
+        if not self.drive:
+            return self.left
+        d = self.dim
+        return (self.left.reshape(d, d, -1) * self.weights(t)).reshape(d, -1)
 
 
 def lindblad_model(hamiltonian=None, jump_operators=()) -> LindbladModel:
@@ -68,32 +122,53 @@ def lindblad_model(hamiltonian=None, jump_operators=()) -> LindbladModel:
     dim = dims[0]
     if any(d != dim for d in dims):
         raise ValueError(f"dimension mismatch across model operators: {dims}")
-    daggers = tuple(L.conj().T for L in jumps)
-    norms = tuple(Ld @ L for L, Ld in zip(jumps, daggers))
+
+    # K = H_static - (i/2) sum L^dag L gives -iK rho + rho (iK^dag).
+    eye = np.eye(dim, dtype=complex)
+    k = np.zeros((dim, dim), dtype=complex)
+    drive, drive_pairs = [], []
+    for coeff, basis in hamiltonian.terms if hamiltonian is not None else ():
+        if coeff.kind == "constant":
+            k = k + coeff.value(0.0) * basis
+        else:
+            drive.append(coeff)
+            drive_pairs += [(-1j * basis, eye), (eye, 1j * basis)]
+    for L in jumps:
+        k = k - 0.5j * (L.conj().T @ L)
+    pairs = [(-1j * k, eye), (eye, 1j * k.conj().T)]
+    pairs += [(L, L.conj().T) for L in jumps]
+    pairs += drive_pairs
+    a = np.stack([p[0] for p in pairs])  # (M, d, d)
+    b = np.stack([p[1] for p in pairs])
+    left = a.transpose(1, 2, 0).reshape(dim, -1)
+    right = b.transpose(1, 0, 2).reshape(dim, -1)
+    left.setflags(write=False)
+    right.setflags(write=False)
     return LindbladModel(
         hamiltonian=hamiltonian,
         jump_operators=jumps,
-        jump_dagger=daggers,
-        jump_norm=norms,
         dim=dim,
+        left=left,
+        right=right,
+        drive=tuple(drive),
     )
+
+
+def _apply(left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_m A_m rho B_m for weighted ``left`` and ``right`` laid out as in LindbladModel."""
+    return left @ (rho @ right).reshape(-1, rho.shape[0])
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """-i[H(t), rho] + sum_k (L rho L^dag - (1/2){L^dag L, rho}).
 
-    No state validation here: RK4 stage inputs are not density matrices.
+    Evaluated from the model's cached operator sum.  No state validation
+    here: RK4 stage inputs are not density matrices.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (model.dim, model.dim):
         raise ValueError(f"dimension mismatch: state {rho.shape} vs model dim {model.dim}")
-    out = np.zeros_like(rho)
-    if model.hamiltonian is not None:
-        h = model.hamiltonian.evaluate(t)
-        out = -1j * (h @ rho - rho @ h)
-    for L, Ld, LdL in zip(model.jump_operators, model.jump_dagger, model.jump_norm):
-        out = out + L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
-    return out
+    return _apply(model.left_at(t), model.right, rho)
 
 
 @dataclass(frozen=True)
@@ -131,18 +206,40 @@ def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
     dt = steps[0]
     if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * dt:
         raise ValueError("trajectory grid must be uniform and increasing")
-    checked = np.stack([as_density_matrix(s, tau_psd=TAU_PSD_RUN) for s in states])
+    checked = as_density_matrices(states, tau_psd=TAU_PSD_RUN)
     if checked.shape[0] != times.shape[0]:
         raise ValueError("times and states lengths differ")
     return Trajectory(times=times, states=checked, model=model)
 
 
+def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
+    """Trace and positivity of a block of integrated states, batched.
+
+    Raises for the first failing state, trace first as for a single step.
+    Written as ``not x <= tau`` so a non-finite trace or eigenvalue fails.
+    """
+    drift = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    lo = np.min(np.linalg.eigvalsh(states), axis=1)
+    bad = ~((drift <= TAU_TRACE_RUN) & (-lo <= TAU_PSD_RUN))
+    if not bad.any():
+        return
+    j = int(np.argmax(bad))
+    t = float(times[j])
+    if not drift[j] <= TAU_TRACE_RUN:
+        raise IntegrationError(f"trace drift {drift[j]:.3e} at t = {t:.6g}", t)
+    raise IntegrationError(f"positivity lost (min eigenvalue {lo[j]:.3e}) at t = {t:.6g}", t)
+
+
 def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 from t = 0 to t_max.
 
-    States are re-symmetrized every step; trace drift and negative
-    eigenvalues are measured, never corrected, and abort the run past
-    TAU_TRACE_RUN / TAU_PSD_RUN.
+    Each stage applies the model's cached operator sum (O(M d^3) for M
+    terms); the weighted left blocks are formed once per distinct stage
+    time.  States are re-symmetrized every step.  Trace drift and
+    negative eigenvalues of every step are measured, never corrected,
+    with one batched trace and eigvalsh per CHECK_BLOCK steps; the first
+    step past TAU_TRACE_RUN / TAU_PSD_RUN, or with a non-finite trace or
+    eigenvalue, aborts the run with its time, at most one block later.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -156,23 +253,29 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, model.dim, model.dim), dtype=complex)
     states[0] = rho
-    for k in range(n_steps):
-        t = times[k]
-        k1 = lindblad_rhs(model, rho, t)
-        k2 = lindblad_rhs(model, rho + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = lindblad_rhs(model, rho + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = lindblad_rhs(model, rho + dt * k3, t + dt)
-        rho = symmetrize(rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        t_next = float(times[k + 1])
-        drift = abs(np.trace(rho).real - 1.0)
-        if drift > TAU_TRACE_RUN:
-            raise IntegrationError(f"trace drift {drift:.3e} at t = {t_next:.6g}", t_next)
-        lo = float(np.min(np.linalg.eigvalsh(rho)))
-        if lo < -TAU_PSD_RUN:
-            raise IntegrationError(
-                f"positivity lost (min eigenvalue {lo:.3e}) at t = {t_next:.6g}", t_next
-            )
-        states[k + 1] = rho
+    right = model.right
+    left_end = model.left_at(float(times[0]))
+    # A blown-up state surfaces as an IntegrationError below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, n_steps + 1, CHECK_BLOCK):
+            stop = min(start + CHECK_BLOCK, n_steps + 1)
+            try:
+                for k in range(start, stop):
+                    t = float(times[k - 1])
+                    left_start = left_end
+                    left_mid = model.left_at(t + 0.5 * dt)
+                    left_end = model.left_at(float(times[k]))
+                    k1 = _apply(left_start, right, rho)
+                    k2 = _apply(left_mid, right, rho + 0.5 * dt * k1)
+                    k3 = _apply(left_mid, right, rho + 0.5 * dt * k2)
+                    k4 = _apply(left_end, right, rho + dt * k3)
+                    rho = symmetrize(rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+                    states[k] = rho
+            except Exception:
+                # A step before the one that raised may already have failed.
+                _check_steps(states[start:k], times[start:k])
+                raise
+            _check_steps(states[start:stop], times[start:stop])
     return Trajectory(times=times, states=states, model=model)
 
 

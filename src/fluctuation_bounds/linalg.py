@@ -34,19 +34,19 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |m_ij - conj(m_ji)|."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.abs(m - m.conj().T).max())
 
 
 def _hermiticity_scale(m: np.ndarray) -> float:
     # Relative to the largest entry, floored at an absolute scale of one.
-    return max(float(np.max(np.abs(m))), 1.0)
+    return max(float(np.abs(m).max()), 1.0)
 
 
 def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
@@ -83,6 +83,28 @@ def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
     if lo < -tau_psd:
         raise ValueError(f"density matrix violates positivity (min eigenvalue {lo:.3e})")
     return rho
+
+
+def as_density_matrices(ms, *, tau_psd: float = TAU_PSD) -> np.ndarray:
+    """:func:`as_density_matrix` for a stack of states, in one batched pass.
+
+    Returns the (n, d, d) complex stack.  For the first state that breaks
+    an invariant it raises the same ``ValueError`` as
+    :func:`as_density_matrix` would.
+    """
+    stack = np.asarray(ms, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[0] < 1:
+        raise ValueError(f"density matrices must stack to shape (n, d, d), got {stack.shape}")
+    scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
+    adjoint = stack.conj().transpose(0, 2, 1)
+    defect = np.max(np.abs(stack - adjoint), axis=(1, 2))
+    drift = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    lo = np.min(np.linalg.eigvalsh((stack + adjoint) / 2), axis=1)
+    # NaN fails every comparison, so non-finite states are flagged too.
+    ok = (defect <= TAU_HERM * scale) & (drift <= TAU_TRACE) & (-lo <= tau_psd)
+    for k in np.flatnonzero(~ok):
+        as_density_matrix(stack[k], tau_psd=tau_psd)  # raises naming the invariant
+    return stack
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:

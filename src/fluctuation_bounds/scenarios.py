@@ -315,15 +315,22 @@ def build_trajectory(spec: ScenarioSpec) -> Trajectory:
 
 
 def evaluate_scenario(spec: ScenarioSpec) -> list:
-    """Full per-point records for every interior grid point."""
-    traj = build_trajectory(spec)
+    """Full per-point records for every interior grid point.
+
+    A coefficient that overflows (math.exp past the float range raises
+    OverflowError) fails the run like any other invalid point.
+    """
+    try:
+        traj = build_trajectory(spec)
+    except OverflowError as err:
+        raise RuntimeError(f"scenario {spec.name!r} failed building its trajectory: {err}") from err
     model = traj.model
     records = []
     for k in range(1, len(traj) - 1):
         t = float(traj.times[k])
         try:
             records.append(_evaluate_point(spec, traj, model, t))
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:
             raise RuntimeError(f"scenario {spec.name!r} failed at t = {t:.6g}: {err}") from err
     return records
 

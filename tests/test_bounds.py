@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_model, random_observable, random_state
+from conftest import random_hermitian, random_jump, random_model, random_observable, random_state
 
 from fluctuation_bounds.bounds import (
     TAU_BOUND,
@@ -17,6 +17,7 @@ from fluctuation_bounds.dynamics import (
     analytic_amplitude_damping,
     integrate,
     lindblad_model,
+    lindblad_rhs,
     trajectory_from_states,
 )
 from fluctuation_bounds.linalg import sigma_minus, sigma_x, sigma_y, sigma_z
@@ -123,6 +124,25 @@ def test_adjoint_rate_precession():
     oracle = 1j * (omega / 2.0) * (sigma_z @ sigma_x - sigma_x @ sigma_z)
     assert np.max(np.abs(adot - oracle)) < 1e-14
     assert np.max(np.abs(adot - (-omega) * sigma_y)) < 1e-14
+
+
+def test_adjoint_rate_is_dual_to_rhs():
+    # tr(X L(rho)) = tr(L^dag(X) rho), with L^dag(X) = Adot - partial_t X,
+    # on driven models and time-dependent observables.
+    rng = np.random.default_rng(97)
+    for dim in (2, 3, 5):
+        for _ in range(4):
+            h = observable([
+                (cosine(rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0)), random_hermitian(rng, dim)),
+                (sine(rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0)), random_hermitian(rng, dim)),
+            ])
+            model = lindblad_model(h, [random_jump(rng, dim) for _ in range(int(rng.integers(1, 4)))])
+            a = random_observable(rng, dim, time_dependent=True)
+            rho = random_state(rng, dim)
+            t = float(rng.uniform(0.0, 3.0))
+            lhs = np.trace(a.evaluate(t) @ lindblad_rhs(model, rho, t))
+            rhs = np.trace((adjoint_heisenberg_rate(model, a, t) - a.partial_time(t)) @ rho)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def gamma_of(t, gamma_rate):

@@ -76,6 +76,35 @@ def test_run_invalid_scenario_lists_violations(tmp_path, capsys):
     assert any(v.startswith("dt:") for v in payload["violations"])
 
 
+SIGMA_X = {"re": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+def test_run_overflowing_observable_exits_2(tmp_path, capsys):
+    # exp(1000 t) passes the float range at t ~ 0.71: one JSON line, exit 2.
+    observable = {"terms": [{"kind": "exponential-decay", "amplitude": 1.0,
+                             "rate": -1000.0, "matrix": SIGMA_X}]}
+    scen = write_small_scenario(tmp_path, t_max=3.0, dt=0.01, observable=observable)
+    assert cli_main(["run", "--scenario", str(scen)]) == 2
+    payload, captured = last_stderr_json(capsys)
+    assert payload["error"] == "run-failed"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert cli_main(["verify", "--scenario", str(scen)]) == 2
+    assert last_stderr_json(capsys)[0]["error"] == "run-failed"
+
+
+def test_run_overflowing_hamiltonian_exits_2(tmp_path, capsys):
+    # A zero-amplitude drive leaves the dynamics alone until its coefficient
+    # overflows inside the RK4 run.
+    hamiltonian = {"terms": [{"kind": "exponential-decay", "amplitude": 0.0,
+                              "rate": -1000.0, "matrix": SIGMA_X}]}
+    scen = write_small_scenario(tmp_path, t_max=3.0, dt=0.01, hamiltonian=hamiltonian)
+    assert cli_main(["run", "--scenario", str(scen)]) == 2
+    payload, _ = last_stderr_json(capsys)
+    assert payload["error"] == "run-failed"
+    assert "trajectory" in payload["detail"]
+
+
 # ---------------------------------------------------------------------------
 # builtin
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_model, random_state
+from conftest import random_hermitian, random_jump, random_model, random_state
 from numpy.testing import assert_allclose
+from reference_rk4 import reference_integrate, reference_rhs
 
 from fluctuation_bounds.dynamics import (
+    CHECK_BLOCK,
     G_MIN,
     IntegrationError,
     analytic_amplitude_damping,
@@ -23,7 +25,15 @@ from fluctuation_bounds.linalg import (
     sigma_x,
     sigma_z,
 )
-from fluctuation_bounds.observables import cosine, observable, sine, static_observable
+from fluctuation_bounds.observables import (
+    constant,
+    cosine,
+    exponential_decay,
+    observable,
+    polynomial,
+    sine,
+    static_observable,
+)
 
 PROJ_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -31,6 +41,25 @@ PROJ_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 def damping_model(gamma_rate, omega=None):
     h = None if omega is None else static_observable((omega / 2.0) * sigma_z)
     return lindblad_model(h, [np.sqrt(gamma_rate) * sigma_minus])
+
+
+def driven_model(rng, dim, n_jumps):
+    """Static part plus cosine, sine, polynomial and exponential-decay drives."""
+    scale = 1.0 / np.sqrt(dim)
+    h = observable(
+        [
+            (constant(1.0), scale * random_hermitian(rng, dim)),
+            (cosine(rng.uniform(0.5, 1.5), rng.uniform(0.5, 3.0), rng.uniform(0, 6)),
+             scale * random_hermitian(rng, dim)),
+            (sine(rng.uniform(0.5, 1.5), rng.uniform(0.5, 3.0), rng.uniform(0, 6)),
+             scale * random_hermitian(rng, dim)),
+            (polynomial([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)]),
+             scale * random_hermitian(rng, dim)),
+            (exponential_decay(rng.uniform(0.5, 1.5), rng.uniform(-1, 2)),
+             scale * random_hermitian(rng, dim)),
+        ]
+    )
+    return lindblad_model(h, [random_jump(rng, dim, 0.7 * scale) for _ in range(n_jumps)])
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +99,34 @@ def test_rhs_traceless_random_models():
         rho = random_state(rng, dim)
         rhs = lindblad_rhs(model, rho, 0.3)
         assert abs(np.trace(rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+def test_rhs_matches_matrix_form_on_driven_models():
+    # Stage inputs need not be Hermitian, so compare on general matrices too.
+    rng = np.random.default_rng(75)
+    for dim in range(2, 9):
+        model = driven_model(rng, dim, 1 + dim % 3)
+        for rho in (random_state(rng, dim), random_jump(rng, dim)):
+            for t in (0.0, 0.37, 2.5):
+                assert_allclose(lindblad_rhs(model, rho, t), reference_rhs(model, rho, t),
+                                rtol=0, atol=1e-13)
+
+
+def test_operator_sum_layout():
+    # Terms: -iK | I, I | iK^dag, one L | L^dag per jump, then one pair per drive.
+    model = damping_model(1.0, omega=0.8)
+    a, b = model.terms()
+    assert model.n_terms == 3 and a.shape == b.shape == (3, 2, 2)
+    k = 0.4 * sigma_z - 0.5j * (sigma_minus.conj().T @ sigma_minus)
+    assert_allclose(a[0], -1j * k, atol=1e-15)
+    assert_allclose(b[1], 1j * k.conj().T, atol=1e-15)
+    assert_allclose(a[2], sigma_minus, atol=1e-15)
+    assert_allclose(model.weights(3.0), np.ones(3))
+    driven = lindblad_model(observable([(cosine(2.0, 1.0), sigma_x)]), [])
+    assert driven.n_terms == 4
+    assert_allclose(driven.weights(0.5), [1.0, 1.0, 2 * np.cos(0.5), 2 * np.cos(0.5)])
+    with pytest.raises(ValueError, match="finite"):
+        lindblad_rhs(driven, np.eye(2) / 2, float("nan"))
 
 
 def test_rhs_dimension_mismatch():
@@ -124,6 +181,63 @@ def test_integrate_aborts_on_instability():
     with pytest.raises(IntegrationError, match="positivity") as err:
         integrate(damping_model(1.0), PROJ_1, t_max=30.0, dt=3.0)
     assert err.value.t == pytest.approx(3.0)
+
+
+def test_integrate_matches_per_step_reference_loop():
+    rng = np.random.default_rng(77)
+    for dim in range(2, 9):
+        for n_jumps in (1, 2, 3):
+            model = driven_model(rng, dim, n_jumps)
+            rho0 = random_state(rng, dim)
+            traj = integrate(model, rho0, t_max=0.3, dt=2e-3)
+            times, states = reference_integrate(model, rho0, 0.3, 2e-3)
+            assert np.array_equal(traj.times, times)
+            assert np.max(np.abs(traj.states - states)) <= 1e-12
+
+
+def _reference_failure(model, rho0, t_max, dt):
+    with pytest.raises(IntegrationError) as ref:
+        reference_integrate(model, rho0, t_max, dt)
+    return ref.value
+
+
+def test_integrate_positivity_failure_inside_block_reports_reference_step():
+    # Gamma dt just past RK4's real stability limit (2.785): the excited
+    # population grows by a few percent per step and the ground population
+    # turns negative after tens of steps, in the middle of a check block.
+    mixed = np.eye(2, dtype=complex) / 2
+    for dt, step in ((2.8, 32), (2.79, 98)):
+        ref = _reference_failure(damping_model(1.0), mixed, 300 * dt, dt)
+        assert ref.t == pytest.approx(step * dt)
+        assert step % CHECK_BLOCK not in (0, 1)
+        with pytest.raises(IntegrationError, match="positivity") as err:
+            integrate(damping_model(1.0), mixed, t_max=300 * dt, dt=dt)
+        assert str(err.value) == str(ref)
+        assert err.value.t == ref.t
+
+
+def test_integrate_reports_failed_step_before_a_later_exception():
+    # A zero-amplitude growing drive adds nothing until math.exp overflows
+    # at step 43; positivity is already lost at step 32 of the same block.
+    h = observable([(exponential_decay(0.0, -6.0), sigma_x)])
+    model = lindblad_model(h, [sigma_minus])
+    mixed = np.eye(2, dtype=complex) / 2
+    ref = _reference_failure(model, mixed, 300 * 2.8, 2.8)
+    with pytest.raises(IntegrationError) as err:
+        integrate(model, mixed, t_max=300 * 2.8, dt=2.8)
+    assert (str(err.value), err.value.t) == (str(ref), ref.t)
+    with pytest.raises(OverflowError):
+        integrate(model, PROJ_1, t_max=300 * 2.8, dt=0.1)
+
+
+def test_integrate_raises_on_non_finite_state():
+    # A t^8 drive of size 1e300 overflows in the first step; the NaN state
+    # must abort the run, not be returned as a trajectory.
+    coeffs = [0.0] * 8 + [1e300]
+    model = lindblad_model(observable([(polynomial(coeffs), sigma_x)]), [0.5 * sigma_minus])
+    with pytest.raises(IntegrationError) as err:
+        integrate(model, PROJ_1, t_max=30.0, dt=0.05)
+    assert err.value.t == pytest.approx(0.05)
 
 
 def test_integrate_validates_arguments():

@@ -12,6 +12,7 @@ from fluctuation_bounds.linalg import (
     TAU_RECON,
     TAU_UNIT,
     anticommutator,
+    as_density_matrices,
     as_density_matrix,
     as_matrix,
     commutator,
@@ -271,6 +272,35 @@ def test_density_matrix_names_violated_invariant():
         as_density_matrix(np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="positivity"):
         as_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_density_matrix_stack_matches_single_checks():
+    rng = np.random.default_rng(37)
+    good = []
+    for dim in (2, 2, 2):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = m @ m.conj().T
+        good.append(rho / np.trace(rho).real)
+    assert np.array_equal(as_density_matrices(good), np.stack(good))
+    bad = {
+        "hermiticity": np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex),
+        "trace": np.eye(2, dtype=complex),
+        "positivity": np.diag([1.5, -0.5]).astype(complex),
+        "finite": np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex),
+    }
+    for name, state in bad.items():
+        with pytest.raises(ValueError) as single:
+            as_density_matrix(state)
+        with pytest.raises(ValueError, match=name) as stacked:
+            as_density_matrices(good + [state] + good)
+        assert str(stacked.value) == str(single.value)
+    # the first bad state is the one reported
+    with pytest.raises(ValueError, match="trace"):
+        as_density_matrices([good[0], bad["trace"], bad["positivity"]])
+    with pytest.raises(ValueError, match="positivity"):
+        as_density_matrices([bad["positivity"], bad["trace"]], tau_psd=1e-8)
+    with pytest.raises(ValueError, match="shape"):
+        as_density_matrices(np.eye(2))
 
 
 def test_matrix_dict_round_trip():
