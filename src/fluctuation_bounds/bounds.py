@@ -45,6 +45,15 @@ class BoundReport:
     reason: str = ""
 
 
+class BoundReports(tuple):
+    """The BoundReports of one bound at a 1-D array of times, in order."""
+
+    @property
+    def skipped(self) -> int:
+        """How many of the points were skipped."""
+        return sum(r.skipped for r in self)
+
+
 def _skipped(kind: str, t: float, reason: str) -> BoundReport:
     nan = float("nan")
     return BoundReport(
@@ -61,104 +70,159 @@ def _report(kind: str, t: float, lhs: float, rhs: float) -> BoundReport:
     )
 
 
+def _squared(x: np.ndarray) -> np.ndarray:
+    """x**2 elementwise, raising OverflowError where a float ``x**2`` would:
+    for a finite x whose square leaves the float range."""
+    with np.errstate(over="ignore"):
+        sq = x * x
+    if (np.isinf(sq) & np.isfinite(x)).any():
+        raise OverflowError(34, "Numerical result out of range")
+    return sq
+
+
+def _bound(kind, traj, a, t, sp, eps_sigma, rhs_at) -> BoundReport | BoundReports:
+    """Shared skeleton of the two bounds.
+
+    Points with sigma below eps_sigma are skipped; at the others lhs =
+    var_rate^2 / (4 sigma^2), and rhs_at(times, states, live) gives the
+    right side at all of them (``live`` masks them) in one call.  One
+    BoundReport for a scalar t, a BoundReports tuple for a 1-D array.
+    """
+    stacked = np.ndim(t) > 0
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    sigma, var, var_rate = (np.atleast_1d(x) for x in (sp.sigma, sp.variance, sp.var_rate))
+    live = ~(sigma < eps_sigma)
+    lhs = np.full(len(times), np.nan)
+    rhs = np.full(len(times), np.nan)
+    if live.any():
+        rate_sq = _squared(var_rate[live])
+        if (var[live] == 0.0).any():
+            raise ZeroDivisionError("float division by zero")
+        lhs[live] = rate_sq / (4.0 * var[live])
+        rho = traj.states[traj.index_of(times[live])]
+        rhs[live] = rhs_at(times[live], rho, live)
+    reports = BoundReports(
+        _report(kind, tj, l, r) if ok
+        else _skipped(kind, tj, f"sigma {s:.3e} below {eps_sigma:.0e}")
+        for tj, l, r, s, ok in zip(
+            times.tolist() if stacked else [t], lhs.tolist(), rhs.tolist(), sigma.tolist(), live
+        )
+    )
+    return reports if stacked else reports[0]
+
+
 def open_bound(
     traj: Trajectory,
     a: TimeDependentObservable,
-    t: float,
+    t,
     eps_sigma: float = EPS_SIGMA,
     rho_dot_mode: str = "auto",
     stat: StatPoint | None = None,
-) -> BoundReport:
+) -> BoundReport | BoundReports:
     """Generator-independent bound on the spread growth rate.
 
     lhs = var_rate^2 / (4 sigma^2) is (d sigma_A/dt)^2; points with
     sigma below eps_sigma are reported as skipped, not errors.  Pass a
-    precomputed StatPoint for t as stat to skip recomputing it.
+    precomputed StatPoint for t as stat to skip recomputing it.  For a
+    1-D array of times t the result is a BoundReports tuple, computed in
+    one batched pass (states checked only at the points not skipped).
     """
     sp = stat if stat is not None else variance_rate(traj, a, t, rho_dot_mode)
-    if sp.sigma < eps_sigma:
-        return _skipped("open", t, f"sigma {sp.sigma:.3e} below {eps_sigma:.0e}")
-    lhs = sp.var_rate**2 / (4.0 * sp.variance)
-    rho = traj.states[traj.index_of(t)]
-    rhs = 2.0 * (
-        squared_partial_expectation(a, t, rho)
-        + sp.rho_dot_term**2 / (4.0 * sp.variance)
-    )
-    return _report("open", t, lhs, rhs)
+
+    def rhs_at(times, rho, live):
+        rd_term = np.atleast_1d(sp.rho_dot_term)[live]
+        var = np.atleast_1d(sp.variance)[live]
+        return 2.0 * (squared_partial_expectation(a, times, rho) + _squared(rd_term) / (4.0 * var))
+
+    return _bound("open", traj, a, t, sp, eps_sigma, rhs_at)
 
 
-def adjoint_heisenberg_rate(
-    model: LindbladModel, a: TimeDependentObservable, t: float
-) -> np.ndarray:
+def adjoint_heisenberg_rate(model: LindbladModel, a: TimeDependentObservable, t) -> np.ndarray:
     """Adot = partial_t A + i[H, A] + sum_k (L^dag A L - (1/2){L^dag L, A}).
 
     The generator part is the Heisenberg adjoint of the model's operator
-    sum, sum_m w_m(t) A_m^dag A B_m^dag.
+    sum, sum_m w_m(t) A_m^dag A B_m^dag.  A 1-D array of n times gives
+    the (n, d, d) stack.
     """
     a_t = a.evaluate(t)
     if a.dim != model.dim:
         raise ValueError(f"dimension mismatch: observable {a.dim} vs model {model.dim}")
     left, right = model.terms()
-    terms = left.conj().transpose(0, 2, 1) @ a_t @ right.conj().transpose(0, 2, 1)
-    return a.partial_time(t) + np.tensordot(model.weights(t), terms, axes=1)
+    terms = left.conj().transpose(0, 2, 1) @ a_t[..., None, :, :] @ right.conj().transpose(0, 2, 1)
+    da_t = a.partial_time(t)
+    w = model.weights(t)
+    d = model.dim
+    rate = w[..., None, :] @ terms.reshape(terms.shape[:-2] + (d * d,))
+    return da_t + rate.reshape(a_t.shape)
 
 
 def closed_bound(
     traj: Trajectory,
     model: LindbladModel,
     a: TimeDependentObservable,
-    t: float,
+    t,
     eps_sigma: float = EPS_SIGMA,
     stat: StatPoint | None = None,
-) -> BoundReport:
+) -> BoundReport | BoundReports:
     """Heisenberg-rate bound; guaranteed only without jump operators.
 
     Evaluating it on open dynamics is deliberate (that is how the
-    crossover time shows up); violations set satisfied=False.
+    crossover time shows up); violations set satisfied=False.  Takes a
+    1-D array of times like :func:`open_bound`.
     """
     sp = stat if stat is not None else variance_rate(traj, a, t)
-    if sp.sigma < eps_sigma:
-        return _skipped("closed", t, f"sigma {sp.sigma:.3e} below {eps_sigma:.0e}")
-    lhs = sp.var_rate**2 / (4.0 * sp.variance)
-    rho = traj.states[traj.index_of(t)]
-    rhs = variance(rho, adjoint_heisenberg_rate(model, a, t))
-    return _report("closed", t, lhs, rhs)
+
+    def rhs_at(times, rho, live):
+        return variance(rho, adjoint_heisenberg_rate(model, a, times))
+
+    return _bound("closed", traj, a, t, sp, eps_sigma, rhs_at)
 
 
 def var_rate_residual(
     traj: Trajectory,
     a: TimeDependentObservable,
-    t: float,
+    t,
     rho_dot_mode: str = "auto",
     stat: StatPoint | None = None,
-) -> float:
+):
     """|var_rate - central difference of sigma^2|; O(dt^2) on smooth runs.
 
     Cross-checks the algebraic variance-rate assembly against the grid.
-    Interior points only.
+    Interior points only; a 1-D array of times gives the n residuals.
     """
     k = traj.index_of(t)
-    if not 0 < k < len(traj) - 1:
-        raise ValueError(f"grid index {k} has no two-sided neighbors")
+    ks = np.atleast_1d(k)
+    edge = ~((0 < ks) & (ks < len(traj) - 1))
+    if edge.any():
+        raise ValueError(f"grid index {ks[edge][0]} has no two-sided neighbors")
     sp = stat if stat is not None else variance_rate(traj, a, t, rho_dot_mode)
-    var_up = variance(traj.states[k + 1], a.evaluate(traj.times[k + 1]))
-    var_dn = variance(traj.states[k - 1], a.evaluate(traj.times[k - 1]))
-    fd = (var_up - var_dn) / (2.0 * traj.dt)
-    return abs(sp.var_rate - fd)
+    # The variance of every neighbouring grid point, each computed once;
+    # highest index first, so one point checks k+1 before k-1.
+    need = np.unique(np.concatenate([ks - 1, ks + 1]))[::-1]
+    var_at = np.empty(len(traj))
+    var_at[need] = np.atleast_1d(variance(traj.states[need], a.evaluate(traj.times[need])))
+    fd = (var_at[k + 1] - var_at[k - 1]) / (2.0 * traj.dt)
+    residual = np.abs(sp.var_rate - fd)
+    return float(residual) if np.ndim(t) == 0 else residual
 
 
 def cauchy_schwarz_margin(
     traj: Trajectory,
     a: TimeDependentObservable,
-    t: float,
-) -> float:
-    """sigma_A^2 <(partial_t A)^2> - Cov(A, partial_t A)^2, nonnegative up to round-off."""
+    t,
+):
+    """sigma_A^2 <(partial_t A)^2> - Cov(A, partial_t A)^2, nonnegative up to round-off.
+
+    A 1-D array of times gives the n margins.
+    """
     k = traj.index_of(t)
     rho = traj.states[k]
     a_t = a.evaluate(t)
     da_t = a.partial_time(t)
     cov = covariance_sym(rho, a_t, da_t)
-    return variance(rho, a_t) * squared_partial_expectation(a, t, rho) - cov**2
+    cov_sq = _squared(np.asarray(cov))
+    margin = variance(rho, a_t) * squared_partial_expectation(a, t, rho) - cov_sq
+    return float(margin) if np.ndim(t) == 0 else margin
 
 
 def closed_system_anticommutator_rate(

@@ -179,6 +179,14 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_job(job) -> dict:
     """Runs in a worker process; reports failure in-band so nothing custom
     has to cross the process boundary."""
@@ -207,11 +215,15 @@ def _cmd_sweep(args) -> int:
             _error("invalid-scenario", str(err))
         return 2
 
-    for value_text in args.values:
+    for i, value_text in enumerate(args.values):
         try:
             float(value_text)
         except ValueError:
             _error("override", f"--values: {value_text!r} is not a number")
+            return 2
+        if value_text in args.values[:i]:
+            # both workers would write the same CSV
+            _error("override", f"--values: {value_text!r} is given more than once")
             return 2
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -220,8 +232,9 @@ def _cmd_sweep(args) -> int:
         (data, args.param, v, os.path.join(args.out_dir, f"{name}__{args.param}_{v}.csv"))
         for v in args.values
     ]
-    # one worker per value; each writes its own file, parent prints in order
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+    # one worker per value, at most one per available CPU; each writes its
+    # own file, parent prints in order
+    with ProcessPoolExecutor(max_workers=min(len(jobs), _available_cpus())) as pool:
         results = list(pool.map(_sweep_job, jobs))
     code = 0
     for res in results:

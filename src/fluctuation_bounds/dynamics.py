@@ -25,6 +25,7 @@ aborts with the failing time in the message.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ from .linalg import (
     matrix_exponential_antihermitian,
     symmetrize,
 )
-from .observables import TimeDependentObservable
+from .observables import TimeDependentObservable, finite_times
 
 TAU_PSD_RUN = 1e-8   # positivity floor while integrating
 TAU_TRACE_RUN = 1e-8
@@ -95,21 +96,27 @@ class LindbladModel:
         b = self.right.reshape(d, -1, d).transpose(1, 0, 2)
         return a, b
 
-    def weights(self, t: float) -> np.ndarray:
-        """w_m(t), shape (M,)."""
-        if not math.isfinite(t):
-            raise ValueError(f"time must be finite, got {t!r}")
-        w = [1.0] * (self.n_terms - 2 * len(self.drive))
-        for coeff in self.drive:
-            w += [coeff.value(t)] * 2
-        return np.array(w)
+    def weights(self, t) -> np.ndarray:
+        """w_m(t): shape (M,) at one time, (n, M) over a 1-D array of n times."""
+        times, stacked = finite_times(t)
+        w = []
+        for tj in times:
+            w += [1.0] * (self.n_terms - 2 * len(self.drive))
+            for coeff in self.drive:
+                w += [coeff.value(tj)] * 2
+        w = np.array(w)
+        return w.reshape(len(times), -1) if stacked else w
 
-    def left_at(self, t: float) -> np.ndarray:
-        """``left`` with each A_m scaled by w_m(t)."""
+    def left_at(self, t) -> np.ndarray:
+        """``left`` with each A_m scaled by w_m(t): (d, d*M) at one time,
+        (n, d, d*M) over a 1-D array of n times."""
         if not self.drive:
-            return self.left
+            if np.ndim(t) == 0:
+                return self.left
+            return np.broadcast_to(self.left, (len(t),) + self.left.shape)
         d = self.dim
-        return (self.left.reshape(d, d, -1) * self.weights(t)).reshape(d, -1)
+        w = self.weights(t)
+        return (self.left.reshape(d, d, -1) * w[..., None, None, :]).reshape(w.shape[:-1] + (d, -1))
 
 
 def lindblad_model(hamiltonian=None, jump_operators=()) -> LindbladModel:
@@ -159,16 +166,23 @@ def _apply(left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return left @ (rho @ right).reshape(-1, rho.shape[0])
 
 
-def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
+def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t=0.0) -> np.ndarray:
     """-i[H(t), rho] + sum_k (L rho L^dag - (1/2){L^dag L, rho}).
 
-    Evaluated from the model's cached operator sum.  No state validation
-    here: RK4 stage inputs are not density matrices.
+    Evaluated from the model's cached operator sum, for one state at one
+    time or for an (n, d, d) stack of states at a 1-D array of n times
+    (one batched application).  No state validation here: RK4 stage
+    inputs are not density matrices.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (model.dim, model.dim):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (model.dim, model.dim):
         raise ValueError(f"dimension mismatch: state {rho.shape} vs model dim {model.dim}")
-    return _apply(model.left_at(t), model.right, rho)
+    if rho.ndim == 2:
+        return _apply(model.left_at(t), model.right, rho)
+    if np.shape(t) != rho.shape[:1]:
+        raise ValueError(f"{len(rho)} states need as many times, got shape {np.shape(t)}")
+    # The stacked form of _apply: one (d*M, d) block per state.
+    return model.left_at(t) @ (rho @ model.right).reshape(len(rho), -1, model.dim)
 
 
 @dataclass(frozen=True)
@@ -190,11 +204,17 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def index_of(self, t: float) -> int:
-        k = int(round((t - self.times[0]) / self.dt))
-        if k < 0 or k >= len(self) or abs(self.times[k] - t) > 1e-6 * self.dt:
-            raise ValueError(f"t = {t} is not on the trajectory grid")
-        return k
+    def index_of(self, t):
+        """Grid index of a time, or the index array of a 1-D array of times."""
+        times = np.asarray(t, dtype=float)
+        k = np.rint((times - self.times[0]) / self.dt)
+        ok = (k >= 0) & (k < len(self))  # false for a non-finite t as well
+        k = np.where(ok, k, 0).astype(int)
+        ok &= np.abs(self.times[k] - times) <= 1e-6 * self.dt
+        if not ok.all():
+            bad = t if times.ndim == 0 else times[~ok][0]
+            raise ValueError(f"t = {bad} is not on the trajectory grid")
+        return int(k) if times.ndim == 0 else k
 
 
 def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
@@ -230,12 +250,29 @@ def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
     raise IntegrationError(f"positivity lost (min eigenvalue {lo[j]:.3e}) at t = {t:.6g}", t)
 
 
+def _stage_lefts(model: LindbladModel, times: np.ndarray, dt: float):
+    """Iterator over the (midpoint, end) weighted left blocks of each step
+    between consecutive grid times, from one batched weight evaluation.
+
+    If a drive coefficient fails at some stage time, the blocks are formed
+    one step at a time instead, so the steps before that one are still
+    taken (and checked) before its error is raised.
+    """
+    try:
+        return zip(model.left_at(times[:-1] + 0.5 * dt), model.left_at(times[1:]))
+    except (ValueError, OverflowError):
+        return (
+            (model.left_at(t + 0.5 * dt), model.left_at(t_next))
+            for t, t_next in zip(times[:-1].tolist(), times[1:].tolist())
+        )
+
+
 def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 from t = 0 to t_max.
 
     Each stage applies the model's cached operator sum (O(M d^3) for M
     terms); the weighted left blocks are formed once per distinct stage
-    time.  States are re-symmetrized every step.  Trace drift and
+    time, for a block of steps at once.  States are re-symmetrized every step.  Trace drift and
     negative eigenvalues of every step are measured, never corrected,
     with one batched trace and eigvalsh per CHECK_BLOCK steps; the first
     step past TAU_TRACE_RUN / TAU_PSD_RUN, or with a non-finite trace or
@@ -259,12 +296,11 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, n_steps + 1, CHECK_BLOCK):
             stop = min(start + CHECK_BLOCK, n_steps + 1)
+            stages = _stage_lefts(model, times[start - 1:stop], dt)
             try:
                 for k in range(start, stop):
-                    t = float(times[k - 1])
                     left_start = left_end
-                    left_mid = model.left_at(t + 0.5 * dt)
-                    left_end = model.left_at(float(times[k]))
+                    left_mid, left_end = next(stages)
                     k1 = _apply(left_start, right, rho)
                     k2 = _apply(left_mid, right, rho + 0.5 * dt * k1)
                     k3 = _apply(left_mid, right, rho + 0.5 * dt * k2)
@@ -279,27 +315,57 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     return Trajectory(times=times, states=states, model=model)
 
 
-def analytic_amplitude_damping(rho0, gamma_rate: float, omega: float, t: float) -> np.ndarray:
+def analytic_amplitude_damping(rho0, gamma_rate: float, omega: float, t) -> np.ndarray:
     """Closed-form qubit state under decay rate Gamma and splitting omega.
 
     Populations relax as e^{-Gamma t}; the coherence shrinks by
-    e^{-Gamma t/2} and rotates by e^{-i omega t}.
+    e^{-Gamma t/2} and rotates by e^{-i omega t}.  ``t`` is one time,
+    giving a (2, 2) state, or a 1-D array of n times, giving the
+    (n, 2, 2) stack; rho0 is validated once either way.
     """
     rho0 = as_density_matrix(rho0)
     if rho0.shape[0] != 2:
         raise ValueError("closed-form solution is for dimension 2 only")
     if gamma_rate < 0:
         raise ValueError(f"decay rate must be nonnegative, got {gamma_rate}")
-    decay = math.exp(-gamma_rate * t)
-    off = rho0[0, 1] * math.sqrt(decay) * np.exp(-1j * omega * t)
-    out = np.array(
-        [
-            [rho0[0, 0] + (1.0 - decay) * rho0[1, 1], off],
-            [np.conj(off), decay * rho0[1, 1]],
-        ],
-        dtype=complex,
-    )
+    times = np.asarray(t, dtype=float)
+    decay = np.array([math.exp(-gamma_rate * tj) for tj in times.reshape(-1).tolist()])
+    decay = decay.reshape(times.shape)
+    scaled = rho0[0, 1] * np.sqrt(decay)
+    phase = np.exp(-1j * omega * times)
+    out = np.empty(times.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = rho0[0, 0] + (1.0 - decay) * rho0[1, 1]
+    # scaled * phase, spelled out: numpy's vectorised complex product may
+    # fuse multiply-adds and round differently from the one-time product.
+    out[..., 0, 1].real = scaled.real * phase.real - scaled.imag * phase.imag
+    out[..., 0, 1].imag = scaled.real * phase.imag + scaled.imag * phase.real
+    out[..., 1, 0] = np.conj(out[..., 0, 1])
+    out[..., 1, 1] = decay * rho0[1, 1]
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _quadrature(a, b, n: int):
+    """Gauss-Legendre nodes and weights on [a, b]; for a 1-D array b, one
+    rule per entry, as columns of (n, len(b)) arrays."""
+    x, w = _gauss_legendre(n)
+    shape = (n,) + (1,) * np.ndim(b)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return mid + half * x.reshape(shape), half * w.reshape(shape)
+
+
+def _weighted_sum(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * stack[j] over the leading axis, in node order."""
+    return np.add.reduce(weights[..., None, None] * stack, axis=0)
 
 
 @dataclass(frozen=True)
@@ -332,13 +398,6 @@ def taylor_propagator(h: TimeDependentObservable, t0: float, dt: float, order: i
     return PropagatorStep(matrix=u, scheme=f"taylor{order}", interval=(t0, t0 + dt))
 
 
-def _gauss_legendre(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def dyson_propagator(
     h: TimeDependentObservable, t0: float, dt: float, order: int, quad_points: int = 16
 ) -> PropagatorStep:
@@ -354,22 +413,15 @@ def dyson_propagator(
         raise ValueError(f"order must be 1 or 2, got {order}")
     if quad_points < 2:
         raise ValueError(f"quad_points must be at least 2, got {quad_points}")
-    dim = h.dim
-    t1_nodes, t1_weights = _gauss_legendre(t0, t0 + dt, quad_points)
-    first = np.zeros((dim, dim), dtype=complex)
-    second = np.zeros((dim, dim), dtype=complex)
-    for t1, w1 in zip(t1_nodes, t1_weights):
-        h1 = h.evaluate(t1)
-        first = first + w1 * h1
-        if order == 2:
-            inner = np.zeros((dim, dim), dtype=complex)
-            t2_nodes, t2_weights = _gauss_legendre(t0, t1, quad_points)
-            for t2, w2 in zip(t2_nodes, t2_weights):
-                inner = inner + w2 * h.evaluate(t2)
-            second = second + w1 * (h1 @ inner)
-    u = np.eye(dim, dtype=complex) - 1j * first
+    t1_nodes, t1_weights = _quadrature(t0, t0 + dt, quad_points)
+    h1 = h.evaluate(t1_nodes)
+    u = np.eye(h.dim, dtype=complex) - 1j * _weighted_sum(t1_weights, h1)
     if order == 2:
-        u = u - second
+        # Inner rule on [t0, t1] for every outer node t1 at once: axis 0
+        # runs over the inner nodes, axis 1 over the outer ones.
+        t2_nodes, t2_weights = _quadrature(t0, t1_nodes, quad_points)
+        h2 = h.evaluate(t2_nodes.reshape(-1)).reshape(t2_nodes.shape + h1.shape[1:])
+        u = u - _weighted_sum(t1_weights, h1 @ _weighted_sum(t2_weights, h2))
     return PropagatorStep(matrix=u, scheme=f"dyson{order}", interval=(t0, t0 + dt))
 
 

@@ -60,6 +60,30 @@ def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = TAU_HERM
     return a
 
 
+def require_hermitian_stack(
+    ms, what: str = "matrix", tol: float = TAU_HERM
+) -> np.ndarray:
+    """:func:`require_hermitian` for a (d, d) matrix or an (n, d, d) stack.
+
+    A stack is checked in one pass and comes back as a complex array of
+    the same shape; the first matrix that fails raises the same
+    ``ValueError`` as :func:`require_hermitian` would for it.
+    """
+    if np.ndim(ms) != 3:
+        return require_hermitian(ms, what, tol)
+    stack = np.asarray(ms, dtype=complex)
+    if stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(f"matrix stack must have shape (n, d, d), got {stack.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf; non-finite entries fail below
+        defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    # An infinite entry can pass the defect test against an infinite scale.
+    ok = np.isfinite(stack).all(axis=(1, 2)) & (defect <= tol * scale)
+    for k in np.flatnonzero(~ok):
+        require_hermitian(stack[k], what, tol)  # raises with the scalar message
+    return stack
+
+
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Hermitian part (m + m^dagger)/2."""
     return (m + m.conj().T) / 2

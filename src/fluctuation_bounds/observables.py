@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    as_density_matrices,
     as_density_matrix,
     as_matrix,
     matrix_from_dict,
@@ -142,20 +143,33 @@ class TimeDependentObservable:
     def dim(self) -> int:
         return self.terms[0][1].shape[0]
 
-    def evaluate(self, t: float) -> np.ndarray:
-        """A(t); Hermitian because coefficients are real."""
-        _require_finite_time(t)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for coeff, basis in self.terms:
-            out = out + coeff.value(t) * basis
-        return out
+    def evaluate(self, t) -> np.ndarray:
+        """A(t); Hermitian because coefficients are real.
 
-    def partial_time(self, t: float) -> np.ndarray:
-        """Exact partial derivative of the explicit time dependence only."""
-        _require_finite_time(t)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        ``t`` is one time, giving a (d, d) matrix, or a 1-D array of n
+        times, giving the (n, d, d) stack.
+        """
+        return self._combine(t, derivative=False)
+
+    def partial_time(self, t) -> np.ndarray:
+        """Exact partial derivative of the explicit time dependence only;
+        one time or a 1-D array of times, as for :meth:`evaluate`."""
+        return self._combine(t, derivative=True)
+
+    def _combine(self, t, derivative: bool) -> np.ndarray:
+        """sum_k c_k(t) B_k (or c_k'(t) B_k) at every time of t.
+
+        Each coefficient value comes from the scalar ``math`` formula, so
+        values and OverflowError are those of a single time; each term is
+        then added over the whole stack at once, in the order of ``terms``.
+        """
+        times, stacked = finite_times(t)
+        out = np.zeros((len(times),) * stacked + (self.dim, self.dim), dtype=complex)
         for coeff, basis in self.terms:
-            out = out + coeff.derivative(t) * basis
+            f = coeff.derivative if derivative else coeff.value
+            values = [f(tj) for tj in times]
+            c = np.array(values, dtype=float).reshape(-1, 1, 1) if stacked else values[0]
+            out = out + c * basis
         return out
 
     @property
@@ -163,9 +177,24 @@ class TimeDependentObservable:
         return all(coeff.kind == "constant" for coeff, _ in self.terms)
 
 
-def _require_finite_time(t: float) -> None:
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+def finite_times(t):
+    """(times, stacked): the times of ``t`` as a list of Python floats, and
+    whether ``t`` is a 1-D array of times rather than a single time.
+
+    Raises ``ValueError`` naming the first non-finite time.
+    """
+    stacked = isinstance(t, (np.ndarray, list, tuple)) and np.ndim(t) > 0
+    if stacked:
+        arr = np.asarray(t, dtype=float)
+        if arr.ndim > 1:
+            raise ValueError(f"times must be a scalar or a 1-D array, got shape {arr.shape}")
+        times = arr.tolist()
+    else:
+        times = [float(t)]
+    if not all(map(math.isfinite, times)):
+        bad = next(x for x in times if not math.isfinite(x)) if stacked else t
+        raise ValueError(f"time must be finite, got {bad!r}")
+    return times, stacked
 
 
 def observable(terms) -> TimeDependentObservable:
@@ -186,13 +215,18 @@ def static_observable(matrix: np.ndarray) -> TimeDependentObservable:
     return observable([(constant(1.0), matrix)])
 
 
-def squared_partial_expectation(a: TimeDependentObservable, t: float, rho: np.ndarray) -> float:
-    """tr(rho * (partial_t A)^2), real and nonnegative."""
-    rho = as_density_matrix(rho)
+def squared_partial_expectation(a: TimeDependentObservable, t, rho: np.ndarray):
+    """tr(rho * (partial_t A)^2), real and nonnegative.
+
+    One time and a (d, d) state give a float; a 1-D array of n times and
+    an (n, d, d) stack of states give the n values, every state checked.
+    """
+    rho = as_density_matrix(rho) if np.ndim(rho) == 2 else as_density_matrices(rho)
     da = a.partial_time(t)
     if da.shape != rho.shape:
         raise ValueError(f"dimension mismatch: {da.shape} vs {rho.shape}")
-    return float(np.trace(rho @ da @ da).real)
+    value = np.trace(rho @ da @ da, axis1=-2, axis2=-1).real
+    return float(value) if value.ndim == 0 else value
 
 
 def observable_to_dict(a: TimeDependentObservable) -> dict:

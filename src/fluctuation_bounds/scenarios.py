@@ -306,10 +306,7 @@ def build_trajectory(spec: ScenarioSpec) -> Trajectory:
         gamma_eff, omega = params
         n = int(round(spec.t_max / spec.dt))
         times = np.arange(n + 1) * spec.dt
-        states = [
-            analytic_amplitude_damping(spec.initial_state, gamma_eff, omega, float(t))
-            for t in times
-        ]
+        states = analytic_amplitude_damping(spec.initial_state, gamma_eff, omega, times)
         return trajectory_from_states(times, states, model)
     return integrate(model, spec.initial_state, spec.t_max, spec.dt)
 
@@ -317,70 +314,68 @@ def build_trajectory(spec: ScenarioSpec) -> Trajectory:
 def evaluate_scenario(spec: ScenarioSpec) -> list:
     """Full per-point records for every interior grid point.
 
-    A coefficient that overflows (math.exp past the float range raises
-    OverflowError) fails the run like any other invalid point.
+    All points are evaluated in one batched pass, one call per requested
+    check.  If that pass raises, the points are replayed one at a time in
+    grid order, so the first point that fails reports its own error and
+    time.  A coefficient that overflows (math.exp past the float range
+    raises OverflowError) fails the run like any other invalid point.
     """
     try:
         traj = build_trajectory(spec)
     except OverflowError as err:
         raise RuntimeError(f"scenario {spec.name!r} failed building its trajectory: {err}") from err
-    model = traj.model
+    times = traj.times[1:-1]
+    try:
+        # Points past the first failing one are never reached one at a
+        # time, so their floating-point warnings are left out.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _evaluate_points(spec, traj, times)
+    except (ValueError, OverflowError):
+        pass
     records = []
-    for k in range(1, len(traj) - 1):
-        t = float(traj.times[k])
+    for k in range(len(times)):
         try:
-            records.append(_evaluate_point(spec, traj, model, t))
+            records += _evaluate_points(spec, traj, times[k:k + 1])
         except (ValueError, OverflowError) as err:
+            t = float(times[k])
             raise RuntimeError(f"scenario {spec.name!r} failed at t = {t:.6g}: {err}") from err
     return records
 
 
-def _evaluate_point(spec, traj, model, t) -> PointRecord:
-    sp = variance_rate(traj, spec.observable, t, spec.rho_dot_mode)
-    flags = []
-
-    open_report = None
-    lhs_o = rhs_o = margin_o = _NAN
+def _evaluate_points(spec, traj, times) -> list:
+    """PointRecords at a 1-D array of grid times, every check batched."""
+    a = spec.observable
+    n = len(times)
+    sp = variance_rate(traj, a, times, spec.rho_dot_mode)
+    open_reports = closed_reports = cs_margins = (None,) * n
+    residuals = [_NAN] * n
     if "open" in spec.bounds:
-        open_report = open_bound(traj, spec.observable, t, stat=sp)
-        if open_report.skipped:
-            flags.append(f"open:{open_report.reason}")
-        else:
-            lhs_o, rhs_o, margin_o = open_report.lhs, open_report.rhs, open_report.margin
-
-    closed_report = None
-    lhs_c = rhs_c = margin_c = _NAN
+        open_reports = open_bound(traj, a, times, stat=sp)
     if "closed" in spec.bounds:
-        closed_report = closed_bound(traj, model, spec.observable, t, stat=sp)
-        if closed_report.skipped:
-            flags.append(f"closed:{closed_report.reason}")
-        else:
-            lhs_c, rhs_c, margin_c = closed_report.lhs, closed_report.rhs, closed_report.margin
-
-    residual = _NAN
+        closed_reports = closed_bound(traj, traj.model, a, times, stat=sp)
     if "var_rate_residual" in spec.bounds:
-        residual = var_rate_residual(traj, spec.observable, t, stat=sp)
-
-    cs_margin = None
+        residuals = var_rate_residual(traj, a, times, stat=sp).tolist()
     if "cauchy_schwarz" in spec.bounds:
-        cs_margin = cauchy_schwarz_margin(traj, spec.observable, t)
+        cs_margins = cauchy_schwarz_margin(traj, a, times).tolist()
 
-    row = ResultRow(
-        t=t,
-        mean=sp.mean,
-        sigma=sp.sigma,
-        sigma_sq=sp.variance,
-        var_rate=sp.var_rate,
-        lhs_open=lhs_o,
-        rhs_open=rhs_o,
-        margin_open=margin_o,
-        lhs_closed=lhs_c,
-        rhs_closed=rhs_c,
-        margin_closed=margin_c,
-        var_rate_residual=residual,
-        skipped_flags=";".join(flags),
-    )
-    return PointRecord(row=row, open_report=open_report, closed_report=closed_report, cs_margin=cs_margin)
+    records = []
+    columns = (sp.t, sp.mean, sp.sigma, sp.variance, sp.var_rate)
+    for j, (t, mean, sigma, var, var_rate) in enumerate(zip(*(c.tolist() for c in columns))):
+        flags = []
+        bound_cols = []
+        for name, rep in (("open", open_reports[j]), ("closed", closed_reports[j])):
+            if rep is not None and rep.skipped:
+                flags.append(f"{name}:{rep.reason}")
+            if rep is None or rep.skipped:
+                bound_cols += [_NAN] * 3
+            else:
+                bound_cols += [rep.lhs, rep.rhs, rep.margin]
+        row = ResultRow(t, mean, sigma, var, var_rate, *bound_cols, residuals[j], ";".join(flags))
+        records.append(PointRecord(
+            row=row, open_report=open_reports[j], closed_report=closed_reports[j],
+            cs_margin=cs_margins[j],
+        ))
+    return records
 
 
 def run_scenario(spec: ScenarioSpec) -> list:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LindbladModel, Trajectory, lindblad_rhs
-from .linalg import require_hermitian
+from .linalg import require_hermitian_stack
 from .observables import TimeDependentObservable
 
 EPS_SIGMA = 1e-6         # below this spread, bound ratios are not evaluated
@@ -22,36 +22,93 @@ VARIANCE_FLOOR = -1e-12  # round-off negatives above this are reported as 0
 RHO_DOT_MODES = ("auto", "analytic", "finite_difference")
 
 
-def expectation(rho: np.ndarray, m: np.ndarray) -> float:
-    """tr(rho m) for Hermitian m; the imaginary part must be round-off."""
-    m = require_hermitian(m, "observable matrix")
+def _traces(x: np.ndarray) -> np.ndarray:
+    return np.trace(x, axis1=-2, axis2=-1)
+
+
+def _first(values: np.ndarray, bad: np.ndarray):
+    """The entry of values at the first True of bad (0-d or 1-d)."""
+    return values.flat[int(np.argmax(bad))]
+
+
+def _scalar_or_stack(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+def _check_dims(rho: np.ndarray, m: np.ndarray) -> None:
     if rho.shape != m.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {m.shape}")
-    value = complex(np.trace(rho @ m))
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(f"expectation has non-negligible imaginary part {value.imag:.3e}")
+
+
+def _real_part(value: np.ndarray) -> np.ndarray:
+    """Real part of traces that must be real up to round-off."""
+    bad = np.abs(value.imag) > 1e-10 * np.fmax(1.0, np.abs(value.real))
+    if bad.any():
+        raise ValueError(
+            f"expectation has non-negligible imaginary part {_first(value.imag, bad):.3e}"
+        )
     return value.real
 
 
-def variance(rho: np.ndarray, m: np.ndarray) -> float:
-    """tr(rho m^2) - tr(rho m)^2, clamped to 0 over round-off negatives."""
-    m = require_hermitian(m, "observable matrix")
-    mean = expectation(rho, m)
-    second = float(np.trace(rho @ m @ m).real)
+def _expectation(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
+    _check_dims(rho, m)
+    return _real_part(_traces(rho @ m))
+
+
+def _mean_and_variance(rho: np.ndarray, m: np.ndarray):
+    _check_dims(rho, m)
+    rho_m = rho @ m
+    mean = _real_part(_traces(rho_m))
+    second = _traces(rho_m @ m).real
     var = second - mean * mean
-    if var < VARIANCE_FLOOR * max(1.0, second):
-        raise ValueError(f"variance {var:.3e} below the round-off floor; state is invalid")
-    return max(var, 0.0)
+    bad = var < VARIANCE_FLOOR * np.fmax(1.0, second)
+    if bad.any():
+        raise ValueError(
+            f"variance {_first(var, bad):.3e} below the round-off floor; state is invalid"
+        )
+    return mean, np.where(0.0 > var, 0.0, var)
 
 
-def covariance_sym(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _symmetrized(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(1/2) tr(rho {a, b})."""
+    return _traces(rho @ (a @ b + b @ a)).real / 2.0
+
+
+def _rho_dot_term(rho_dot: np.ndarray, rho: np.ndarray, a: np.ndarray, mean=None) -> np.ndarray:
+    tr = _traces(rho_dot)
+    bad = np.abs(tr) > 1e-10 * np.fmax(1.0, np.abs(rho_dot).max(axis=(-2, -1)))
+    if bad.any():
+        raise ValueError(f"rho_dot must be traceless, got trace {complex(_first(tr, bad)):.3e}")
+    if mean is None:
+        mean = _expectation(rho, a)
+    rho_dot_a = rho_dot @ a
+    return _traces(rho_dot_a @ a).real - 2.0 * mean * _traces(rho_dot_a).real
+
+
+# Each public function below takes one (d, d) state and matrices, giving a
+# float, or (n, d, d) stacks of them, giving the n values; matrices are
+# validated once per call, a stack in one pass.
+
+def expectation(rho: np.ndarray, m: np.ndarray):
+    """tr(rho m) for Hermitian m; the imaginary part must be round-off."""
+    m = require_hermitian_stack(m, "observable matrix")
+    return _scalar_or_stack(_expectation(rho, m))
+
+
+def variance(rho: np.ndarray, m: np.ndarray):
+    """tr(rho m^2) - tr(rho m)^2, clamped to 0 over round-off negatives."""
+    m = require_hermitian_stack(m, "observable matrix")
+    return _scalar_or_stack(_mean_and_variance(rho, m)[1])
+
+
+def covariance_sym(rho: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Symmetrized covariance (1/2)<{a, b}> - <a><b>."""
-    a = require_hermitian(a, "first observable")
-    b = require_hermitian(b, "second observable")
+    a = require_hermitian_stack(a, "first observable")
+    b = require_hermitian_stack(b, "second observable")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    half_anti = float(np.trace(rho @ (a @ b + b @ a)).real) / 2.0
-    return half_anti - expectation(rho, a) * expectation(rho, b)
+    half_anti = _symmetrized(rho, a, b)
+    return _scalar_or_stack(half_anti - _expectation(rho, a) * _expectation(rho, b))
 
 
 def covariance_real_part(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -59,25 +116,20 @@ def covariance_real_part(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float
     return float(np.trace(rho @ a @ b).real) - expectation(rho, a) * expectation(rho, b)
 
 
-def rho_dot_delta_sq(rho_dot: np.ndarray, rho: np.ndarray, a: np.ndarray) -> float:
+def rho_dot_delta_sq(rho_dot: np.ndarray, rho: np.ndarray, a: np.ndarray):
     """tr(rho_dot DeltaA^2) = tr(rho_dot a^2) - 2<a> tr(rho_dot a).
 
     Requires a traceless rho_dot; the <a>^2 tr(rho_dot) term is dropped
     on that ground.
     """
-    a = require_hermitian(a, "observable matrix")
-    tr = complex(np.trace(rho_dot))
-    if abs(tr) > 1e-10 * max(1.0, float(np.max(np.abs(rho_dot)))):
-        raise ValueError(f"rho_dot must be traceless, got trace {tr:.3e}")
-    mean = expectation(rho, a)
-    term_sq = float(np.trace(rho_dot @ a @ a).real)
-    term_lin = float(np.trace(rho_dot @ a).real)
-    return term_sq - 2.0 * mean * term_lin
+    a = require_hermitian_stack(a, "observable matrix")
+    return _scalar_or_stack(_rho_dot_term(rho_dot, rho, a))
 
 
 @dataclass(frozen=True)
 class StatPoint:
-    """Statistics of A at one grid time."""
+    """Statistics of A at one grid time (floats), or at a 1-D array of n
+    grid times ((n,) arrays, ``t`` included)."""
 
     t: float
     mean: float
@@ -88,10 +140,12 @@ class StatPoint:
     var_rate: float      # d(sigma^2)/dt = rho_dot_term + 2 cov
 
 
-def state_derivative(
-    traj: Trajectory, k: int, t: float, mode: str = "auto"
-) -> np.ndarray:
-    """rho_dot at grid index k, analytic or central finite difference."""
+def state_derivative(traj: Trajectory, k, t, mode: str = "auto") -> np.ndarray:
+    """rho_dot at grid index k, analytic or central finite difference.
+
+    k and t are one index and time, or matching 1-D arrays of them for
+    the (n, d, d) stack of derivatives.
+    """
     if mode not in RHO_DOT_MODES:
         raise ValueError(f"rho_dot mode must be one of {RHO_DOT_MODES}, got {mode!r}")
     model_known = isinstance(traj.model, LindbladModel)
@@ -101,33 +155,40 @@ def state_derivative(
         if not model_known:
             raise ValueError("analytic rho_dot requested but the trajectory has no model")
         return lindblad_rhs(traj.model, traj.states[k], t)
-    if not 0 < k < len(traj) - 1:
-        raise ValueError(f"grid index {k} has no two-sided neighbors for finite differences")
+    k = np.asarray(k)
+    bad = ~((0 < k) & (k < len(traj) - 1))
+    if bad.any():
+        raise ValueError(
+            f"grid index {_first(k, bad)} has no two-sided neighbors for finite differences"
+        )
     return (traj.states[k + 1] - traj.states[k - 1]) / (2.0 * traj.dt)
 
 
 def variance_rate(
     traj: Trajectory,
     a: TimeDependentObservable,
-    t: float,
+    t,
     rho_dot_mode: str = "auto",
 ) -> StatPoint:
-    """Assemble the StatPoint at time t on the trajectory grid."""
+    """Assemble the StatPoint at time t on the trajectory grid.
+
+    ``t`` may be a 1-D array of grid times: every statistic then comes
+    from one pass of stacked products over all of them, with A(t) and
+    partial_t A(t) validated once per stack, and each per-point check
+    (Hermiticity, imaginary parts, the variance floor, a traceless
+    rho_dot) raising the message of the first time that fails it.
+    """
     k = traj.index_of(t)
     rho = traj.states[k]
     a_t = a.evaluate(t)
     da_t = a.partial_time(t)
-    mean = expectation(rho, a_t)
-    var = variance(rho, a_t)
-    cov = covariance_sym(rho, a_t, da_t)
+    a_t = require_hermitian_stack(a_t, "observable matrix")
+    mean, var = _mean_and_variance(rho, a_t)
+    da_t = require_hermitian_stack(da_t, "second observable")
+    cov = _symmetrized(rho, a_t, da_t) - mean * _expectation(rho, da_t)
     rho_dot = state_derivative(traj, k, t, rho_dot_mode)
-    rd_term = rho_dot_delta_sq(rho_dot, rho, a_t)
-    return StatPoint(
-        t=t,
-        mean=mean,
-        variance=var,
-        sigma=float(np.sqrt(var)),
-        cov=cov,
-        rho_dot_term=rd_term,
-        var_rate=rd_term + 2.0 * cov,
-    )
+    rd_term = _rho_dot_term(rho_dot, rho, a_t, mean)
+    out = (mean, var, np.sqrt(var), cov, rd_term, rd_term + 2.0 * cov)
+    if np.ndim(t) == 0:
+        return StatPoint(t, *(float(x) for x in out))
+    return StatPoint(np.asarray(t, dtype=float), *out)

@@ -262,3 +262,63 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == ",".join(FIGURE_COLUMNS)
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        SerialPool.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+def test_sweep_pool_is_capped_at_available_cpus(tmp_path, capsys, monkeypatch):
+    from fluctuation_bounds import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    SerialPool.workers.clear()
+    scen = write_small_scenario(tmp_path, t_max=0.02)
+    rc = cli_main(["sweep", "--scenario", str(scen), "--param", "gamma",
+                   "--values", "0.5", "1.0", "2.0", "--out-dir", str(tmp_path / "o")])
+    assert rc == 0 and SerialPool.workers == [2]
+    assert len(list((tmp_path / "o").iterdir())) == 3
+    capsys.readouterr()
+
+
+def test_available_cpus_prefers_the_affinity_mask(monkeypatch):
+    from fluctuation_bounds import cli
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._available_cpus() == 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._available_cpus() == 64
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._available_cpus() == 1
+
+
+def test_sweep_rejects_repeated_values_before_forking(tmp_path, capsys, monkeypatch):
+    from fluctuation_bounds import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep started workers")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    scen = write_small_scenario(tmp_path)
+    rc = cli_main(["sweep", "--scenario", str(scen), "--param", "dt",
+                   "--values", "0.01", "0.02", "0.01", "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    payload, _ = last_stderr_json(capsys)
+    assert payload["error"] == "override" and "'0.01'" in payload["detail"]
+    assert not (tmp_path / "o").exists()

@@ -150,3 +150,53 @@ def test_exact_propagator_unitary():
 def test_exact_propagator_requires_static_h():
     with pytest.raises(ValueError, match="time-independent"):
         exact_propagator(H_ROTATING, 0.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# batched quadrature against the node-by-node loop
+
+def reference_dyson(h, t0, dt, order, quad_points=16):
+    """Node-by-node Dyson expansion with a fresh Gauss-Legendre rule per interval."""
+
+    def gauss_legendre(a, b, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        return mid + half * x, half * w
+
+    dim = h.dim
+    t1_nodes, t1_weights = gauss_legendre(t0, t0 + dt, quad_points)
+    first = np.zeros((dim, dim), dtype=complex)
+    second = np.zeros((dim, dim), dtype=complex)
+    for t1, w1 in zip(t1_nodes, t1_weights):
+        h1 = h.evaluate(t1)
+        first = first + w1 * h1
+        if order == 2:
+            inner = np.zeros((dim, dim), dtype=complex)
+            t2_nodes, t2_weights = gauss_legendre(t0, t1, quad_points)
+            for t2, w2 in zip(t2_nodes, t2_weights):
+                inner = inner + w2 * h.evaluate(t2)
+            second = second + w1 * (h1 @ inner)
+    u = np.eye(dim, dtype=complex) - 1j * first
+    if order == 2:
+        u = u - second
+    return u
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "h", [H_CONST, h_linear(), H_ROTATING], ids=["static", "linear", "rotating"]
+)
+def test_dyson_matches_node_by_node_loop(h, order):
+    for t0, dt, quad_points in ((0.0, 0.01, 16), (0.37, 0.2, 16), (1.5, 0.05, 5), (0.2, 0.0, 3)):
+        got = dyson_propagator(h, t0, dt, order, quad_points).matrix
+        assert np.max(np.abs(got - reference_dyson(h, t0, dt, order, quad_points))) <= 1e-14
+
+
+def test_gauss_legendre_rule_is_cached_read_only():
+    from fluctuation_bounds.dynamics import _gauss_legendre
+
+    x, w = _gauss_legendre(16)
+    assert _gauss_legendre(16)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    assert_allclose(w.sum(), 2.0, rtol=1e-14)
