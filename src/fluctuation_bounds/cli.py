@@ -1,8 +1,9 @@
 """Command-line front end: run scenarios, emit CSV, verify bounds, sweep.
 
 Exit codes: 0 success, 1 bound violation (verify), 2 operational error
-(bad file, bad flags, failed run).  Every error is reported as one JSON
-line on stderr so callers can parse failures without scraping text.
+(bad file, bad flags, failed run, unwritable output).  Every error is
+reported as one JSON line on stderr so callers can parse failures
+without scraping text.
 """
 
 from __future__ import annotations
@@ -39,12 +40,18 @@ def _error(slug: str, detail: str, **extra) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(text: str, out_path) -> int:
+    """Write to stdout or to out_path; the exit code of the command."""
     if out_path is None:
         sys.stdout.write(text)
-        return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        return 0
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        _error("write-failed", str(err))
+        return 2
+    return 0
 
 
 def _omega_hamiltonian(omega: float) -> dict:
@@ -110,8 +117,7 @@ def _cmd_run(args) -> int:
     except RuntimeError as err:
         _error("run-failed", str(err))
         return 2
-    _emit(rows_to_csv_text(rows), args.out)
-    return 0
+    return _emit(rows_to_csv_text(rows), args.out)
 
 
 def _cmd_builtin(args) -> int:
@@ -127,8 +133,7 @@ def _cmd_builtin(args) -> int:
         except ValueError as err:
             _error("override", str(err))
             return 2
-        _emit(rows_to_csv_text(rows, FIGURE_COLUMNS), args.out)
-        return 0
+        return _emit(rows_to_csv_text(rows, FIGURE_COLUMNS), args.out)
     try:
         data = _apply_overrides(
             builtin_scenario_dict(args.name),
@@ -145,8 +150,7 @@ def _cmd_builtin(args) -> int:
     except RuntimeError as err:
         _error("run-failed", str(err))
         return 2
-    _emit(rows_to_csv_text(rows), args.out)
-    return 0
+    return _emit(rows_to_csv_text(rows), args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -196,7 +200,7 @@ def _sweep_job(job) -> dict:
         spec = parse_scenario(overridden, default_name=data.get("name", "sweep"))
         rows = run_scenario(spec)
         write_csv(rows, out_path)
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         return {"ok": False, "param": param, "value": value_text, "detail": str(err)}
     return {"ok": True, "param": param, "value": value_text, "rows": len(rows), "out": out_path}
 
@@ -226,7 +230,11 @@ def _cmd_sweep(args) -> int:
             _error("override", f"--values: {value_text!r} is given more than once")
             return 2
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as err:
+        _error("write-failed", str(err))
+        return 2
     name = data.get("name", "sweep")
     jobs = [
         (data, args.param, v, os.path.join(args.out_dir, f"{name}__{args.param}_{v}.csv"))

@@ -278,8 +278,10 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     step past TAU_TRACE_RUN / TAU_PSD_RUN, or with a non-finite trace or
     eigenvalue, aborts the run with its time, at most one block later.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not t_max < math.inf:
+        raise ValueError(f"t_max must be finite, got {t_max}")
     if t_max < dt:
         raise ValueError(f"t_max = {t_max} shorter than one step dt = {dt}")
     n_steps = int(round(t_max / dt))
@@ -385,7 +387,7 @@ def exact_propagator(h: TimeDependentObservable, t0: float, dt: float) -> Propag
 
 def taylor_propagator(h: TimeDependentObservable, t0: float, dt: float, order: int) -> PropagatorStep:
     """Short-time expansion about t0 from H(t0) and its exact derivative."""
-    if dt < 0:
+    if not dt >= 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -407,7 +409,7 @@ def dyson_propagator(
     t0 <= t2 <= t1 <= t0+dt; the inner integral is rescaled onto [t0, t1]
     so Gauss-Legendre nodes stay inside the ordering constraint.
     """
-    if dt < 0:
+    if not dt >= 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -462,11 +464,9 @@ def _match_columns(ref: np.ndarray, other: np.ndarray) -> list:
     return picks
 
 
-def _paired_eigensystem(rho_a, rho_b):
-    """Eigenvectors of both states, columns of b reordered onto a's and
-    phase-fixed so <psi_j(a)|psi_j(b)> is real positive."""
-    dec_a = _nondegenerate_decomposition(rho_a, "first state")
-    dec_b = _nondegenerate_decomposition(rho_b, "second state")
+def _pair(dec_a, dec_b):
+    """(vb, pb): the eigenvectors and eigenvalues of b, columns reordered
+    onto a's and phase-fixed so <psi_j(a)|psi_j(b)> is real positive."""
     picks = _match_columns(dec_a.eigenvectors, dec_b.eigenvectors)
     vb = np.empty_like(dec_b.eigenvectors)
     pb = np.empty_like(dec_b.eigenvalues)
@@ -477,7 +477,14 @@ def _paired_eigensystem(rho_a, rho_b):
             col = col * (ov.conjugate() / abs(ov))
         vb[:, j] = col
         pb[j] = dec_b.eigenvalues[k]
-    return dec_a, vb, pb
+    return vb, pb
+
+
+def _flow_generator(va: np.ndarray, vb: np.ndarray, dt: float) -> np.ndarray:
+    """Hermitian part of i(T - I)/dt for the transfer map T = sum_j
+    |vb_j><va_j| between paired eigenvector columns."""
+    transfer = vb @ va.conj().T
+    return symmetrize(1j * (transfer - np.eye(transfer.shape[0])) / dt)
 
 
 def extract_pseudo_hamiltonian(rho_a, rho_b, dt: float) -> np.ndarray:
@@ -485,21 +492,26 @@ def extract_pseudo_hamiltonian(rho_a, rho_b, dt: float) -> np.ndarray:
 
     Builds the transfer map T = sum_j |psi_j(b)><psi_j(a)| from
     overlap-paired, phase-fixed eigenvectors and returns the Hermitian
-    part of i(T - I)/dt.  The generator is gauge-dependent; only
-    commutator expectations against the state are physical.
+    part of i(T - I)/dt.  Each state is decomposed once.  The generator
+    is gauge-dependent; only commutator expectations against the state
+    are physical.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    dec_a, vb, _ = _paired_eigensystem(rho_a, rho_b)
-    transfer = vb @ dec_a.eigenvectors.conj().T
-    dim = transfer.shape[0]
-    return symmetrize(1j * (transfer - np.eye(dim)) / dt)
+    dec_a = _nondegenerate_decomposition(rho_a, "first state")
+    vb, _ = _pair(dec_a, _nondegenerate_decomposition(rho_b, "second state"))
+    return _flow_generator(dec_a.eigenvectors, vb, dt)
 
 
 def pseudo_hamiltonian_residuals(rho_a, rho_b, dt: float) -> np.ndarray:
-    """Per-eigenvector norms ||(I - i Omega dt) psi_j(a) - psi_j(b)||."""
-    omega = extract_pseudo_hamiltonian(rho_a, rho_b, dt)
-    dec_a, vb, _ = _paired_eigensystem(rho_a, rho_b)
+    """Per-eigenvector norms ||(I - i Omega dt) psi_j(a) - psi_j(b)||,
+    with Omega from ``extract_pseudo_hamiltonian``; each state is
+    decomposed and the pair matched once."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    dec_a = _nondegenerate_decomposition(rho_a, "first state")
+    vb, _ = _pair(dec_a, _nondegenerate_decomposition(rho_b, "second state"))
+    omega = _flow_generator(dec_a.eigenvectors, vb, dt)
     step = np.eye(omega.shape[0], dtype=complex) - 1j * dt * omega
     return np.linalg.norm(step @ dec_a.eigenvectors - vb, axis=0)
 
@@ -510,15 +522,18 @@ def eigenflow_rate_terms(traj: Trajectory, a: TimeDependentObservable, k: int):
 
     Eigenvalue rates use central differences with overlap pairing against
     the middle point; the flow generator is extracted over the forward
-    step, so the decomposition carries O(dt) error overall.
+    step, so the decomposition carries O(dt) error overall.  The states
+    at k - 1, k and k + 1 are decomposed once each, and the (k, k + 1)
+    pairing serves both the eigenvalue rate and the flow generator.
     """
     if not 0 < k < len(traj) - 1:
         raise ValueError(f"index {k} has no two-sided neighbors")
     dt = traj.dt
     rho_k = traj.states[k]
     t_k = float(traj.times[k])
-    dec_k, _, p_next = _paired_eigensystem(rho_k, traj.states[k + 1])
-    _, _, p_prev = _paired_eigensystem(rho_k, traj.states[k - 1])
+    dec_k = _nondegenerate_decomposition(rho_k, "first state")
+    v_next, p_next = _pair(dec_k, _nondegenerate_decomposition(traj.states[k + 1], "second state"))
+    _, p_prev = _pair(dec_k, _nondegenerate_decomposition(traj.states[k - 1], "second state"))
     p_dot = (p_next - p_prev) / (2.0 * dt)
 
     a_k = a.evaluate(t_k)
@@ -526,6 +541,8 @@ def eigenflow_rate_terms(traj: Trajectory, a: TimeDependentObservable, k: int):
     diag_a = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), a_k, vecs))
     pdot_term = float(np.dot(p_dot, diag_a))
     partial_term = float(np.trace(rho_k @ a.partial_time(t_k)).real)
-    omega = extract_pseudo_hamiltonian(rho_k, traj.states[k + 1], dt)
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    omega = _flow_generator(vecs, v_next, dt)
     omega_term = float((1j * np.trace(rho_k @ (omega @ a_k - a_k @ omega))).real)
     return pdot_term, partial_term, omega_term

@@ -156,7 +156,11 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
             violations.append(f"hamiltonian: {err}")
 
     jump_terms = []
-    for i, entry in enumerate(data.get("jump_operators", [])):
+    jump_entries = data.get("jump_operators", [])
+    if not isinstance(jump_entries, list):
+        violations.append(f"jump_operators: must be a list, got {jump_entries!r}")
+        jump_entries = []
+    for i, entry in enumerate(jump_entries):
         try:
             m = matrix_from_dict(entry["matrix"])
             rate = entry.get("rate")
@@ -189,7 +193,10 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
     if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max >= 10 * dt):
         violations.append(f"t_max: must be at least 10*dt, got {t_max!r}")
 
-    bounds = tuple(data.get("bounds", ("open",)))
+    bounds = data.get("bounds", ["open"])
+    if not isinstance(bounds, list):
+        violations.append(f"bounds: must be a list, got {bounds!r}")
+        bounds = []
     for b in bounds:
         if b not in BOUND_NAMES:
             violations.append(f"bounds: unknown check {b!r}, expected subset of {BOUND_NAMES}")
@@ -200,7 +207,7 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
             f"rho_dot_mode: must be 'analytic' or 'finite_difference', got {rho_dot_mode!r}"
         )
 
-    if data.get("hamiltonian") is None and not data.get("jump_operators"):
+    if data.get("hamiltonian") is None and not jump_entries:
         violations.append("model: scenario needs a hamiltonian or at least one jump operator")
 
     if violations:
@@ -215,7 +222,7 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
         observable=obs,
         t_max=float(t_max),
         dt=float(dt),
-        bounds=bounds,
+        bounds=tuple(bounds),
         rho_dot_mode=rho_dot_mode,
     )
 
@@ -248,7 +255,7 @@ def load_scenario(path) -> ScenarioSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ScenarioError([f"read: {err}"]) from err
     except json.JSONDecodeError as err:
         raise ScenarioError([f"parse: {err}"]) from err

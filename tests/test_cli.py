@@ -76,6 +76,32 @@ def test_run_invalid_scenario_lists_violations(tmp_path, capsys):
     assert any(v.startswith("dt:") for v in payload["violations"])
 
 
+def test_run_non_utf8_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    for cmd in ("run", "verify"):
+        assert cli_main([cmd, "--scenario", str(p)]) == 2
+        payload, captured = last_stderr_json(capsys)
+        assert payload["error"] == "invalid-scenario"
+        assert payload["violations"][0].startswith("read:")
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "builtin", "figure1"])
+def test_out_in_missing_directory_exits_2(command, tmp_path, capsys):
+    argv = {
+        "run": ["run", "--scenario", str(write_small_scenario(tmp_path, t_max=0.05))],
+        "builtin": ["builtin", "--name", "example1", "--t-max", "0.05"],
+        "figure1": ["builtin", "--name", "figure1", "--dt", "0.5", "--t-max", "1.0"],
+    }[command]
+    out = tmp_path / "missing" / "rows.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    payload, captured = last_stderr_json(capsys)
+    assert payload["error"] == "write-failed"
+    assert str(out) in payload["detail"]
+    assert captured.out == ""
+
+
 SIGMA_X = {"re": [[0.0, 1.0], [1.0, 0.0]]}
 
 
@@ -322,3 +348,35 @@ def test_sweep_rejects_repeated_values_before_forking(tmp_path, capsys, monkeypa
     payload, _ = last_stderr_json(capsys)
     assert payload["error"] == "override" and "'0.01'" in payload["detail"]
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_out_dir_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    from fluctuation_bounds import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep started workers")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    scen = write_small_scenario(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    rc = cli_main(["sweep", "--scenario", str(scen), "--param", "dt",
+                   "--values", "0.01", "--out-dir", str(taken)])
+    assert rc == 2
+    payload, captured = last_stderr_json(capsys)
+    assert payload["error"] == "write-failed"
+    assert "Traceback" not in captured.err
+
+
+def test_sweep_worker_write_failure_is_reported_in_band(tmp_path, capsys):
+    scen = write_small_scenario(tmp_path, t_max=0.02)
+    out_dir = tmp_path / "o"
+    (out_dir / "small__gamma_0.5.csv").mkdir(parents=True)  # the worker cannot open it
+    rc = cli_main(["sweep", "--scenario", str(scen), "--param", "gamma",
+                   "--values", "0.5", "1.0", "--out-dir", str(out_dir)])
+    assert rc == 2
+    payload, captured = last_stderr_json(capsys)
+    assert payload["error"] == "run-failed"
+    assert payload["value"] == "0.5"
+    assert "gamma=1.0" in captured.out  # the other value still completed
+    assert (out_dir / "small__gamma_1.0.csv").is_file()

@@ -250,6 +250,18 @@ def test_integrate_validates_arguments():
         integrate(model, np.eye(3) / 3, t_max=1.0, dt=1e-3)
 
 
+@pytest.mark.parametrize("t_max,dt,match", [
+    (1.0, float("nan"), "dt must be positive and finite, got nan"),
+    (1.0, float("inf"), "dt must be positive and finite, got inf"),
+    (float("inf"), 1e-3, "t_max must be finite, got inf"),
+    (float("nan"), 1e-3, "t_max must be finite, got nan"),
+    (float("inf"), float("inf"), "dt must be positive and finite"),
+])
+def test_integrate_rejects_non_finite_grid(t_max, dt, match):
+    with pytest.raises(ValueError, match=match):
+        integrate(damping_model(1.0), PROJ_1, t_max=t_max, dt=dt)
+
+
 # ---------------------------------------------------------------------------
 # closed-form solution
 

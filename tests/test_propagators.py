@@ -102,6 +102,13 @@ def test_dyson_validates_arguments():
         dyson_propagator(H_CONST, 0.0, 0.01, order=0)
 
 
+@pytest.mark.parametrize("propagator", [taylor_propagator, dyson_propagator])
+@pytest.mark.parametrize("order", [1, 2])
+def test_short_time_propagators_reject_nan_step(propagator, order):
+    with pytest.raises(ValueError, match="dt must be nonnegative, got nan"):
+        propagator(H_ROTATING, 0.0, float("nan"), order=order)
+
+
 # ---------------------------------------------------------------------------
 # order of accuracy
 

@@ -101,6 +101,30 @@ def test_unknown_bound_and_mode_rejected():
     assert "'tight'" in msg and "rho_dot_mode" in msg
 
 
+@pytest.mark.parametrize("field,value", [
+    ("bounds", 5), ("bounds", "open"), ("bounds", None),
+    ("jump_operators", 7), ("jump_operators", {"matrix": {"re": [[0.0]]}}),
+])
+def test_list_fields_must_be_lists(field, value):
+    data = builtin_scenario_dict("example1")
+    data[field] = value
+    data["dt"] = -1.0  # violations are still collected together
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(data)
+    assert f"{field}: must be a list, got {value!r}" in info.value.violations
+    assert any(v.startswith("dt:") for v in info.value.violations)
+    assert not any("unknown check" in v for v in info.value.violations)
+    if field == "jump_operators":  # example1 has no hamiltonian to fall back on
+        assert any(v.startswith("model:") for v in info.value.violations)
+
+
+def test_load_scenario_non_utf8_file(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(ScenarioError, match="read:"):
+        load_scenario(p)
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="read:"):
         load_scenario(tmp_path / "nope.json")
