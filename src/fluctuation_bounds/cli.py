@@ -22,8 +22,10 @@ from .scenarios import (
     builtin_scenario_dict,
     evaluate_scenario,
     figure1_curves,
+    load_builtin,
     load_scenario,
     parse_scenario,
+    read_scenario,
     rows_to_csv_text,
     run_scenario,
     write_csv,
@@ -34,24 +36,23 @@ SWEEP_PARAMS = ("dt", "t_max", "gamma")
 _FIGURE_DEFAULTS = {"gamma": 1.0, "t_max": 5.0, "dt": 0.01}
 
 
+class OverrideError(ValueError):
+    """A command-line value the scenario or curve family cannot take."""
+
+
 def _error(slug: str, detail: str, **extra) -> None:
     payload = {"error": slug, "detail": detail}
     payload.update(extra)
     print(json.dumps(payload), file=sys.stderr)
 
 
-def _emit(text: str, out_path) -> int:
-    """Write to stdout or to out_path; the exit code of the command."""
+def _emit(text: str, out_path) -> None:
+    """Write to stdout or to out_path."""
     if out_path is None:
         sys.stdout.write(text)
-        return 0
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as err:
-        _error("write-failed", str(err))
-        return 2
-    return 0
+        return
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _omega_hamiltonian(omega: float) -> dict:
@@ -81,16 +82,16 @@ def _apply_overrides(data: dict, dt=None, t_max=None, gamma=None, omega=None) ->
     if gamma is not None:
         jumps = out.get("jump_operators")
         if not jumps:
-            raise ValueError("--gamma: scenario has no jump operators")
+            raise OverrideError("--gamma: scenario has no jump operators")
         for i, entry in enumerate(jumps):
             if "rate" not in entry:
-                raise ValueError(
+                raise OverrideError(
                     f"--gamma: jump_operators[{i}] has no explicit rate to override"
                 )
             entry["rate"] = gamma
     if omega is not None:
         if out.get("dimension") != 2:
-            raise ValueError("--omega: needs a 2-level scenario")
+            raise OverrideError("--omega: needs a 2-level scenario")
         out["hamiltonian"] = _omega_hamiltonian(omega)
     return out
 
@@ -108,67 +109,41 @@ def _verify_failures(records) -> list:
 
 
 def _cmd_run(args) -> int:
-    try:
-        spec = load_scenario(args.scenario)
-        rows = run_scenario(spec)
-    except ScenarioError as err:
-        _error("invalid-scenario", str(err), violations=list(err.violations))
-        return 2
-    except RuntimeError as err:
-        _error("run-failed", str(err))
-        return 2
-    return _emit(rows_to_csv_text(rows), args.out)
+    _emit(rows_to_csv_text(run_scenario(load_scenario(args.scenario))), args.out)
+    return 0
 
 
 def _cmd_builtin(args) -> int:
     if args.name == "figure1":
         if args.omega is not None:
-            _error("override", "--omega: figure1 has no hamiltonian to replace")
-            return 2
+            raise OverrideError("--omega: figure1 has no hamiltonian to replace")
         gamma = _FIGURE_DEFAULTS["gamma"] if args.gamma is None else args.gamma
         t_max = _FIGURE_DEFAULTS["t_max"] if args.t_max is None else args.t_max
         dt = _FIGURE_DEFAULTS["dt"] if args.dt is None else args.dt
         try:
             rows = figure1_curves(gamma, t_max, dt)
         except ValueError as err:
-            _error("override", str(err))
-            return 2
-        return _emit(rows_to_csv_text(rows, FIGURE_COLUMNS), args.out)
-    try:
-        data = _apply_overrides(
-            builtin_scenario_dict(args.name),
-            dt=args.dt, t_max=args.t_max, gamma=args.gamma, omega=args.omega,
-        )
-        spec = parse_scenario(data, default_name=args.name)
-        rows = run_scenario(spec)
-    except ValueError as err:
-        if isinstance(err, ScenarioError):
-            _error("invalid-scenario", str(err), violations=list(err.violations))
-        else:
-            _error("override", str(err))
-        return 2
-    except RuntimeError as err:
-        _error("run-failed", str(err))
-        return 2
-    return _emit(rows_to_csv_text(rows), args.out)
+            raise OverrideError(str(err)) from err
+        _emit(rows_to_csv_text(rows, FIGURE_COLUMNS), args.out)
+        return 0
+    data = _apply_overrides(
+        builtin_scenario_dict(args.name),
+        dt=args.dt, t_max=args.t_max, gamma=args.gamma, omega=args.omega,
+    )
+    rows = run_scenario(parse_scenario(data, default_name=args.name))
+    _emit(rows_to_csv_text(rows), args.out)
+    return 0
 
 
 def _cmd_verify(args) -> int:
-    try:
-        if args.builtin is not None:
-            if args.builtin == "figure1":
-                _error("invalid-scenario", "figure1 has no bound checks to verify")
-                return 2
-            spec = parse_scenario(builtin_scenario_dict(args.builtin), default_name=args.builtin)
-        else:
-            spec = load_scenario(args.scenario)
-        records = evaluate_scenario(spec)
-    except ScenarioError as err:
-        _error("invalid-scenario", str(err), violations=list(err.violations))
+    if args.builtin == "figure1":
+        _error("invalid-scenario", "figure1 has no bound checks to verify")
         return 2
-    except RuntimeError as err:
-        _error("run-failed", str(err))
-        return 2
+    if args.builtin is not None:
+        spec = load_builtin(args.builtin)
+    else:
+        spec = load_scenario(args.scenario)
+    records = evaluate_scenario(spec)
     failures = _verify_failures(records)
     if failures:
         kind, t, margin = failures[0]
@@ -206,35 +181,17 @@ def _sweep_job(job) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.scenario, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("top-level value must be an object")
-        parse_scenario(data, default_name=str(args.scenario))  # fail before forking
-    except (OSError, ValueError) as err:
-        if isinstance(err, ScenarioError):
-            _error("invalid-scenario", str(err), violations=list(err.violations))
-        else:
-            _error("invalid-scenario", str(err))
-        return 2
-
+    data = read_scenario(args.scenario)
+    parse_scenario(data, default_name=str(args.scenario))  # fail before forking
     for i, value_text in enumerate(args.values):
         try:
             float(value_text)
         except ValueError:
-            _error("override", f"--values: {value_text!r} is not a number")
-            return 2
+            raise OverrideError(f"--values: {value_text!r} is not a number") from None
         if value_text in args.values[:i]:
             # both workers would write the same CSV
-            _error("override", f"--values: {value_text!r} is given more than once")
-            return 2
-
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as err:
-        _error("write-failed", str(err))
-        return 2
+            raise OverrideError(f"--values: {value_text!r} is given more than once")
+    os.makedirs(args.out_dir, exist_ok=True)
     name = data.get("name", "sweep")
     jobs = [
         (data, args.param, v, os.path.join(args.out_dir, f"{name}__{args.param}_{v}.csv"))
@@ -299,7 +256,18 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:  # argparse handles usage/help printing
         return int(err.code or 0)
-    return args.func(args)
+    # The one map from exception to error slug; README's table mirrors it.
+    try:
+        return args.func(args)
+    except ScenarioError as err:
+        _error("invalid-scenario", str(err), violations=list(err.violations))
+    except OverrideError as err:
+        _error("override", str(err))
+    except RuntimeError as err:
+        _error("run-failed", str(err))
+    except OSError as err:
+        _error("write-failed", str(err))
+    return 2
 
 
 def main() -> None:

@@ -377,8 +377,17 @@ class PropagatorStep:
     interval: tuple  # (t0, t1)
 
 
+def _check_step(dt: float, nonnegative: bool = True) -> None:
+    if nonnegative and not dt >= 0:
+        raise ValueError(f"dt must be nonnegative, got {dt}")
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
+
+
 def exact_propagator(h: TimeDependentObservable, t0: float, dt: float) -> PropagatorStep:
-    """exp(-i H dt); only defined for time-independent H."""
+    """exp(-i H dt); only defined for time-independent H.  A negative dt
+    steps backwards."""
+    _check_step(dt, nonnegative=False)
     if not h.is_static:
         raise ValueError("exact propagator requires a time-independent Hamiltonian")
     u = matrix_exponential_antihermitian(h.evaluate(t0), dt)
@@ -387,8 +396,7 @@ def exact_propagator(h: TimeDependentObservable, t0: float, dt: float) -> Propag
 
 def taylor_propagator(h: TimeDependentObservable, t0: float, dt: float, order: int) -> PropagatorStep:
     """Short-time expansion about t0 from H(t0) and its exact derivative."""
-    if not dt >= 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
+    _check_step(dt)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     h0 = h.evaluate(t0)
@@ -409,8 +417,7 @@ def dyson_propagator(
     t0 <= t2 <= t1 <= t0+dt; the inner integral is rescaled onto [t0, t1]
     so Gauss-Legendre nodes stay inside the ordering constraint.
     """
-    if not dt >= 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
+    _check_step(dt)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if quad_points < 2:

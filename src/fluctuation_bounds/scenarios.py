@@ -251,7 +251,8 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
     return out
 
 
-def load_scenario(path) -> ScenarioSpec:
+def read_scenario(path) -> dict:
+    """The top-level JSON object of a scenario file, not yet parsed."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -261,7 +262,11 @@ def load_scenario(path) -> ScenarioSpec:
         raise ScenarioError([f"parse: {err}"]) from err
     if not isinstance(data, dict):
         raise ScenarioError(["parse: top-level value must be an object"])
-    return parse_scenario(data, default_name=str(path))
+    return data
+
+
+def load_scenario(path) -> ScenarioSpec:
+    return parse_scenario(read_scenario(path), default_name=str(path))
 
 
 def builtin_scenario_dict(name: str) -> dict:
@@ -325,11 +330,12 @@ def evaluate_scenario(spec: ScenarioSpec) -> list:
     check.  If that pass raises, the points are replayed one at a time in
     grid order, so the first point that fails reports its own error and
     time.  A coefficient that overflows (math.exp past the float range
-    raises OverflowError) fails the run like any other invalid point.
+    raises OverflowError) fails the run like any other invalid point, and
+    so does a grid too long for numpy to allocate (ValueError).
     """
     try:
         traj = build_trajectory(spec)
-    except OverflowError as err:
+    except (OverflowError, ValueError) as err:
         raise RuntimeError(f"scenario {spec.name!r} failed building its trajectory: {err}") from err
     times = traj.times[1:-1]
     try:
@@ -400,10 +406,15 @@ def figure1_curves(gamma_rate: float, t_max: float, dt: float) -> list:
     the margin column is v^2 - (dmu/dt)^2 - (dsigma/dt)^2, undefined (nan)
     where sigma vanishes.
     """
+    for field, value in (("gamma", gamma_rate), ("t_max", t_max), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{field} must be finite, got {value}")
     if gamma_rate <= 0:
         raise ValueError(f"decay rate must be positive, got {gamma_rate}")
     if dt <= 0 or t_max < dt:
         raise ValueError("need dt > 0 and t_max >= dt")
+    if not math.isfinite(t_max / dt):
+        raise ValueError(f"t_max / dt overflows: t_max = {t_max}, dt = {dt}")
     n = int(round(t_max / dt))
     out = []
     for k in range(n + 1):

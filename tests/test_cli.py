@@ -131,6 +131,16 @@ def test_run_overflowing_hamiltonian_exits_2(tmp_path, capsys):
     assert "trajectory" in payload["detail"]
 
 
+def test_run_grid_too_long_to_allocate_exits_2(tmp_path, capsys):
+    # 2e299 grid points: numpy refuses the size before it allocates.
+    scen = write_small_scenario(tmp_path, dt=1e-300)
+    assert cli_main(["run", "--scenario", str(scen)]) == 2
+    payload, captured = last_stderr_json(capsys)
+    assert payload["error"] == "run-failed"
+    assert "trajectory" in payload["detail"]
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # builtin
 
@@ -177,6 +187,21 @@ def test_builtin_omega_rejected_for_figure1(capsys):
     assert cli_main(["builtin", "--name", "figure1", "--omega", "1.0"]) == 2
     payload, _ = last_stderr_json(capsys)
     assert payload["error"] == "override"
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--t-max", "inf"], "t_max"),
+    (["--dt", "nan"], "dt"),
+    (["--gamma", "nan"], "gamma"),
+    (["--gamma", "inf"], "gamma"),
+    (["--t-max", "1e308", "--dt", "1e-300"], "t_max / dt"),
+])
+def test_builtin_figure1_rejects_non_finite_parameters(flags, field, capsys):
+    assert cli_main(["builtin", "--name", "figure1", *flags]) == 2
+    payload, captured = last_stderr_json(capsys)
+    assert payload["error"] == "override"
+    assert payload["detail"].startswith(field)
+    assert captured.out == ""
 
 
 def test_builtin_negative_gamma_exits_2(capsys):
@@ -380,3 +405,73 @@ def test_sweep_worker_write_failure_is_reported_in_band(tmp_path, capsys):
     assert payload["value"] == "0.5"
     assert "gamma=1.0" in captured.out  # the other value still completed
     assert (out_dir / "small__gamma_1.0.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# one error map for every command
+
+@pytest.fixture
+def no_workers(monkeypatch):
+    """Fails the test if sweep starts its process pool."""
+    from fluctuation_bounds import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep started workers")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+
+
+def scenario_argv(command, path, tmp_path):
+    return {
+        "run": ["run", "--scenario", str(path)],
+        "verify": ["verify", "--scenario", str(path)],
+        "sweep": ["sweep", "--scenario", str(path), "--param", "dt",
+                  "--values", "0.01", "--out-dir", str(tmp_path / "o")],
+    }[command]
+
+
+def write_bad_scenario(tmp_path, bad):
+    if bad == "invalid-field":
+        return write_small_scenario(tmp_path, dt=-1.0), "dt:"
+    path = tmp_path / "bad.json"
+    if bad == "non-utf8":
+        path.write_bytes(b'{"name": "caf\xe9"}')
+    elif bad == "not-an-object":
+        path.write_text("[1, 2]", encoding="utf-8")
+    return path, {"missing": "read:", "non-utf8": "read:", "not-an-object": "parse:"}[bad]
+
+
+@pytest.mark.parametrize("bad", ["missing", "non-utf8", "not-an-object", "invalid-field"])
+def test_scenario_errors_agree_across_commands(bad, tmp_path, capsys, no_workers):
+    path, prefix = write_bad_scenario(tmp_path, bad)
+    reported = {}
+    for command in ("run", "verify", "sweep"):
+        assert cli_main(scenario_argv(command, path, tmp_path)) == 2
+        payload, captured = last_stderr_json(capsys)
+        assert "Traceback" not in captured.err and captured.out == ""
+        reported[command] = (payload["error"], payload["violations"])
+    assert reported["run"] == reported["verify"] == reported["sweep"]
+    assert reported["run"][0] == "invalid-scenario"
+    assert reported["run"][1][0].startswith(prefix)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "builtin", "figure1", "sweep"])
+def test_unwritable_output_is_write_failed(command, tmp_path, capsys, no_workers):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory", encoding="utf-8")
+    out = str(taken / "out")
+    scen = str(write_small_scenario(tmp_path, t_max=0.05))
+    argv = {
+        "run": ["run", "--scenario", scen, "--out", out],
+        "builtin": ["builtin", "--name", "example2", "--t-max", "0.05", "--out", out],
+        "figure1": ["builtin", "--name", "figure1", "--dt", "0.5", "--t-max", "1.0",
+                    "--out", out],
+        "sweep": ["sweep", "--scenario", scen, "--param", "gamma", "--values", "1.0",
+                  "--out-dir", out],
+    }[command]
+    assert cli_main(argv) == 2
+    payload, captured = last_stderr_json(capsys)
+    assert payload["error"] == "write-failed"
+    assert out in payload["detail"]
+    assert "Traceback" not in captured.err and captured.out == ""

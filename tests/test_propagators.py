@@ -1,5 +1,7 @@
 """Short-time propagators: Taylor and Dyson expansions against exact exponentials."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -107,6 +109,27 @@ def test_dyson_validates_arguments():
 def test_short_time_propagators_reject_nan_step(propagator, order):
     with pytest.raises(ValueError, match="dt must be nonnegative, got nan"):
         propagator(H_ROTATING, 0.0, float("nan"), order=order)
+
+
+def test_taylor_rejects_infinite_step():
+    for order in (1, 2):
+        with pytest.raises(ValueError, match="dt must be finite, got inf"):
+            taylor_propagator(H_ROTATING, 0.0, math.inf, order=order)
+
+
+def test_dyson_rejects_infinite_step():
+    for order in (1, 2):
+        with pytest.raises(ValueError, match="dt must be finite, got inf"):
+            dyson_propagator(H_ROTATING, 0.0, math.inf, order=order)
+
+
+def test_exact_propagator_rejects_non_finite_step_but_steps_backwards():
+    for dt in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"dt must be finite, got {dt}"):
+            exact_propagator(H_CONST, 0.0, dt)
+    forward = exact_propagator(H_CONST, 0.0, 0.3).matrix
+    backward = exact_propagator(H_CONST, 0.0, -0.3).matrix
+    assert_allclose(forward @ backward, np.eye(2), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

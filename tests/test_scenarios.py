@@ -26,6 +26,7 @@ from fluctuation_bounds.scenarios import (
     load_builtin,
     load_scenario,
     parse_scenario,
+    read_scenario,
     rows_to_csv_text,
     run_scenario,
     sanity_check_figure_sigma,
@@ -128,6 +129,16 @@ def test_load_scenario_non_utf8_file(tmp_path):
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="read:"):
         load_scenario(tmp_path / "nope.json")
+
+
+def test_read_scenario_returns_the_object_unparsed(tmp_path):
+    data = builtin_scenario_dict("example1")
+    data["dt"] = -1.0  # invalid, but reading does not parse
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    assert read_scenario(p) == data
+    with pytest.raises(ScenarioError, match="dt:"):
+        load_scenario(p)
 
 
 def test_load_scenario_bad_json(tmp_path):
@@ -328,6 +339,24 @@ def test_figure1_rejects_bad_arguments():
         figure1_curves(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         figure1_curves(1.0, 0.05, 0.1)
+
+
+@pytest.mark.parametrize("gamma, t_max, dt, field", [
+    (math.nan, 1.0, 0.1, "gamma"),
+    (math.inf, 1.0, 0.1, "gamma"),
+    (1.0, math.inf, 0.1, "t_max"),
+    (1.0, math.nan, 0.1, "t_max"),
+    (1.0, 1.0, math.nan, "dt"),
+    (1.0, 1.0, math.inf, "dt"),
+])
+def test_figure1_rejects_non_finite_arguments(gamma, t_max, dt, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        figure1_curves(gamma, t_max, dt)
+
+
+def test_figure1_rejects_overflowing_step_count():
+    with pytest.raises(ValueError, match="t_max / dt overflows"):
+        figure1_curves(1.0, 1e308, 1e-300)
 
 
 # ---------------------------------------------------------------------------
