@@ -25,7 +25,6 @@ from .stats import (
     StatPoint,
     covariance_sym,
     expectation,
-    state_derivative,
     variance,
     variance_rate,
 )
@@ -45,13 +44,34 @@ class BoundReport:
     reason: str = ""
 
 
-class BoundReports(tuple):
-    """The BoundReports of one bound at a 1-D array of times, in order."""
+@dataclass(frozen=True)
+class BoundReports:
+    """One bound at a 1-D array of times, one array per field.
+
+    ``lhs``, ``rhs`` and ``margin`` are nan where ``live`` is False
+    (sigma below eps_sigma); ``reasons`` gives the skip reason at those
+    points and "" at the others.
+    """
+
+    kind: str  # "open" | "closed"
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    live: np.ndarray
+    reasons: tuple
+
+    def __len__(self) -> int:
+        return len(self.live)
 
     @property
     def skipped(self) -> int:
         """How many of the points were skipped."""
-        return sum(r.skipped for r in self)
+        return int(np.count_nonzero(~self.live))
+
+    @property
+    def satisfied(self) -> np.ndarray:
+        """Per point, as BoundReport.satisfied: False where skipped."""
+        return self.margin >= -TAU_BOUND
 
 
 def _skipped(kind: str, t: float, reason: str) -> BoundReport:
@@ -86,9 +106,8 @@ def _bound(kind, traj, a, t, sp, eps_sigma, rhs_at) -> BoundReport | BoundReport
     Points with sigma below eps_sigma are skipped; at the others lhs =
     var_rate^2 / (4 sigma^2), and rhs_at(times, states, live) gives the
     right side at all of them (``live`` masks them) in one call.  One
-    BoundReport for a scalar t, a BoundReports tuple for a 1-D array.
+    BoundReport for a scalar t, a BoundReports for a 1-D array.
     """
-    stacked = np.ndim(t) > 0
     times = np.atleast_1d(np.asarray(t, dtype=float))
     sigma, var, var_rate = (np.atleast_1d(x) for x in (sp.sigma, sp.variance, sp.var_rate))
     live = ~(sigma < eps_sigma)
@@ -101,14 +120,14 @@ def _bound(kind, traj, a, t, sp, eps_sigma, rhs_at) -> BoundReport | BoundReport
         lhs[live] = rate_sq / (4.0 * var[live])
         rho = traj.states[traj.index_of(times[live])]
         rhs[live] = rhs_at(times[live], rho, live)
-    reports = BoundReports(
-        _report(kind, tj, l, r) if ok
-        else _skipped(kind, tj, f"sigma {s:.3e} below {eps_sigma:.0e}")
-        for tj, l, r, s, ok in zip(
-            times.tolist() if stacked else [t], lhs.tolist(), rhs.tolist(), sigma.tolist(), live
-        )
-    )
-    return reports if stacked else reports[0]
+    reasons = [""] * len(times)
+    for j in np.flatnonzero(~live):
+        reasons[j] = f"sigma {float(sigma[j]):.3e} below {eps_sigma:.0e}"
+    if np.ndim(t) > 0:
+        return BoundReports(kind, lhs, rhs, rhs - lhs, live, tuple(reasons))
+    if not live[0]:
+        return _skipped(kind, t, reasons[0])
+    return _report(kind, t, float(lhs[0]), float(rhs[0]))
 
 
 def open_bound(
@@ -124,8 +143,8 @@ def open_bound(
     lhs = var_rate^2 / (4 sigma^2) is (d sigma_A/dt)^2; points with
     sigma below eps_sigma are reported as skipped, not errors.  Pass a
     precomputed StatPoint for t as stat to skip recomputing it.  For a
-    1-D array of times t the result is a BoundReports tuple, computed in
-    one batched pass (states checked only at the points not skipped).
+    1-D array of times t the result is a BoundReports, computed in one
+    batched pass (states checked only at the points not skipped).
     """
     sp = stat if stat is not None else variance_rate(traj, a, t, rho_dot_mode)
 

@@ -16,8 +16,6 @@ import numpy as np
 from .linalg import (
     as_density_matrix,
     as_matrix,
-    matrix_from_dict,
-    matrix_to_dict,
     sigma_minus,
     symmetrize,
 )
@@ -86,17 +84,3 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     for e in ch.operators:
         out = out + e @ rho @ e.conj().T
     return as_density_matrix(symmetrize(out))
-
-
-def channel_to_dict(ch: KrausChannel) -> dict:
-    return {"type": "kraus", "operators": [matrix_to_dict(e) for e in ch.operators]}
-
-
-def channel_from_dict(d: dict) -> KrausChannel:
-    """Parse {"type": "amplitude_damping", "gamma": x} or explicit Kraus lists."""
-    kind = d.get("type")
-    if kind == "amplitude_damping":
-        return amplitude_damping(d["gamma"])
-    if kind == "kraus":
-        return kraus_channel([matrix_from_dict(e) for e in d["operators"]])
-    raise ValueError(f"unknown channel type {kind!r}")

@@ -14,13 +14,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from .bounds import TAU_BOUND
 from .scenarios import (
     BUILTIN_NAMES,
     FIGURE_COLUMNS,
     ScenarioError,
     builtin_scenario_dict,
-    evaluate_scenario,
     figure1_curves,
     load_builtin,
     load_scenario,
@@ -96,16 +97,20 @@ def _apply_overrides(data: dict, dt=None, t_max=None, gamma=None, omega=None) ->
     return out
 
 
-def _verify_failures(records) -> list:
-    """(kind, t, margin) for every non-skipped check that came out negative."""
-    failures = []
-    for rec in records:
-        for rep in (rec.open_report, rec.closed_report):
-            if rep is not None and not rep.skipped and not rep.satisfied:
-                failures.append((rep.kind, rep.t, rep.margin))
-        if rec.cs_margin is not None and rec.cs_margin < -TAU_BOUND:
-            failures.append(("cauchy_schwarz", rec.row.t, rec.cs_margin))
-    return failures
+def _verify_failures(table):
+    """How many non-skipped checks came out negative, and the first of
+    them as (kind, t, margin): earliest time first, then open, closed,
+    cauchy_schwarz at one time.  (0, None) when none did."""
+    checks = [(r.kind, ~r.satisfied & r.live, r.margin) for r in (table.open, table.closed)
+              if r is not None]
+    if table.cauchy_schwarz is not None:
+        checks.append(("cauchy_schwarz", table.cauchy_schwarz < -TAU_BOUND, table.cauchy_schwarz))
+    failed = np.array([mask for _, mask, _ in checks])  # (check, point)
+    if not failed.any():
+        return 0, None
+    j = int(np.flatnonzero(failed.any(axis=0))[0])
+    kind, _, margin = checks[int(np.flatnonzero(failed[:, j])[0])]
+    return int(failed.sum()), (kind, float(table.columns["t"][j]), float(margin[j]))
 
 
 def _cmd_run(args) -> int:
@@ -143,18 +148,18 @@ def _cmd_verify(args) -> int:
         spec = load_builtin(args.builtin)
     else:
         spec = load_scenario(args.scenario)
-    records = evaluate_scenario(spec)
-    failures = _verify_failures(records)
-    if failures:
-        kind, t, margin = failures[0]
+    table = run_scenario(spec)
+    count, first = _verify_failures(table)
+    if first is not None:
+        kind, t, margin = first
         _error(
             "bound-violation",
-            f"{len(failures)} of {len(records)} points violate a requested bound",
+            f"{count} of {len(table)} points violate a requested bound",
             scenario=spec.name,
             first={"kind": kind, "t": t, "margin": margin},
         )
         return 1
-    print(f"{spec.name}: {len(records)} points, all requested bounds satisfied")
+    print(f"{spec.name}: {len(table)} points, all requested bounds satisfied")
     return 0
 
 

@@ -131,32 +131,6 @@ def as_density_matrices(ms, *, tau_psd: float = TAU_PSD) -> np.ndarray:
     return stack
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab - ba.  Anti-Hermitian when a and b are both Hermitian."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _check_same_dim(a, b)
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab + ba."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _check_same_dim(a, b)
-    return a @ b + b @ a
-
-
-def trace(m: np.ndarray) -> complex:
-    """Sum of diagonal entries (real up to round-off for Hermitian input)."""
-    return complex(np.trace(as_matrix(m)))
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix, eigenvalues descending.

@@ -15,12 +15,13 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
-    BoundReport,
+    BoundReports,
     cauchy_schwarz_margin,
     closed_bound,
     open_bound,
@@ -62,6 +63,7 @@ RESULT_COLUMNS = (
 )
 
 FIGURE_COLUMNS = ("t", "mu_A", "sigma_A", "v_A", "margin_closed")
+FIGURE_MAX_ROWS = 10**6  # figure1_curves builds its rows in a Python loop
 
 _NAN = float("nan")
 
@@ -88,31 +90,42 @@ class ScenarioSpec:
     rho_dot_mode: str
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    t: float
-    mean: float
-    sigma: float
-    sigma_sq: float
-    var_rate: float
-    lhs_open: float
-    rhs_open: float
-    margin_open: float
-    lhs_closed: float
-    rhs_closed: float
-    margin_closed: float
-    var_rate_residual: float
-    skipped_flags: str
+ResultRow = namedtuple("ResultRow", RESULT_COLUMNS)
+ResultRow.__doc__ = "One grid point of a ResultTable, in RESULT_COLUMNS order."
 
 
 @dataclass(frozen=True)
-class PointRecord:
-    """One grid point's full evaluation, including checks with no CSV column."""
+class ResultTable:
+    """Every interior grid point of a run, one column per RESULT_COLUMNS name.
 
-    row: ResultRow
-    open_report: BoundReport | None
-    closed_report: BoundReport | None
-    cs_margin: float | None
+    ``columns`` maps each name to a 1-D array of its values in grid order
+    (an object array of strings for ``skipped_flags``).  ``open`` and
+    ``closed`` are the BoundReports of the requested bounds and
+    ``cauchy_schwarz`` the array of Cauchy-Schwarz margins; each is None
+    when its check was not requested.  Indexing or iterating gives
+    ResultRows, built only when asked for.
+    """
+
+    columns: dict
+    open: BoundReports | None
+    closed: BoundReports | None
+    cauchy_schwarz: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.columns["t"])
+
+    def __iter__(self):
+        return self._rows(slice(None))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self._rows(k))
+        k = range(len(self))[k]
+        return next(self._rows(slice(k, k + 1)))
+
+    def _rows(self, part: slice):
+        values = (self.columns[c][part].tolist() for c in RESULT_COLUMNS)
+        return map(ResultRow._make, zip(*values))
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +336,20 @@ def build_trajectory(spec: ScenarioSpec) -> Trajectory:
     return integrate(model, spec.initial_state, spec.t_max, spec.dt)
 
 
-def evaluate_scenario(spec: ScenarioSpec) -> list:
-    """Full per-point records for every interior grid point.
+def run_scenario(spec: ScenarioSpec) -> ResultTable:
+    """The ResultTable of every interior grid point.
 
     All points are evaluated in one batched pass, one call per requested
     check.  If that pass raises, the points are replayed one at a time in
     grid order, so the first point that fails reports its own error and
     time.  A coefficient that overflows (math.exp past the float range
     raises OverflowError) fails the run like any other invalid point, and
-    so does a grid too long for numpy to allocate (ValueError).
+    so does a grid too long for numpy to size (ValueError) or to hold
+    (MemoryError).
     """
     try:
         traj = build_trajectory(spec)
-    except (OverflowError, ValueError) as err:
+    except (OverflowError, ValueError, MemoryError) as err:
         raise RuntimeError(f"scenario {spec.name!r} failed building its trajectory: {err}") from err
     times = traj.times[1:-1]
     try:
@@ -343,57 +357,47 @@ def evaluate_scenario(spec: ScenarioSpec) -> list:
         # time, so their floating-point warnings are left out.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _evaluate_points(spec, traj, times)
-    except (ValueError, OverflowError):
-        pass
-    records = []
+    except (ValueError, OverflowError) as err:
+        batch_error = err
     for k in range(len(times)):
         try:
-            records += _evaluate_points(spec, traj, times[k:k + 1])
+            _evaluate_points(spec, traj, times[k:k + 1])
         except (ValueError, OverflowError) as err:
             t = float(times[k])
             raise RuntimeError(f"scenario {spec.name!r} failed at t = {t:.6g}: {err}") from err
-    return records
+    raise RuntimeError(f"scenario {spec.name!r} failed: {batch_error}") from batch_error
 
 
-def _evaluate_points(spec, traj, times) -> list:
-    """PointRecords at a 1-D array of grid times, every check batched."""
+def _evaluate_points(spec, traj, times) -> ResultTable:
+    """The ResultTable at a 1-D array of grid times, every check batched."""
     a = spec.observable
-    n = len(times)
+    nan = np.full(len(times), np.nan)
     sp = variance_rate(traj, a, times, spec.rho_dot_mode)
-    open_reports = closed_reports = cs_margins = (None,) * n
-    residuals = [_NAN] * n
+    open_reports = closed_reports = cs_margins = None
+    residuals = nan
     if "open" in spec.bounds:
         open_reports = open_bound(traj, a, times, stat=sp)
     if "closed" in spec.bounds:
         closed_reports = closed_bound(traj, traj.model, a, times, stat=sp)
     if "var_rate_residual" in spec.bounds:
-        residuals = var_rate_residual(traj, a, times, stat=sp).tolist()
+        residuals = var_rate_residual(traj, a, times, stat=sp)
     if "cauchy_schwarz" in spec.bounds:
-        cs_margins = cauchy_schwarz_margin(traj, a, times).tolist()
+        cs_margins = cauchy_schwarz_margin(traj, a, times)
 
-    records = []
-    columns = (sp.t, sp.mean, sp.sigma, sp.variance, sp.var_rate)
-    for j, (t, mean, sigma, var, var_rate) in enumerate(zip(*(c.tolist() for c in columns))):
-        flags = []
-        bound_cols = []
-        for name, rep in (("open", open_reports[j]), ("closed", closed_reports[j])):
-            if rep is not None and rep.skipped:
-                flags.append(f"{name}:{rep.reason}")
-            if rep is None or rep.skipped:
-                bound_cols += [_NAN] * 3
-            else:
-                bound_cols += [rep.lhs, rep.rhs, rep.margin]
-        row = ResultRow(t, mean, sigma, var, var_rate, *bound_cols, residuals[j], ";".join(flags))
-        records.append(PointRecord(
-            row=row, open_report=open_reports[j], closed_report=closed_reports[j],
-            cs_margin=cs_margins[j],
-        ))
-    return records
-
-
-def run_scenario(spec: ScenarioSpec) -> list:
-    """ResultRows for every interior grid point."""
-    return [rec.row for rec in evaluate_scenario(spec)]
+    flags = [""] * len(times)
+    bound_columns = []
+    for reports in (open_reports, closed_reports):
+        if reports is None:
+            bound_columns += [nan] * 3
+            continue
+        bound_columns += [reports.lhs, reports.rhs, reports.margin]
+        for j in np.flatnonzero(~reports.live):
+            flags[j] += f"{';' if flags[j] else ''}{reports.kind}:{reports.reasons[j]}"
+    values = (sp.t, sp.mean, sp.sigma, sp.variance, sp.var_rate, *bound_columns, residuals)
+    return ResultTable(
+        columns=dict(zip(RESULT_COLUMNS, values + (np.array(flags, dtype=object),))),
+        open=open_reports, closed=closed_reports, cauchy_schwarz=cs_margins,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +420,8 @@ def figure1_curves(gamma_rate: float, t_max: float, dt: float) -> list:
     if not math.isfinite(t_max / dt):
         raise ValueError(f"t_max / dt overflows: t_max = {t_max}, dt = {dt}")
     n = int(round(t_max / dt))
+    if n + 1 > FIGURE_MAX_ROWS:
+        raise ValueError(f"t_max / dt = {t_max / dt:.6g} gives more than {FIGURE_MAX_ROWS} rows")
     out = []
     for k in range(n + 1):
         t = k * dt
@@ -444,20 +450,16 @@ def sanity_check_figure_sigma(gamma_rate: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{value:.11e}"
-
-
 def rows_to_csv_text(rows, columns=RESULT_COLUMNS) -> str:
+    """CSV text of a sequence of equal-length tuples, such as a ResultTable.
+
+    Numbers are written as %.11e and strings as they are, which column is
+    which read off the first row.
+    """
     lines = [",".join(columns)]
-    for row in rows:
-        if isinstance(row, ResultRow):
-            values = [getattr(row, c) for c in columns]
-        else:
-            values = list(row)
-        lines.append(",".join(_fmt(v) for v in values))
+    if len(rows):
+        fmt = ",".join("%s" if isinstance(v, str) else "%.11e" for v in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

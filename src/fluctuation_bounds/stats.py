@@ -111,11 +111,6 @@ def covariance_sym(rho: np.ndarray, a: np.ndarray, b: np.ndarray):
     return _scalar_or_stack(half_anti - _expectation(rho, a) * _expectation(rho, b))
 
 
-def covariance_real_part(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Re <a b> - <a><b>; coincides with covariance_sym for Hermitian input."""
-    return float(np.trace(rho @ a @ b).real) - expectation(rho, a) * expectation(rho, b)
-
-
 def rho_dot_delta_sq(rho_dot: np.ndarray, rho: np.ndarray, a: np.ndarray):
     """tr(rho_dot DeltaA^2) = tr(rho_dot a^2) - 2<a> tr(rho_dot a).
 

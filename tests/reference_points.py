@@ -2,11 +2,13 @@
 
 This is the direct formulation the batched grid pass replaced: every
 statistic and bound is assembled for a single time, re-validating its
-matrices at each use.  Tests hold ``scenarios.evaluate_scenario`` (and the
+matrices at each use.  Tests hold ``scenarios.run_scenario`` (and the
 stacked forms of the stats and bounds functions) to it, values and
 failures alike.  Model, observable and trajectory types, tolerances and
 report constructors come from the package.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,10 +16,20 @@ from fluctuation_bounds.bounds import BoundReport, _report, _skipped
 from fluctuation_bounds.dynamics import LindbladModel, Trajectory, lindblad_rhs
 from fluctuation_bounds.linalg import as_density_matrix, require_hermitian
 from fluctuation_bounds.observables import TimeDependentObservable
-from fluctuation_bounds.scenarios import PointRecord, ResultRow, build_trajectory
+from fluctuation_bounds.scenarios import ResultRow, build_trajectory
 from fluctuation_bounds.stats import EPS_SIGMA, RHO_DOT_MODES, VARIANCE_FLOOR, StatPoint
 
 _NAN = float("nan")
+
+
+@dataclass(frozen=True)
+class PointRecord:
+    """One grid point's full evaluation, including checks with no CSV column."""
+
+    row: ResultRow
+    open_report: BoundReport | None
+    closed_report: BoundReport | None
+    cs_margin: float | None
 
 
 def reference_evaluate_scenario(spec, traj=None):

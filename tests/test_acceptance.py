@@ -35,7 +35,6 @@ from fluctuation_bounds.linalg import matrix_exponential_antihermitian, sigma_mi
 from fluctuation_bounds.observables import observable, polynomial, static_observable
 from fluctuation_bounds.scenarios import (
     builtin_scenario_dict,
-    evaluate_scenario,
     figure1_curves,
     parse_scenario,
     run_scenario,
@@ -109,19 +108,19 @@ def test_criterion_03_crossover_threshold():
     for gamma in (0.5, 1.0, 2.0):
         data = builtin_scenario_dict("crossover")
         data["jump_operators"][0]["rate"] = gamma
-        records = evaluate_scenario(parse_scenario(data))
+        rows = run_scenario(parse_scenario(data))
         t_star = math.log(4.0 / 3.0) / gamma
-        flags = [rec.closed_report.satisfied for rec in records]
+        flags = rows.closed.satisfied.tolist()
         flips = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
         assert len(flips) == 1, f"gamma={gamma}: {len(flips)} verdict flips"
-        lo, hi = records[flips[0]].row.t, records[flips[0] + 1].row.t
+        lo, hi = rows[flips[0]].t, rows[flips[0] + 1].t
         assert not flags[0] and flags[-1]
         assert lo < t_star <= hi + 1e-12, f"gamma={gamma}: flip at ({lo}, {hi}], t*={t_star}"
         worst = 0.0
-        for rec in records:
-            g = 1.0 - math.exp(-gamma * rec.row.t)
+        for row in rows:
+            g = 1.0 - math.exp(-gamma * row.t)
             ref = 2.0 * gamma * math.sqrt(g * (1.0 - g))
-            worst = max(worst, abs(math.sqrt(rec.row.rhs_closed) - ref))
+            worst = max(worst, abs(math.sqrt(row.rhs_closed) - ref))
         assert worst <= 1e-8, f"gamma={gamma}: rate spread off by {worst:.3e}"
         details.append(f"gamma={gamma} flip in ({lo:.3f},{hi:.3f}]")
     return "; ".join(details)

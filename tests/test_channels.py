@@ -7,8 +7,6 @@ from numpy.testing import assert_allclose
 from fluctuation_bounds.channels import (
     amplitude_damping,
     apply,
-    channel_from_dict,
-    channel_to_dict,
     completeness_residual,
     kraus_channel,
 )
@@ -145,20 +143,3 @@ def test_channel_matches_analytic_solution():
         via_channel = apply(amplitude_damping(1.0 - np.exp(-gamma_rate * t)), rho0)
         via_lindblad = analytic_amplitude_damping(rho0, gamma_rate, 0.0, t)
         assert np.max(np.abs(via_channel - via_lindblad)) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_channel_dict_round_trip():
-    ch = amplitude_damping(0.37)
-    back = channel_from_dict(channel_to_dict(ch))
-    for e1, e2 in zip(ch.operators, back.operators):
-        assert np.array_equal(e1, e2)
-
-
-def test_channel_from_dict_named_form():
-    ch = channel_from_dict({"type": "amplitude_damping", "gamma": 0.5})
-    assert ch.operators[0][1, 1] == pytest.approx(np.sqrt(0.5))
-    with pytest.raises(ValueError, match="unknown channel type"):
-        channel_from_dict({"type": "depolarizing", "p": 0.1})

@@ -4,13 +4,19 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import reference_points
+from reference_points import reference_evaluate_scenario
 
+from fluctuation_bounds import scenarios
+from fluctuation_bounds.bounds import TAU_BOUND
 from fluctuation_bounds.cli import cli_main
 from fluctuation_bounds.scenarios import (
     FIGURE_COLUMNS,
     RESULT_COLUMNS,
     builtin_scenario_dict,
+    parse_scenario,
 )
 
 
@@ -141,6 +147,25 @@ def test_run_grid_too_long_to_allocate_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+def test_trajectory_too_large_to_hold_is_run_failed(command, tmp_path, capsys, monkeypatch):
+    # Stands in for numpy's _ArrayMemoryError; a real request of that size
+    # may not fail cleanly under memory overcommit.
+    from fluctuation_bounds import cli
+
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(scenarios, "build_trajectory", out_of_memory)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    scen = write_small_scenario(tmp_path)
+    assert cli_main(scenario_argv(command, scen, tmp_path)) == 2
+    payload, captured = last_stderr_json(capsys)
+    assert payload["error"] == "run-failed"
+    assert "trajectory: Unable to allocate" in payload["detail"]
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # builtin
 
@@ -195,6 +220,8 @@ def test_builtin_omega_rejected_for_figure1(capsys):
     (["--gamma", "nan"], "gamma"),
     (["--gamma", "inf"], "gamma"),
     (["--t-max", "1e308", "--dt", "1e-300"], "t_max / dt"),
+    (["--t-max", "1e12", "--dt", "1"], "t_max / dt"),
+    (["--t-max", "1e6", "--dt", "1"], "t_max / dt"),  # one row over the cap
 ])
 def test_builtin_figure1_rejects_non_finite_parameters(flags, field, capsys):
     assert cli_main(["builtin", "--name", "figure1", *flags]) == 2
@@ -240,6 +267,47 @@ def test_verify_crossover_reports_first_violation(capsys):
     assert first["kind"] == "closed"
     assert first["t"] == pytest.approx(0.001)  # violated from the first interior point
     assert first["margin"] < 0
+
+
+def test_verify_verdict_matches_the_reference(tmp_path, capsys, monkeypatch):
+    # Cauchy-Schwarz made to fail at t = 0.001, where closed fails too, and
+    # at t = 0.4, where closed holds.  The count and the first violation
+    # must be what the point-by-point reference records give, closed
+    # before cauchy_schwarz at one time.
+    bad_times = (0.001, 0.4)
+
+    def shifted(real):
+        def margin(traj, a, t):
+            hit = np.isclose(np.asarray(t)[..., None], bad_times, rtol=0.0, atol=1e-12).any(-1)
+            out = real(traj, a, t) - np.where(hit, 1.0, 0.0)
+            return float(out) if np.ndim(t) == 0 else out
+        return margin
+
+    for module in (scenarios, reference_points):
+        monkeypatch.setattr(module, "cauchy_schwarz_margin",
+                            shifted(module.cauchy_schwarz_margin))
+    data = builtin_scenario_dict("crossover")
+    data.update(t_max=0.5, bounds=["open", "closed", "cauchy_schwarz"])
+    path = tmp_path / "crossover.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+    records = reference_evaluate_scenario(parse_scenario(data))
+    failures = []
+    for rec in records:
+        for rep in (rec.open_report, rec.closed_report):
+            if not rep.skipped and not rep.satisfied:
+                failures.append((rep.kind, rep.t, rep.margin))
+        if rec.cs_margin < -TAU_BOUND:
+            failures.append(("cauchy_schwarz", rec.row.t, rec.cs_margin))
+    assert [f[:2] for f in failures if f[0] == "cauchy_schwarz"] == [
+        ("cauchy_schwarz", t) for t in bad_times]
+
+    assert cli_main(["verify", "--scenario", str(path)]) == 1
+    payload, _ = last_stderr_json(capsys)
+    assert payload["detail"] == f"{len(failures)} of {len(records)} points violate a requested bound"
+    kind, t, margin = failures[0]
+    assert (payload["first"]["kind"], payload["first"]["t"]) == (kind, t) == ("closed", 0.001)
+    assert payload["first"]["margin"] == pytest.approx(margin, rel=1e-12)
 
 
 def test_verify_figure1_rejected(capsys):

@@ -1,7 +1,7 @@
 """The batched grid pass against the point-by-point reference evaluator.
 
-``scenarios.evaluate_scenario`` evaluates all interior grid points in one
-stacked pass per check.  Its records must match tests/reference_points.py
+``scenarios.run_scenario`` evaluates all interior grid points in one
+stacked pass per check.  Its table must match tests/reference_points.py
 to round-off, with the same NaN positions and skip flags, and every
 per-point check must fail at the same grid time with the same message.
 """
@@ -42,7 +42,7 @@ from fluctuation_bounds.scenarios import (
     RESULT_COLUMNS,
     ScenarioSpec,
     builtin_scenario_dict,
-    evaluate_scenario,
+    run_scenario,
     parse_scenario,
 )
 
@@ -62,21 +62,23 @@ def assert_same_number(got, want, what):
 
 
 def assert_same_records(got, want):
+    """A ResultTable against the reference's PointRecords."""
     assert len(got) == len(want)
-    for g, w in zip(got, want):
+    for k, w in enumerate(want):
         for col in RESULT_COLUMNS[:-1]:
-            assert_same_number(getattr(g.row, col), getattr(w.row, col), f"t={w.row.t} {col}")
-        assert g.row.skipped_flags == w.row.skipped_flags
-        for rg, rw in ((g.open_report, w.open_report), (g.closed_report, w.closed_report)):
+            assert_same_number(got.columns[col][k], getattr(w.row, col), f"t={w.row.t} {col}")
+        assert got.columns["skipped_flags"][k] == w.row.skipped_flags
+        for rg, rw in ((got.open, w.open_report), (got.closed, w.closed_report)):
             assert (rg is None) == (rw is None)
             if rw is None:
                 continue
-            assert (rg.kind, rg.skipped, rg.reason, rg.satisfied) == (
+            assert (rg.kind, not rg.live[k], rg.reasons[k], rg.satisfied[k]) == (
                 rw.kind, rw.skipped, rw.reason, rw.satisfied)
-            assert rg.t == rw.t
+            assert got.columns["t"][k] == rw.t
             for f in ("lhs", "rhs", "margin"):
-                assert_same_number(getattr(rg, f), getattr(rw, f), f"t={rw.t} {rw.kind}.{f}")
-        assert_same_number(g.cs_margin, w.cs_margin, f"t={w.row.t} cs_margin")
+                assert_same_number(getattr(rg, f)[k], getattr(rw, f), f"t={rw.t} {rw.kind}.{f}")
+        cs = None if got.cauchy_schwarz is None else got.cauchy_schwarz[k]
+        assert_same_number(cs, w.cs_margin, f"t={w.row.t} cs_margin")
 
 
 def spec_for(model_parts, rho0, obs, t_max, dt, bounds=ALL_CHECKS, mode="analytic", name="grid"):
@@ -103,7 +105,7 @@ def assert_both_fail_at(spec, traj, t, match):
     with pytest.raises(RuntimeError) as ref:
         reference_evaluate_scenario(spec, traj)
     with pytest.raises(RuntimeError) as got:
-        evaluate_scenario(spec)
+        run_scenario(spec)
     assert str(got.value) == str(ref.value)
     assert f"failed at t = {t:.6g}:" in str(got.value)
     assert match in str(got.value)
@@ -115,7 +117,7 @@ def assert_both_fail_at(spec, traj, t, match):
 @pytest.mark.parametrize("name", ["example1", "example2", "crossover"])
 def test_builtins_match_reference(name):
     spec = short_builtin(name, 400)
-    assert_same_records(evaluate_scenario(spec), reference_evaluate_scenario(spec))
+    assert_same_records(run_scenario(spec), reference_evaluate_scenario(spec))
 
 
 @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
@@ -130,7 +132,7 @@ def test_random_driven_models_match_reference(dim, mode):
     jumps = [random_jump(rng, dim, 0.5) for _ in range(int(rng.integers(1, 3)))]
     obs = random_observable(rng, dim, time_dependent=True)
     spec = spec_for((hamiltonian, jumps), random_state(rng, dim), obs, 0.3, 0.01, mode=mode)
-    got = evaluate_scenario(spec)
+    got = run_scenario(spec)
     assert len(got) == 29
     assert_same_records(got, reference_evaluate_scenario(spec))
 
@@ -141,7 +143,7 @@ def test_each_check_alone_matches_reference(bounds):
     obs = random_observable(rng, 3, time_dependent=True)
     spec = spec_for((static_observable(random_hermitian(rng, 3)), [random_jump(rng, 3)]),
                     random_state(rng, 3), obs, 0.2, 0.01, bounds=bounds)
-    assert_same_records(evaluate_scenario(spec), reference_evaluate_scenario(spec))
+    assert_same_records(run_scenario(spec), reference_evaluate_scenario(spec))
 
 
 def test_zero_spread_points_match_reference():
@@ -150,19 +152,19 @@ def test_zero_spread_points_match_reference():
     rho0 = np.diag([0.3, 0.7]).astype(complex)
     one_zero = observable([(polynomial([-0.5, 1.0]), sigma_x)])
     spec = spec_for((None, [DAMPING]), rho0, one_zero, 1.25, DT)
-    got = evaluate_scenario(spec)
-    flags = [rec.row.skipped_flags for rec in got]
-    assert [f != "" for f in flags] == [rec.row.t == 0.5 for rec in got]
+    got = run_scenario(spec)
+    flags = [row.skipped_flags for row in got]
+    assert [f != "" for f in flags] == [row.t == 0.5 for row in got]
     assert flags[3].startswith("open:sigma") and ";closed:sigma" in flags[3]
     assert_same_records(got, reference_evaluate_scenario(spec))
 
     traj = sc.build_trajectory(spec)
     reports = open_bound(traj, one_zero, traj.times[1:-1])
-    assert len(reports) == 9 and reports.skipped == 1 and reports[3].skipped
+    assert len(reports) == 9 and reports.skipped == 1 and not reports.live[3]
 
     flat = spec_for((None, [DAMPING]), rho0, static_observable(np.eye(2)), 1.25, DT)
-    got = evaluate_scenario(flat)
-    assert all(rec.open_report.skipped and rec.closed_report.skipped for rec in got)
+    got = run_scenario(flat)
+    assert not got.open.live.any() and not got.closed.live.any()
     assert_same_records(got, reference_evaluate_scenario(flat))
 
 
@@ -175,7 +177,7 @@ def test_clean_run_is_one_batched_pass(monkeypatch):
         return real(traj, a, t, mode)
 
     monkeypatch.setattr(sc, "variance_rate", counting)
-    records = evaluate_scenario(short_builtin("example1", 50))
+    records = run_scenario(short_builtin("example1", 50))
     assert len(records) == 50 and calls == [1]
 
 
@@ -223,7 +225,7 @@ def test_positivity_at_tau_psd_matches_reference(monkeypatch, skipped):
     with_trajectory(monkeypatch, traj)
     if skipped:
         # the open bound is skipped at the bad state, so it is never checked
-        assert_same_records(evaluate_scenario(spec), reference_evaluate_scenario(spec, traj))
+        assert_same_records(run_scenario(spec), reference_evaluate_scenario(spec, traj))
     else:
         assert_both_fail_at(spec, traj, 4 * DT, "violates positivity")
 

@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fluctuation_bounds.linalg import (
-    TAU_HERM,
     TAU_ORTH,
     TAU_RECON,
     TAU_UNIT,
-    anticommutator,
     as_density_matrices,
     as_density_matrix,
     as_matrix,
-    commutator,
     hermitian_eigendecomposition,
     matrix_exponential_antihermitian,
     matrix_from_dict,
@@ -23,24 +20,11 @@ from fluctuation_bounds.linalg import (
     sigma_minus,
     sigma_plus,
     sigma_x,
-    sigma_y,
     sigma_z,
-    trace,
 )
 
 # ---------------------------------------------------------------------------
 # oracles
-
-def mul2_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Brute-force matrix product, no vectorization."""
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
 
 def expm_series_oracle(g: np.ndarray, s: float, terms: int = 20) -> np.ndarray:
     """Partial sum of exp(-i*s*g) = sum_k (-i*s*g)^k / k!."""
@@ -59,95 +43,6 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 PROJ_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # |1><1|
-
-
-# ---------------------------------------------------------------------------
-# commutator / anticommutator
-
-def test_commutator_pauli_xy():
-    assert_allclose(commutator(sigma_x, sigma_y), 2j * sigma_z, atol=1e-15)
-
-
-def test_commutator_self_is_zero():
-    rng = np.random.default_rng(7)
-    m = random_hermitian(rng, 4)
-    assert_allclose(commutator(m, m), np.zeros((4, 4)), atol=1e-13)
-
-
-def test_commutator_sigma_z_with_rotating_observable_at_zero():
-    # A(t) = cos t sigma_x + sin t sigma_y, so A(0) = sigma_x.
-    a0 = sigma_x
-    oracle = mul2_oracle(sigma_z, a0) - mul2_oracle(a0, sigma_z)
-    got = commutator(sigma_z, a0)
-    assert_allclose(got, oracle, atol=1e-15)
-    assert_allclose(got, 2j * sigma_y, atol=1e-15)
-
-
-def test_commutator_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        commutator(sigma_x, np.eye(3, dtype=complex))
-
-
-def test_anticommutator_pauli_square():
-    assert_allclose(anticommutator(sigma_x, sigma_x), 2 * np.eye(2), atol=1e-15)
-
-
-def test_anticommutator_projector():
-    assert_allclose(anticommutator(sigma_plus @ sigma_minus, PROJ_1), 2 * PROJ_1, atol=1e-15)
-
-
-def test_anticommutator_rotating_observable_with_its_rate():
-    # With zero mean, the deviation is A(t) itself; the anticommutator with
-    # the time derivative collapses to zero at every t.
-    for t in (0.0, 0.3, 1.1, np.pi / 2):
-        a = np.cos(t) * sigma_x + np.sin(t) * sigma_y
-        da = -np.sin(t) * sigma_x + np.cos(t) * sigma_y
-        oracle = mul2_oracle(a, da) + mul2_oracle(da, a)
-        got = anticommutator(a, da)
-        assert_allclose(got, oracle, atol=1e-14)
-        assert_allclose(got, np.zeros((2, 2)), atol=1e-14)
-
-
-@settings(max_examples=100)
-@given(seed=st.integers(0, 10**6), dim=st.integers(2, 6))
-def test_bracket_hermiticity_structure(seed, dim):
-    rng = np.random.default_rng(seed)
-    a = random_hermitian(rng, dim)
-    b = random_hermitian(rng, dim)
-    scale = max(1.0, np.abs(a).max() * np.abs(b).max())
-    c = commutator(a, b)
-    s = anticommutator(a, b)
-    assert np.max(np.abs(c + c.conj().T)) <= TAU_HERM * scale * dim
-    assert np.max(np.abs(s - s.conj().T)) <= TAU_HERM * scale * dim
-
-
-# ---------------------------------------------------------------------------
-# trace
-
-def test_trace_identity_and_pauli():
-    assert trace(np.eye(2, dtype=complex)) == pytest.approx(2.0)
-    assert trace(sigma_z) == pytest.approx(0.0)
-
-
-def test_trace_cyclic_property():
-    rng = np.random.default_rng(11)
-    for dim in range(2, 9):
-        for _ in range(20):
-            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            c = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            t1 = trace(a @ b @ c)
-            t2 = trace(b @ c @ a)
-            t3 = trace(c @ a @ b)
-            ref = max(abs(t1), 1e-30)
-            assert abs(t1 - t2) / ref < 1e-12
-            assert abs(t1 - t3) / ref < 1e-12
-
-
-def test_trace_real_for_hermitian():
-    rng = np.random.default_rng(13)
-    m = random_hermitian(rng, 5)
-    assert abs(trace(m).imag) <= TAU_HERM * 5
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from fluctuation_bounds.scenarios import (
     ScenarioError,
     builtin_scenario_dict,
     build_trajectory,
-    evaluate_scenario,
     figure1_curves,
     load_builtin,
     load_scenario,
@@ -269,7 +268,7 @@ def test_unstable_grid_aborts_with_time_stamp():
     )
     spec = parse_scenario(data)
     with pytest.raises(IntegrationError) as exc:
-        evaluate_scenario(spec)
+        run_scenario(spec)
     assert exc.value.t > 0
 
 
@@ -281,7 +280,21 @@ def test_point_failure_is_time_stamped(monkeypatch):
 
     monkeypatch.setattr(sc, "variance_rate", boom)
     with pytest.raises(RuntimeError, match=r"'example1' failed at t = 0\.001"):
-        evaluate_scenario(spec)
+        run_scenario(spec)
+
+
+def test_batch_failure_no_point_repeats_is_run_failed(monkeypatch):
+    spec = small_example1(t_max=0.1)
+    real = sc._evaluate_points
+
+    def batch_only(spec, traj, times):
+        if len(times) > 1:
+            raise ValueError("synthetic batch failure")
+        return real(spec, traj, times)
+
+    monkeypatch.setattr(sc, "_evaluate_points", batch_only)
+    with pytest.raises(RuntimeError, match=r"^scenario 'example1' failed: synthetic batch failure$"):
+        run_scenario(spec)
 
 
 def test_runs_are_deterministic():
@@ -363,7 +376,7 @@ def test_figure1_rejects_overflowing_step_count():
 # CSV emission
 
 def test_result_columns_match_row_fields():
-    assert tuple(f.name for f in dataclasses.fields(ResultRow)) == RESULT_COLUMNS
+    assert ResultRow._fields == RESULT_COLUMNS
     assert FIGURE_COLUMNS == ("t", "mu_A", "sigma_A", "v_A", "margin_closed")
 
 

@@ -14,7 +14,6 @@ from fluctuation_bounds.dynamics import (
 from fluctuation_bounds.linalg import sigma_minus, sigma_x, sigma_y, sigma_z
 from fluctuation_bounds.observables import cosine, observable, sine, static_observable
 from fluctuation_bounds.stats import (
-    covariance_real_part,
     covariance_sym,
     expectation,
     rho_dot_delta_sq,
@@ -120,7 +119,8 @@ def test_covariance_sym_matches_real_part_form():
         rho = (rho + rho.conj().T) / 2
         a = random_hermitian(rng, dim)
         b = random_hermitian(rng, dim)
-        assert abs(covariance_sym(rho, a, b) - covariance_real_part(rho, a, b)) < 1e-12
+        real_part = np.trace(rho @ a @ b).real - expectation(rho, a) * expectation(rho, b)
+        assert abs(covariance_sym(rho, a, b) - real_part) < 1e-12
 
 
 def test_covariance_rotating_observable():
