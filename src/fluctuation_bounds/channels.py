@@ -77,7 +77,7 @@ def amplitude_damping(gamma: float) -> KrausChannel:
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """sum_k E_k rho E_k^dagger, exactly symmetrized on output."""
-    rho = as_density_matrix(rho)
+    rho = as_density_matrix(as_matrix(rho))
     if rho.shape[0] != ch.dim:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]} vs channel {ch.dim}")
     out = np.zeros_like(rho)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    as_density_matrices,
     as_density_matrix,
     as_matrix,
     hermitian_eigendecomposition,
@@ -226,8 +225,8 @@ def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
     dt = steps[0]
     if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * dt:
         raise ValueError("trajectory grid must be uniform and increasing")
-    checked = as_density_matrices(states, tau_psd=TAU_PSD_RUN)
-    if checked.shape[0] != times.shape[0]:
+    checked = as_density_matrix(states, tau_psd=TAU_PSD_RUN)
+    if checked.shape[:-2] != times.shape:
         raise ValueError("times and states lengths differ")
     return Trajectory(times=times, states=checked, model=model)
 
@@ -285,7 +284,7 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     if t_max < dt:
         raise ValueError(f"t_max = {t_max} shorter than one step dt = {dt}")
     n_steps = int(round(t_max / dt))
-    rho = as_density_matrix(rho0)
+    rho = as_density_matrix(as_matrix(rho0))
     if rho.shape[0] != model.dim:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]} vs model {model.dim}")
 
@@ -325,7 +324,7 @@ def analytic_amplitude_damping(rho0, gamma_rate: float, omega: float, t) -> np.n
     giving a (2, 2) state, or a 1-D array of n times, giving the
     (n, 2, 2) stack; rho0 is validated once either way.
     """
-    rho0 = as_density_matrix(rho0)
+    rho0 = as_density_matrix(as_matrix(rho0))
     if rho0.shape[0] != 2:
         raise ValueError("closed-form solution is for dimension 2 only")
     if gamma_rate < 0:

@@ -1,8 +1,11 @@
 """Dense complex matrix algebra for small quantum systems.
 
 Everything here works on plain ``numpy`` arrays of shape ``(d, d)`` with
-``complex128`` entries.  Validation helpers raise ``ValueError`` with the
-name of the violated invariant; they never repair their input.
+``complex128`` entries; the two validators, ``require_hermitian`` and
+``as_density_matrix``, also take an ``(n, d, d)`` stack and check every
+matrix in it.  Validation raises ``ValueError`` with the name of the
+violated invariant, for the first matrix that violates one; it never
+repairs its input.
 """
 
 from __future__ import annotations
@@ -29,59 +32,59 @@ for _m in (sigma_x, sigma_y, sigma_z, sigma_plus, sigma_minus):
     _m.setflags(write=False)
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def _square(m, ndims=(2, 3)) -> np.ndarray:
+    """m as complex128: one (d, d) matrix, or an (n, d, d) stack of them
+    where ``ndims`` allows it."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a square (d, d) complex128 array with finite entries."""
+    a = _square(m, (2,))
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |m_ij - conj(m_ji)|."""
-    return float(np.abs(m - m.conj().T).max())
-
-
-def _hermiticity_scale(m: np.ndarray) -> float:
-    # Relative to the largest entry, floored at an absolute scale of one.
-    return max(float(np.abs(m).max()), 1.0)
-
-
-def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
-    return hermiticity_defect(m) <= tol * _hermiticity_scale(m)
-
-
-def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = TAU_HERM) -> np.ndarray:
-    a = as_matrix(m)
-    if not is_hermitian(a, tol):
-        raise ValueError(f"{what} is not Hermitian (defect {hermiticity_defect(a):.3e})")
-    return a
-
-
-def require_hermitian_stack(
-    ms, what: str = "matrix", tol: float = TAU_HERM
-) -> np.ndarray:
-    """:func:`require_hermitian` for a (d, d) matrix or an (n, d, d) stack.
-
-    A stack is checked in one pass and comes back as a complex array of
-    the same shape; the first matrix that fails raises the same
-    ``ValueError`` as :func:`require_hermitian` would for it.
+def _first_non_hermitian(stack: np.ndarray, failure: str):
+    """(k, message) for the first matrix of an (n, d, d) stack that has a
+    non-finite entry or a Hermiticity defect max |m_ij - conj(m_ji)| above
+    TAU_HERM * max(max |m_ij|, 1); (n, None) if none has.  ``failure``
+    starts the defect message.
     """
-    if np.ndim(ms) != 3:
-        return require_hermitian(ms, what, tol)
-    stack = np.asarray(ms, dtype=complex)
-    if stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
-        raise ValueError(f"matrix stack must have shape (n, d, d), got {stack.shape}")
-    with np.errstate(invalid="ignore"):  # inf - inf; non-finite entries fail below
+    if np.isfinite(stack).all():
+        # Every scale is at least 1, so this alone accepts the whole stack.
+        if np.abs(stack - stack.conj().transpose(0, 2, 1)).max(initial=0.0) <= TAU_HERM:
+            return len(stack), None
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf, in a matrix that fails as non-finite
         defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
-    # An infinite entry can pass the defect test against an infinite scale.
-    ok = np.isfinite(stack).all(axis=(1, 2)) & (defect <= tol * scale)
-    for k in np.flatnonzero(~ok):
-        require_hermitian(stack[k], what, tol)  # raises with the scalar message
-    return stack
+    bad = ~(finite & (defect <= TAU_HERM * scale))
+    k = int(np.argmax(bad))
+    if not bad[k]:
+        return len(stack), None
+    if not finite[k]:
+        return k, "matrix entries must be finite"
+    return k, f"{failure} (defect {defect[k]:.3e})"
+
+
+def require_hermitian(m, what: str = "matrix") -> np.ndarray:
+    """Check one (d, d) matrix or an (n, d, d) stack for Hermiticity.
+
+    Returns the complex array, same shape.  The first matrix with a
+    non-finite entry, or a defect above TAU_HERM relative to its largest
+    entry (floored at 1), raises ``ValueError``.
+    """
+    a = _square(m)
+    stack = a.reshape(-1, a.shape[-1], a.shape[-1])
+    _, failure = _first_non_hermitian(stack, f"{what} is not Hermitian")
+    if failure is not None:
+        raise ValueError(failure)
+    return a
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -90,45 +93,32 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
-    """Validate the three density-matrix invariants and return the array.
+    """Validate one (d, d) state or an (n, d, d) stack; return the array.
 
-    Raises ``ValueError`` naming the violated invariant: "hermiticity",
-    "trace" or "positivity".
+    The first state that breaks an invariant raises ``ValueError`` naming
+    the first it breaks: finite entries, "hermiticity", "trace" or
+    "positivity".
     """
-    rho = as_matrix(m)
-    if not is_hermitian(rho):
-        raise ValueError(
-            f"density matrix violates hermiticity (defect {hermiticity_defect(rho):.3e})"
-        )
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TAU_TRACE:
-        raise ValueError(f"density matrix violates trace normalization (tr = {tr:.12g})")
-    lo = float(np.min(np.linalg.eigvalsh(symmetrize(rho))))
-    if lo < -tau_psd:
-        raise ValueError(f"density matrix violates positivity (min eigenvalue {lo:.3e})")
+    rho = _square(m)
+    stack = rho.reshape(-1, rho.shape[-1], rho.shape[-1])
+    k, failure = _first_non_hermitian(stack, "density matrix violates hermiticity")
+    # The states before k are finite and Hermitian; the first of them to
+    # fail trace or positivity comes before k.
+    valid = stack[:k]
+    tr = valid.trace(axis1=1, axis2=2)
+    adjoint = valid.conj().transpose(0, 2, 1)
+    lo = np.linalg.eigvalsh((valid + adjoint) / 2)[:, 0]  # ascending
+    drifted = np.abs(tr - 1.0) > TAU_TRACE
+    bad = drifted | (lo < -tau_psd)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if drifted[k]:
+            failure = f"density matrix violates trace normalization (tr = {tr[k]:.12g})"
+        else:
+            failure = f"density matrix violates positivity (min eigenvalue {lo[k]:.3e})"
+    if failure is not None:
+        raise ValueError(failure)
     return rho
-
-
-def as_density_matrices(ms, *, tau_psd: float = TAU_PSD) -> np.ndarray:
-    """:func:`as_density_matrix` for a stack of states, in one batched pass.
-
-    Returns the (n, d, d) complex stack.  For the first state that breaks
-    an invariant it raises the same ``ValueError`` as
-    :func:`as_density_matrix` would.
-    """
-    stack = np.asarray(ms, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[0] < 1:
-        raise ValueError(f"density matrices must stack to shape (n, d, d), got {stack.shape}")
-    scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
-    adjoint = stack.conj().transpose(0, 2, 1)
-    defect = np.max(np.abs(stack - adjoint), axis=(1, 2))
-    drift = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    lo = np.min(np.linalg.eigvalsh((stack + adjoint) / 2), axis=1)
-    # NaN fails every comparison, so non-finite states are flagged too.
-    ok = (defect <= TAU_HERM * scale) & (drift <= TAU_TRACE) & (-lo <= tau_psd)
-    for k in np.flatnonzero(~ok):
-        as_density_matrix(stack[k], tau_psd=tau_psd)  # raises naming the invariant
-    return stack
 
 
 @dataclass(frozen=True)
@@ -173,7 +163,7 @@ def hermitian_eigendecomposition(m: np.ndarray) -> SpectralDecomposition:
     phase-fixed eigenvectors lexicographically (component-wise on
     (real, imag)).
     """
-    a = require_hermitian(m)
+    a = require_hermitian(_square(m, (2,)))
     w, v = np.linalg.eigh(symmetrize(a))
     order = np.argsort(-w, kind="stable")
     w = w[order]
@@ -203,7 +193,7 @@ def hermitian_eigendecomposition(m: np.ndarray) -> SpectralDecomposition:
 
 def matrix_exponential_antihermitian(g: np.ndarray, s: float) -> np.ndarray:
     """exp(-i*s*g) for Hermitian g, via the spectral decomposition."""
-    dec = hermitian_eigendecomposition(require_hermitian(g, "generator"))
+    dec = hermitian_eigendecomposition(require_hermitian(as_matrix(g), "generator"))
     phases = np.exp(-1j * s * dec.eigenvalues)
     return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    as_density_matrices,
     as_density_matrix,
     as_matrix,
     matrix_from_dict,
@@ -221,7 +220,7 @@ def squared_partial_expectation(a: TimeDependentObservable, t, rho: np.ndarray):
     One time and a (d, d) state give a float; a 1-D array of n times and
     an (n, d, d) stack of states give the n values, every state checked.
     """
-    rho = as_density_matrix(rho) if np.ndim(rho) == 2 else as_density_matrices(rho)
+    rho = as_density_matrix(rho)
     da = a.partial_time(t)
     if da.shape != rho.shape:
         raise ValueError(f"dimension mismatch: {da.shape} vs {rho.shape}")
@@ -239,8 +238,12 @@ def observable_to_dict(a: TimeDependentObservable) -> dict:
 
 
 def observable_from_dict(d: dict) -> TimeDependentObservable:
+    entries = d["terms"]
+    if not isinstance(entries, list):
+        raise TypeError(f"terms must be a list, got {entries!r}")
     terms = []
-    for term in d["terms"]:
-        coeff = coefficient_from_dict(term)
-        terms.append((coeff, matrix_from_dict(term["matrix"])))
+    for i, term in enumerate(entries):
+        if not isinstance(term, dict):
+            raise TypeError(f"terms[{i}] must be an object, got {term!r}")
+        terms.append((coefficient_from_dict(term), matrix_from_dict(term["matrix"])))
     return observable(terms)

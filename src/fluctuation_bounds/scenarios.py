@@ -15,6 +15,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -131,6 +132,15 @@ class ResultTable:
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
+# What a field's parser raises on bad input; OverflowError: an int too large for a float.
+_FIELD_ERRORS = (ValueError, TypeError, KeyError, OverflowError)
+
+
+def _finite_number(x) -> bool:
+    """A JSON int or float (not a bool) that is a finite float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
     violations = []
 
@@ -140,7 +150,7 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
         name = default_name
 
     dimension = data.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if type(dimension) is not int or dimension < 1:
         violations.append("dimension: must be a positive integer")
         dimension = 0
 
@@ -150,7 +160,7 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
         as_density_matrix(initial_state)
     except KeyError:
         violations.append("initial_state: missing")
-    except (ValueError, TypeError) as err:
+    except _FIELD_ERRORS as err:
         violations.append(f"initial_state: {err}")
     if initial_state is not None and dimension and initial_state.shape[0] != dimension:
         violations.append(
@@ -165,7 +175,7 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
                 violations.append(
                     f"hamiltonian: dimension {hamiltonian.dim} does not match {dimension}"
                 )
-        except (ValueError, TypeError, KeyError) as err:
+        except _FIELD_ERRORS as err:
             violations.append(f"hamiltonian: {err}")
 
     jump_terms = []
@@ -178,6 +188,8 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
             m = matrix_from_dict(entry["matrix"])
             rate = entry.get("rate")
             if rate is not None:
+                if isinstance(rate, bool):
+                    raise TypeError(f"rate must be nonnegative, got {rate}")
                 rate = float(rate)
                 if not (rate >= 0.0 and math.isfinite(rate)):
                     violations.append(f"jump_operators[{i}]: rate must be nonnegative, got {rate}")
@@ -186,7 +198,7 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
                     f"jump_operators[{i}]: dimension {m.shape[0]} does not match {dimension}"
                 )
             jump_terms.append((m, rate))
-        except (ValueError, TypeError, KeyError) as err:
+        except _FIELD_ERRORS as err:
             violations.append(f"jump_operators[{i}]: {err}")
 
     obs = None
@@ -196,14 +208,15 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
             violations.append(f"observable: dimension {obs.dim} does not match {dimension}")
     except KeyError:
         violations.append("observable: missing")
-    except (ValueError, TypeError) as err:
+    except _FIELD_ERRORS as err:
         violations.append(f"observable: {err}")
 
     dt = data.get("dt", 0.0)
     t_max = data.get("t_max", 0.0)
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
+    dt_ok = _finite_number(dt) and dt > 0
+    if not dt_ok:
         violations.append(f"dt: must be positive, got {dt!r}")
-    if not (isinstance(t_max, (int, float)) and math.isfinite(t_max) and t_max >= 10 * dt):
+    if not (_finite_number(t_max) and t_max >= (10 * dt if dt_ok else 0.0)):
         violations.append(f"t_max: must be at least 10*dt, got {t_max!r}")
 
     bounds = data.get("bounds", ["open"])

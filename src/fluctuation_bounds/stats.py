@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LindbladModel, Trajectory, lindblad_rhs
-from .linalg import require_hermitian_stack
+from .linalg import require_hermitian
 from .observables import TimeDependentObservable
 
 EPS_SIGMA = 1e-6         # below this spread, bound ratios are not evaluated
@@ -86,25 +86,25 @@ def _rho_dot_term(rho_dot: np.ndarray, rho: np.ndarray, a: np.ndarray, mean=None
 
 
 # Each public function below takes one (d, d) state and matrices, giving a
-# float, or (n, d, d) stacks of them, giving the n values; matrices are
-# validated once per call, a stack in one pass.
+# float, or (n, d, d) stacks of them, giving the n values; require_hermitian
+# checks each matrix argument once per call, one matrix or a whole stack.
 
 def expectation(rho: np.ndarray, m: np.ndarray):
     """tr(rho m) for Hermitian m; the imaginary part must be round-off."""
-    m = require_hermitian_stack(m, "observable matrix")
+    m = require_hermitian(m, "observable matrix")
     return _scalar_or_stack(_expectation(rho, m))
 
 
 def variance(rho: np.ndarray, m: np.ndarray):
     """tr(rho m^2) - tr(rho m)^2, clamped to 0 over round-off negatives."""
-    m = require_hermitian_stack(m, "observable matrix")
+    m = require_hermitian(m, "observable matrix")
     return _scalar_or_stack(_mean_and_variance(rho, m)[1])
 
 
 def covariance_sym(rho: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Symmetrized covariance (1/2)<{a, b}> - <a><b>."""
-    a = require_hermitian_stack(a, "first observable")
-    b = require_hermitian_stack(b, "second observable")
+    a = require_hermitian(a, "first observable")
+    b = require_hermitian(b, "second observable")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     half_anti = _symmetrized(rho, a, b)
@@ -117,7 +117,7 @@ def rho_dot_delta_sq(rho_dot: np.ndarray, rho: np.ndarray, a: np.ndarray):
     Requires a traceless rho_dot; the <a>^2 tr(rho_dot) term is dropped
     on that ground.
     """
-    a = require_hermitian_stack(a, "observable matrix")
+    a = require_hermitian(a, "observable matrix")
     return _scalar_or_stack(_rho_dot_term(rho_dot, rho, a))
 
 
@@ -177,9 +177,9 @@ def variance_rate(
     rho = traj.states[k]
     a_t = a.evaluate(t)
     da_t = a.partial_time(t)
-    a_t = require_hermitian_stack(a_t, "observable matrix")
+    a_t = require_hermitian(a_t, "observable matrix")
     mean, var = _mean_and_variance(rho, a_t)
-    da_t = require_hermitian_stack(da_t, "second observable")
+    da_t = require_hermitian(da_t, "second observable")
     cov = _symmetrized(rho, a_t, da_t) - mean * _expectation(rho, da_t)
     rho_dot = state_derivative(traj, k, t, rho_dot_mode)
     rd_term = _rho_dot_term(rho_dot, rho, a_t, mean)

@@ -10,9 +10,10 @@ message.
 """
 
 import numpy as np
+from reference_linalg import as_density_matrix, symmetrize
 
 from fluctuation_bounds.dynamics import G_MIN, TAU_PSD_RUN, Trajectory
-from fluctuation_bounds.linalg import as_density_matrix, hermitian_eigendecomposition, symmetrize
+from fluctuation_bounds.linalg import hermitian_eigendecomposition
 from fluctuation_bounds.observables import TimeDependentObservable
 
 

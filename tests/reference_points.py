@@ -5,16 +5,17 @@ statistic and bound is assembled for a single time, re-validating its
 matrices at each use.  Tests hold ``scenarios.run_scenario`` (and the
 stacked forms of the stats and bounds functions) to it, values and
 failures alike.  Model, observable and trajectory types, tolerances and
-report constructors come from the package.
+report constructors come from the package; matrices and states are
+validated by the one-matrix checks in tests/reference_linalg.py.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from reference_linalg import as_density_matrix, require_hermitian
 
 from fluctuation_bounds.bounds import BoundReport, _report, _skipped
 from fluctuation_bounds.dynamics import LindbladModel, Trajectory, lindblad_rhs
-from fluctuation_bounds.linalg import as_density_matrix, require_hermitian
 from fluctuation_bounds.observables import TimeDependentObservable
 from fluctuation_bounds.scenarios import ResultRow, build_trajectory
 from fluctuation_bounds.stats import EPS_SIGMA, RHO_DOT_MODES, VARIANCE_FLOOR, StatPoint

@@ -1,12 +1,20 @@
 """Exit codes, CSV emission, overrides, and sweep behavior of the CLI."""
 
+import copy
+import functools
+import itertools
 import json
+import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import reference_points
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from reference_points import reference_evaluate_scenario
 
 from fluctuation_bounds import scenarios
@@ -543,3 +551,118 @@ def test_unwritable_output_is_write_failed(command, tmp_path, capsys, no_workers
     assert payload["error"] == "write-failed"
     assert out in payload["detail"]
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+NON_OBJECT_TERMS = {
+    "observable terms [5]": ("observable", {"terms": [5]},
+                             "observable: terms[0] must be an object, got 5"),
+    "observable terms 'ab'": ("observable", {"terms": "ab"},
+                              "observable: terms must be a list, got 'ab'"),
+    "observable terms {'a': 1}": ("observable", {"terms": {"a": 1}},
+                                  "observable: terms must be a list, got {'a': 1}"),
+    "hamiltonian terms [null]": ("hamiltonian", {"terms": [None]},
+                                 "hamiltonian: terms[0] must be an object, got None"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_OBJECT_TERMS))
+def test_terms_that_are_not_objects_are_invalid_scenario(case, tmp_path, capsys, no_workers):
+    field, value, violation = NON_OBJECT_TERMS[case]
+    path = write_small_scenario(tmp_path, **{field: value})
+    for command in ("run", "verify", "sweep"):
+        assert cli_main(scenario_argv(command, path, tmp_path)) == 2
+        payload, captured = last_stderr_json(capsys)
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert payload["error"] == "invalid-scenario"
+        assert violation in payload["violations"]
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on mutated scenario files
+
+def readme_error_table() -> dict:
+    """slug -> exit code, from README's table of CLI errors."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| slug | cause | exit |\n| --- | --- | --- |\n", 1)[1]
+    rows = itertools.takewhile(lambda line: line.startswith("| `"), table.splitlines())
+    return {m[1]: int(m[2]) for m in (re.match(r"\| `([a-z-]+)` \|.*\| (\d) \|$", r) for r in rows)}
+
+
+def small_builtin(name: str) -> dict:
+    """A builtin scenario on a grid of 20 steps."""
+    data = builtin_scenario_dict(name)
+    data["t_max"], data["dt"] = 0.2, 0.01
+    return data
+
+
+def json_paths(node, path=()):
+    """The path of every value in a JSON tree, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+MATRIX_3X3 = {"re": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+JSON_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0, -1e3, math.inf, -math.inf, math.nan, 1e308, 10**400]),
+    st.text(max_size=3),
+    st.sampled_from(["open", "closed", "cauchy_schwarz", "tight", "finite_difference"]),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["re", "im", "kind", "terms", "matrix", "x"]),
+                    st.integers(0, 2), max_size=2),
+    st.just([[1.0]]),
+    st.just(MATRIX_3X3),
+    st.just({"terms": [{"kind": "constant", "value": 1.0, "matrix": MATRIX_3X3}]}),
+).map(copy.deepcopy)  # a later mutation may edit the value in place
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A small builtin scenario with one to three fields mutated: a field, or
+    any value inside it, is replaced, deleted or gets a sibling inserted."""
+    data = small_builtin(draw(st.sampled_from(["example1", "example2", "crossover"])))
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(sorted(data) + ["hamiltonian", "unknown_field"]))
+        if field not in data:
+            data[field] = draw(JSON_JUNK)
+            continue
+        *parents, key = draw(st.sampled_from(list(json_paths(data[field], (field,)))))
+        parent = functools.reduce(lambda node, k: node[k], parents, data)
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "delete" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "insert" and isinstance(parent, list):
+            parent.insert(key, draw(JSON_JUNK))
+        else:
+            parent[key] = draw(JSON_JUNK)
+    # No parse-time grid cap exists yet: a larger grid would only cost time.
+    dt, t_max = data.get("dt"), data.get("t_max")
+    if all(type(x) in (int, float) and 0 < x <= 1e308 for x in (dt, t_max)):
+        assume(t_max <= 2000 * dt)
+    return data
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_scenarios(), command=st.sampled_from(["run", "verify"]))
+def test_any_scenario_file_ends_in_an_exit_code_and_at_most_one_json_line(
+        data, command, tmp_path, capsys):
+    slugs = readme_error_table()
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = cli_main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert captured.err == ""
+        return
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert slugs[payload["error"]] == code

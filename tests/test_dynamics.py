@@ -323,6 +323,13 @@ def test_trajectory_from_states_rejects_bad_input():
         trajectory_from_states([0.0, 0.1], [good, good]).index_of(0.05)
 
 
+def test_trajectory_from_states_needs_one_state_per_time():
+    good = np.diag([0.6, 0.4]).astype(complex)
+    for states in (good, [good] * 3):  # one (2, 2) state, not a stack of two; three states
+        with pytest.raises(ValueError, match="lengths differ"):
+            trajectory_from_states([0.0, 0.1], states)
+
+
 # ---------------------------------------------------------------------------
 # pseudo-Hamiltonian extraction
 

@@ -1,27 +1,34 @@
-"""Matrix algebra identities, eigensystems, exponentials."""
+"""Matrix algebra identities, eigensystems, exponentials, validation."""
+
+import itertools
 
 import numpy as np
 import pytest
+import reference_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fluctuation_bounds.channels import amplitude_damping, apply
+from fluctuation_bounds.dynamics import analytic_amplitude_damping, integrate, lindblad_model
 from fluctuation_bounds.linalg import (
+    TAU_HERM,
     TAU_ORTH,
     TAU_RECON,
     TAU_UNIT,
-    as_density_matrices,
     as_density_matrix,
     as_matrix,
     hermitian_eigendecomposition,
     matrix_exponential_antihermitian,
     matrix_from_dict,
     matrix_to_dict,
+    require_hermitian,
     sigma_minus,
     sigma_plus,
     sigma_x,
     sigma_z,
 )
+from fluctuation_bounds.observables import constant, observable
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -176,7 +183,7 @@ def test_density_matrix_stack_matches_single_checks():
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         rho = m @ m.conj().T
         good.append(rho / np.trace(rho).real)
-    assert np.array_equal(as_density_matrices(good), np.stack(good))
+    assert np.array_equal(as_density_matrix(good), np.stack(good))
     bad = {
         "hermiticity": np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex),
         "trace": np.eye(2, dtype=complex),
@@ -185,17 +192,103 @@ def test_density_matrix_stack_matches_single_checks():
     }
     for name, state in bad.items():
         with pytest.raises(ValueError) as single:
-            as_density_matrix(state)
+            reference_linalg.as_density_matrix(state)
         with pytest.raises(ValueError, match=name) as stacked:
-            as_density_matrices(good + [state] + good)
+            as_density_matrix(good + [state] + good)
         assert str(stacked.value) == str(single.value)
     # the first bad state is the one reported
     with pytest.raises(ValueError, match="trace"):
-        as_density_matrices([good[0], bad["trace"], bad["positivity"]])
+        as_density_matrix([good[0], bad["trace"], bad["positivity"]])
     with pytest.raises(ValueError, match="positivity"):
-        as_density_matrices([bad["positivity"], bad["trace"]], tau_psd=1e-8)
-    with pytest.raises(ValueError, match="shape"):
-        as_density_matrices(np.eye(2))
+        as_density_matrix([bad["positivity"], bad["trace"]], tau_psd=1e-8)
+
+
+def _skewed(diagonal, defect):
+    """diag(diagonal) with defect added at [0, 1]: Hermiticity defect exactly defect."""
+    m = np.diag(diagonal).astype(complex)
+    m[0, 1] = defect
+    return m
+
+
+INF, NAN = np.inf, np.nan
+
+# 2 x 2 matrices that one or both validators accept or reject, each kind once.
+VALIDATION_CASES = {
+    "state": np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]),
+    "pure state": np.diag([0.0, 1.0]),
+    "observable": np.array([[0.0, -1j], [1j, 0.0]]),
+    "non-Hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+    "trace drift": np.eye(2),
+    "negative eigenvalue": np.diag([1.5, -0.5]),
+    "nan": np.array([[NAN, 0.0], [0.0, 1.0]]),
+    "nan off the diagonal": np.array([[0.5, NAN], [NAN, 0.5]]),
+    "nan and non-Hermitian": np.array([[0.5, NAN], [1.0, 0.5]]),
+    "+inf on the diagonal": np.array([[INF, 0.0], [0.0, 1.0]]),
+    "-inf on the diagonal": np.array([[-INF, 0.0], [0.0, 1.0]]),
+    "inf off the diagonal": np.array([[0.5, INF], [0.0, 0.5]]),
+    "inf on both sides": np.array([[0.5, INF], [INF, 0.5]]),
+    "-inf imaginary part": np.array([[0.5, complex(0.0, -INF)], [complex(0.0, INF), 0.5]]),
+    "scale 1, defect below": _skewed([0.5, 0.5], 0.99 * TAU_HERM),
+    "scale 1, defect above": _skewed([0.5, 0.5], 1.01 * TAU_HERM),
+    "scale 1000, defect below": _skewed([1000.0, -999.0], 0.99 * TAU_HERM * 1000),
+    "scale 1000, defect above": _skewed([1000.0, -999.0], 1.01 * TAU_HERM * 1000),
+    "scale 1000, defect of scale 1 above": _skewed([1000.0, -999.0], 1.01 * TAU_HERM),
+}
+
+VALIDATORS = {
+    "require_hermitian": (
+        lambda m: require_hermitian(m, "thing"),
+        lambda m: reference_linalg.require_hermitian(m, "thing"),
+    ),
+    "as_density_matrix": (as_density_matrix, reference_linalg.as_density_matrix),
+}
+
+
+def validation_outcome(check, m):
+    """The error message of check(m), or None after checking what it returned."""
+    try:
+        out = check(m)
+    except ValueError as err:
+        return str(err)
+    assert out.dtype == complex and np.array_equal(out, m)
+    return None
+
+
+@pytest.mark.parametrize("validator", list(VALIDATORS))
+def test_validators_match_the_reference_on_matrices_and_stacks(validator):
+    merged, reference = VALIDATORS[validator]
+    cases = [np.asarray(m, dtype=complex) for m in VALIDATION_CASES.values()]
+    expected = [validation_outcome(reference, m) for m in cases]
+    assert None in expected and len(set(expected)) >= 4  # accepts some, fails in several ways
+    for m, want in zip(cases, expected):
+        assert validation_outcome(merged, m) == want
+    # In a stack, the first matrix the reference rejects names the failure.
+    valid = cases[0]
+    for (a, want_a), (b, want_b) in itertools.product(zip(cases, expected), repeat=2):
+        stack = np.stack([valid, a, valid, b])
+        assert validation_outcome(merged, stack) == (want_a if want_a is not None else want_b)
+
+
+def test_validators_accept_an_empty_stack():
+    empty = np.zeros((0, 3, 3), dtype=complex)
+    assert require_hermitian(empty).shape == (0, 3, 3)
+    assert as_density_matrix(empty).shape == (0, 3, 3)
+
+
+ONE_MATRIX_CALLS = {
+    "integrate": lambda m: integrate(lindblad_model(None, [sigma_minus]), m, 0.1, 0.01),
+    "analytic_amplitude_damping": lambda m: analytic_amplitude_damping(m, 1.0, 0.0, 0.1),
+    "channels.apply": lambda m: apply(amplitude_damping(0.5), m),
+    "hermitian_eigendecomposition": hermitian_eigendecomposition,
+    "observable": lambda m: observable([(constant(1.0), m)]),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_MATRIX_CALLS))
+def test_one_matrix_functions_reject_a_stack(name):
+    stack = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])
+    with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 2, 2\)"):
+        ONE_MATRIX_CALLS[name](stack)
 
 
 def test_matrix_dict_round_trip():

@@ -118,6 +118,56 @@ def test_list_fields_must_be_lists(field, value):
         assert any(v.startswith("model:") for v in info.value.violations)
 
 
+def set_field(data: dict, field: str, value) -> dict:
+    """data with field set; "rate" is the first jump operator's rate, "term
+    value" the first observable term's constant and "state entry" the first
+    real entry of the initial state."""
+    if field == "rate":
+        data["jump_operators"][0]["rate"] = value
+    elif field == "term value":
+        data["observable"]["terms"][0]["value"] = value
+    elif field == "state entry":
+        data["initial_state"]["re"][0][0] = value
+    else:
+        data[field] = value
+    return data
+
+
+def parse_violations(data: dict) -> tuple:
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(data)
+    return info.value.violations
+
+
+@pytest.mark.parametrize("field, violation", [
+    ("dimension", "dimension: must be a positive integer"),
+    ("dt", "dt: must be positive, got True"),
+    ("t_max", "t_max: must be at least 10*dt, got True"),
+    ("rate", "jump_operators[0]: rate must be nonnegative, got True"),
+])
+def test_json_booleans_are_not_numbers(field, violation):
+    violations = parse_violations(set_field(builtin_scenario_dict("example1"), field, True))
+    assert violations == (violation,)
+
+
+@pytest.mark.parametrize("value", ["0.01", None, [0.01], {"dt": 0.01}])
+def test_dt_that_is_not_a_number_is_one_violation(value):
+    violations = parse_violations(set_field(builtin_scenario_dict("example1"), "dt", value))
+    assert violations == (f"dt: must be positive, got {value!r}",)
+
+
+@pytest.mark.parametrize("field, prefix", [
+    ("dt", "dt: must be positive"),
+    ("t_max", "t_max: must be at least 10*dt"),
+    ("rate", "jump_operators[0]: int too large to convert to float"),
+    ("term value", "observable: int too large to convert to float"),
+    ("state entry", "initial_state: int too large to convert to float"),
+])
+def test_integers_too_large_for_a_float_are_violations(field, prefix):
+    violations = parse_violations(set_field(builtin_scenario_dict("example1"), field, 10**400))
+    assert violations[0].startswith(prefix)
+
+
 def test_load_scenario_non_utf8_file(tmp_path):
     p = tmp_path / "latin1.json"
     p.write_bytes(b'{"name": "caf\xe9"}')
