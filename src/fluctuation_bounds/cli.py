@@ -176,10 +176,12 @@ def _sweep_job(job) -> dict:
     has to cross the process boundary."""
     data, param, value_text, out_path = job
     try:
-        overridden = _apply_overrides(data, **{param: float(value_text)})
-        spec = parse_scenario(overridden, default_name=data.get("name", "sweep"))
-        rows = run_scenario(spec)
-        write_csv(rows, out_path)
+        # as in cli_main, which a spawned worker does not run under
+        with np.errstate(all="ignore"):
+            overridden = _apply_overrides(data, **{param: float(value_text)})
+            spec = parse_scenario(overridden, default_name=data.get("name", "sweep"))
+            rows = run_scenario(spec)
+            write_csv(rows, out_path)
     except (ValueError, RuntimeError, OSError) as err:
         return {"ok": False, "param": param, "value": value_text, "detail": str(err)}
     return {"ok": True, "param": param, "value": value_text, "rows": len(rows), "out": out_path}
@@ -262,8 +264,11 @@ def cli_main(argv=None) -> int:
     except SystemExit as err:  # argparse handles usage/help printing
         return int(err.code or 0)
     # The one map from exception to error slug; README's table mirrors it.
+    # A non-finite intermediate ends in one of these errors, or in none;
+    # numpy's floating-point warnings about it would add stderr lines.
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ScenarioError as err:
         _error("invalid-scenario", str(err), violations=list(err.violations))
     except OverrideError as err:

@@ -18,6 +18,13 @@ weight is 1.  Whatever M is, one application is two 2-D matmuls,
 at O(M d^3) cost.  The RK4 integrator, ``lindblad_rhs`` and the
 Heisenberg adjoint in ``bounds`` all read this one representation.
 
+RK4 takes small models by step maps: on the d^2 real coordinates of a
+Hermitian state, one step is x -> P_n x, and P_n is a polynomial in the
+drive coefficients at the step's three stage times.  Its K monomial
+matrices are expanded from the operator sum once per ``integrate`` call.
+The size rule ``step_map_size(model) <= STEP_MAP_MAX`` (K d^4 doubles)
+picks this path; larger models run the operator-sum stage loop.
+
 Integration never repairs its state: trace and positivity of every step
 are measured, in batches of CHECK_BLOCK steps, and the first violation
 aborts with the failing time in the message.
@@ -43,6 +50,7 @@ from .observables import TimeDependentObservable, finite_times
 TAU_PSD_RUN = 1e-8   # positivity floor while integrating
 TAU_TRACE_RUN = 1e-8
 CHECK_BLOCK = 64     # integration steps per batched trace/positivity check
+STEP_MAP_MAX = 300_000  # largest step_map_size that integrate advances by step maps
 G_MIN = 1e-6         # smallest admissible eigenvalue gap for eigenvector pairing
 EXTERNAL_MODEL = "externally supplied"
 
@@ -266,16 +274,240 @@ def _stage_lefts(model: LindbladModel, times: np.ndarray, dt: float):
         )
 
 
+def _stage_block(model: LindbladModel, states: np.ndarray, times: np.ndarray, dt: float,
+                 start: int, stop: int) -> None:
+    """Operator-sum RK4 from states[start - 1] to states[start:stop].
+
+    Each stage applies the model's cached operator sum (O(M d^3) for M
+    terms) and every step is re-symmetrized.  If a step raises, the steps
+    before it are checked first.
+    """
+    stages = _stage_lefts(model, times[start - 1:stop], dt)
+    rho, right = states[start - 1], model.right
+    k = start
+    try:
+        left_end = model.left_at(float(times[start - 1]))
+        for k in range(start, stop):
+            left_start = left_end
+            left_mid, left_end = next(stages)
+            k1 = _apply(left_start, right, rho)
+            k2 = _apply(left_mid, right, rho + 0.5 * dt * k1)
+            k3 = _apply(left_mid, right, rho + 0.5 * dt * k2)
+            k4 = _apply(left_end, right, rho + dt * k3)
+            rho = symmetrize(rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+            states[k] = rho
+    except Exception:
+        # A step before the one that raised may already have failed.
+        _check_steps(states[start:k], times[start:k])
+        raise
+
+
+# ---------------------------------------------------------------------------
+# step maps: RK4 as one real matrix per step
+#
+# A Hermitian d x d state has d^2 real coordinates
+# x = (diag rho, Re rho_upper, Im rho_upper), upper entries in
+# np.triu_indices order.  On them the generator is G(t) = G_0 +
+# sum_k c_k(t) G_k, and one RK4 step is x -> P x with
+#
+#   P = I + h/6 (G1 + 4 G2 + G3) + h^2/6 (G2 G1 + G2 G2 + G3 G2)
+#         + h^3/12 (G2 G2 G1 + G3 G2 G2) + h^4/24 G3 G2 G2 G1
+#
+# for G1, G2, G3 the generator at the start, midpoint and end of the step.
+# P is a polynomial in the drive coefficients at those three times: of
+# degree <= 1 in the start and end values and <= 2 in the midpoint values.
+
+# (weight, stages of the factors from left to right); 1 start, 2 midpoint, 3 end.
+_RK4_PRODUCTS = (
+    (1 / 6, (1,)), (4 / 6, (2,)), (1 / 6, (3,)),
+    (1 / 6, (2, 1)), (1 / 6, (2, 2)), (1 / 6, (3, 2)),
+    (1 / 12, (2, 2, 1)), (1 / 12, (3, 2, 2)),
+    (1 / 24, (3, 2, 2, 1)),
+)
+
+
+def step_map_size(model: LindbladModel) -> int:
+    """K * d^4: the doubles in a model's K monomial step maps, with
+    K = (D+1)^2 (D+1)(D+2)/2 for D drive coefficients."""
+    n = len(model.drive) + 1
+    return n * n * n * (n + 1) // 2 * model.dim ** 4
+
+
+@functools.lru_cache(maxsize=16)
+def _hermitian_basis(d: int):
+    """(basis, diag, iu, ju): the (d^2, d, d) matrices E_a with
+    rho = sum_a x_a E_a, the indices of the diagonal and the row and
+    column indices of the upper triangle, all read-only."""
+    diag = np.arange(d)
+    iu, ju = np.triu_indices(d, 1)
+    upper = d + np.arange(len(iu))
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[diag, diag, diag] = 1.0
+    basis[upper, iu, ju] = basis[upper, ju, iu] = 1.0
+    basis[upper + len(iu), iu, ju] = 1j
+    basis[upper + len(iu), ju, iu] = -1j
+    out = (basis, diag, iu, ju)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _coordinates(m: np.ndarray) -> np.ndarray:
+    """The d^2 coordinates of the Hermitian part of a (..., d, d) matrix or stack."""
+    _, diag, iu, ju = _hermitian_basis(m.shape[-1])
+    off = 0.5 * (m[..., iu, ju] + m[..., ju, iu].conj())
+    return np.concatenate([m[..., diag, diag].real, off.real, off.imag], axis=-1)
+
+
+def _set_from_coordinates(out: np.ndarray, x: np.ndarray) -> None:
+    """Write the matrices with coordinates x (n, d^2) into out (n, d, d);
+    each lower entry is the conjugate of its upper one, so every matrix
+    is exactly Hermitian."""
+    d = out.shape[-1]
+    _, diag, iu, ju = _hermitian_basis(d)
+    p = len(iu)
+    re, im = out.real, out.imag
+    re[:, diag, diag] = x[:, :d]
+    im[:, diag, diag] = 0.0
+    re[:, iu, ju] = re[:, ju, iu] = x[:, d:d + p]
+    im[:, iu, ju] = x[:, d + p:]
+    im[:, ju, iu] = -x[:, d + p:]
+
+
+def _generator_parts(model: LindbladModel) -> np.ndarray:
+    """(D+1, d^2, d^2): G_0, the weight-1 terms of the operator sum, then
+    one G_k per drive coefficient, from its pair of terms; column a of
+    each is that part applied to basis matrix E_a, in coordinates."""
+    a, b = model.terms()
+    basis = _hermitian_basis(model.dim)[0]
+    images = a[:, None] @ basis @ b[:, None]  # (M, d^2, d, d)
+    split = len(a) - 2 * len(model.drive)
+    parts = [images[:split].sum(axis=0)]
+    parts += [images[m:m + 2].sum(axis=0) for m in range(split, len(a), 2)]
+    return _coordinates(np.stack(parts)).transpose(0, 2, 1)
+
+
+def _step_monomials(model: LindbladModel, dt: float) -> np.ndarray:
+    """(K, d^4): the flattened C_m of P = sum_m monomial_m * C_m, with the
+    K monomials ordered as by ``_monomial_values``.
+
+    Every word G_k1 ... G_kj (j <= 4) over the D+1 generator parts is
+    formed once, each from its prefix of length j-1, and added to the
+    monomial its stage coefficients make in each RK4 product of that
+    length.
+    """
+    parts = _generator_parts(model)
+    n, dim = parts.shape[0], parts.shape[1]
+    ku, lu = np.triu_indices(n)
+    pairs = np.empty((n, n), dtype=int)  # position of the pair {k, l} in triu order
+    pairs[ku, lu] = pairs[lu, ku] = np.arange(len(ku))
+    monomials = np.zeros((n, len(ku), n, dim, dim))
+    monomials[0, 0, 0] = np.eye(dim)
+    words = {(): np.eye(dim)}
+    for length in range(1, 5):
+        words = {w + (k,): words[w] @ parts[k] for w in words for k in range(n)}
+        for weight, stages in _RK4_PRODUCTS:
+            if len(stages) != length:
+                continue
+            for word, product in words.items():
+                # the factor index per stage; 0 (the static part) where a stage is absent
+                at = {1: [], 2: [], 3: []}
+                for stage, k in zip(stages, word):
+                    at[stage].append(k)
+                start, mid, end = at[1] + [0], at[2] + [0, 0], at[3] + [0]
+                monomials[start[0], pairs[mid[0], mid[1]], end[0]] += weight * dt ** length * product
+    return monomials.reshape(-1, dim * dim)
+
+
+def _monomial_values(start: np.ndarray, mid: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """(n, K): the monomials of ``_step_monomials`` for n steps, from the
+    (n, D) drive coefficients at their start, midpoint and end."""
+    one = np.ones((len(start), 1))
+    u1, b, u3 = np.hstack([one, start]), np.hstack([one, mid]), np.hstack([one, end])
+    ku, lu = np.triu_indices(b.shape[1])
+    u2 = b[:, ku] * b[:, lu]
+    k = u1.shape[1] * u2.shape[1] * u3.shape[1]
+    return (u1[:, :, None, None] * u2[:, None, :, None] * u3[:, None, None, :]).reshape(len(start), k)
+
+
+def _drive_values(drive: tuple, times: np.ndarray, dt: float):
+    """(start, mid, end, error): the drive coefficients at the start,
+    midpoint and end of each step between consecutive grid times, as
+    three (n, D) arrays.
+
+    The stage times are evaluated in increasing order.  If a coefficient
+    raises, the arrays stop before the first step that needs that time
+    and the exception comes back as ``error``, to be raised once the
+    steps before are taken and checked.
+    """
+    stage_times = np.empty(2 * len(times) - 1)
+    stage_times[0::2] = times
+    stage_times[1::2] = times[:-1] + 0.5 * dt
+    values, error = [], None
+    try:
+        for t in stage_times.tolist():
+            values.append([c.value(t) for c in drive])
+    except (ValueError, OverflowError) as err:
+        error = err
+    steps = max(len(values) - 1, 0) // 2
+    v = np.array(values[:2 * steps + 1]).reshape(-1, len(drive))
+    return v[0:-1:2], v[1::2], v[2::2], error
+
+
+def _map_block(model: LindbladModel, monomials: np.ndarray, states: np.ndarray,
+               times: np.ndarray, dt: float, start: int, stop: int) -> bool:
+    """Step-map RK4 from states[start - 1] to states[start:stop], one
+    matvec per step, with the flat (K, d^4) ``_step_monomials``.
+
+    Returns False, writing nothing, if a state comes out non-finite: the
+    caller then takes the block by the operator sum, which fails where
+    it fails.  A drive coefficient that raises is raised after the steps
+    before it are written and checked.
+    """
+    dim = model.dim * model.dim
+    error = None
+    if model.drive:
+        *values, error = _drive_values(model.drive, times[start - 1:stop], dt)
+        steps = len(values[1])
+        maps = _monomial_values(*values) @ monomials
+    else:
+        steps = stop - start
+        maps = np.broadcast_to(monomials, (steps, dim * dim))
+    maps = maps.reshape(steps, dim, dim)
+    x = np.empty((steps + 1, dim))
+    x[0] = _coordinates(states[start - 1])
+    for j in range(steps):
+        np.matmul(maps[j], x[j], out=x[j + 1])
+    if not np.isfinite(x).all():
+        return False
+    _set_from_coordinates(states[start:start + steps], x[1:])
+    if error is not None:
+        _check_steps(states[start:start + steps], times[start:start + steps])
+        raise error
+    return True
+
+
 def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 from t = 0 to t_max.
 
-    Each stage applies the model's cached operator sum (O(M d^3) for M
-    terms); the weighted left blocks are formed once per distinct stage
-    time, for a block of steps at once.  States are re-symmetrized every step.  Trace drift and
-    negative eigenvalues of every step are measured, never corrected,
-    with one batched trace and eigvalsh per CHECK_BLOCK steps; the first
-    step past TAU_TRACE_RUN / TAU_PSD_RUN, or with a non-finite trace or
-    eigenvalue, aborts the run with its time, at most one block later.
+    Models with ``step_map_size(model) <= STEP_MAP_MAX`` take each step
+    as one real matvec ``x -> P_n x`` on the d^2 Hermitian coordinates
+    of the state.  The K monomial maps of P are expanded once per call;
+    each CHECK_BLOCK of steps forms its P_n with one (steps, K) @ (K, d^4)
+    product, or, undriven (K = 1), reuses the one constant P.  States are
+    rebuilt from their coordinates, so they are exactly Hermitian by
+    construction.  A block with a non-finite state is taken again by the
+    operator-sum stage loop, which every larger model uses: each stage
+    applies the cached operator sum (O(M d^3) for M terms), with the
+    weighted left blocks formed once per distinct stage time, and states
+    are re-symmetrized every step.
+
+    Trace drift and negative eigenvalues of every step are measured,
+    never corrected, with one batched trace and eigvalsh per CHECK_BLOCK
+    steps; the first step past TAU_TRACE_RUN / TAU_PSD_RUN, or with a
+    non-finite trace or eigenvalue, aborts the run with its time, at
+    most one block later.  A drive coefficient that raises does so after
+    the steps before it are taken and checked.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -291,27 +523,13 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, model.dim, model.dim), dtype=complex)
     states[0] = rho
-    right = model.right
-    left_end = model.left_at(float(times[0]))
     # A blown-up state surfaces as an IntegrationError below, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        monomials = _step_monomials(model, dt) if step_map_size(model) <= STEP_MAP_MAX else None
         for start in range(1, n_steps + 1, CHECK_BLOCK):
             stop = min(start + CHECK_BLOCK, n_steps + 1)
-            stages = _stage_lefts(model, times[start - 1:stop], dt)
-            try:
-                for k in range(start, stop):
-                    left_start = left_end
-                    left_mid, left_end = next(stages)
-                    k1 = _apply(left_start, right, rho)
-                    k2 = _apply(left_mid, right, rho + 0.5 * dt * k1)
-                    k3 = _apply(left_mid, right, rho + 0.5 * dt * k2)
-                    k4 = _apply(left_end, right, rho + dt * k3)
-                    rho = symmetrize(rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-                    states[k] = rho
-            except Exception:
-                # A step before the one that raised may already have failed.
-                _check_steps(states[start:k], times[start:k])
-                raise
+            if monomials is None or not _map_block(model, monomials, states, times, dt, start, stop):
+                _stage_block(model, states, times, dt, start, stop)
             _check_steps(states[start:stop], times[start:stop])
     return Trajectory(times=times, states=states, model=model)
 

@@ -18,8 +18,6 @@ import numpy as np
 TAU_HERM = 1e-10   # Hermiticity defect, scaled by the largest entry magnitude
 TAU_TRACE = 1e-8   # unit-trace deviation of density matrices
 TAU_PSD = 1e-10    # most negative admissible density-matrix eigenvalue
-TAU_ORTH = 1e-10   # eigenvector orthonormality defect
-TAU_RECON = 1e-9   # eigendecomposition reconstruction residual
 TAU_UNIT = 1e-10   # unitarity defect of matrix exponentials
 
 # Single-qubit operator basis (|0> first).
@@ -135,15 +133,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """sum_j p_j |psi_j><psi_j|."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-    def gram_defect(self) -> float:
-        """max |V^dagger V - I|."""
-        v = self.eigenvectors
-        return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

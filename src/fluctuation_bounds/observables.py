@@ -105,7 +105,7 @@ def polynomial(coefficients) -> CoefficientFunction:
     return CoefficientFunction("polynomial", params)
 
 
-def coefficient_to_dict(c: CoefficientFunction) -> dict:
+def _coefficient_to_dict(c: CoefficientFunction) -> dict:
     if c.kind == "constant":
         return {"kind": "constant", "value": c.params[0]}
     if c.kind in ("cosine", "sine"):
@@ -231,7 +231,7 @@ def squared_partial_expectation(a: TimeDependentObservable, t, rho: np.ndarray):
 def observable_to_dict(a: TimeDependentObservable) -> dict:
     terms = []
     for coeff, basis in a.terms:
-        d = coefficient_to_dict(coeff)
+        d = _coefficient_to_dict(coeff)
         d["matrix"] = matrix_to_dict(basis)
         terms.append(d)
     return {"terms": terms}

@@ -202,14 +202,15 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
             violations.append(f"jump_operators[{i}]: {err}")
 
     obs = None
-    try:
-        obs = observable_from_dict(data["observable"])
-        if dimension and obs.dim != dimension:
-            violations.append(f"observable: dimension {obs.dim} does not match {dimension}")
-    except KeyError:
+    if "observable" not in data:
         violations.append("observable: missing")
-    except _FIELD_ERRORS as err:
-        violations.append(f"observable: {err}")
+    else:
+        try:
+            obs = observable_from_dict(data["observable"])
+            if dimension and obs.dim != dimension:
+                violations.append(f"observable: dimension {obs.dim} does not match {dimension}")
+        except _FIELD_ERRORS as err:
+            violations.append(f"observable: {err}")
 
     dt = data.get("dt", 0.0)
     t_max = data.get("t_max", 0.0)

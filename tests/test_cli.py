@@ -391,6 +391,28 @@ def test_console_script_entry_point():
     assert proc.stdout.splitlines()[0] == ",".join(FIGURE_COLUMNS)
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+def test_overflowing_input_prints_one_stderr_line_from_a_process(command, entry, tmp_path):
+    # As a process, numpy's floating-point warnings would reach stderr.
+    # A 1e308 entry in place of sigma_minus's 1 keeps the closed form;
+    # in sigma_plus's place the model is integrated.
+    data = builtin_scenario_dict("example1")
+    data["jump_operators"][0]["matrix"]["re"] = [[0.0, 0.0], [0.0, 0.0]]
+    data["jump_operators"][0]["matrix"]["re"][entry[0]][entry[1]] = 1e308
+    data["t_max"] = 0.2
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = {"run": ["run", "--scenario", str(path)],
+            "sweep": ["sweep", "--scenario", str(path), "--param", "dt", "--values", "0.01",
+                      "--out-dir", str(tmp_path / "o")]}[command]
+    proc = subprocess.run([sys.executable, "-m", "fluctuation_bounds.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "run-failed"
+
+
 class SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
 

@@ -6,9 +6,11 @@ from conftest import random_hermitian, random_jump, random_model, random_state
 from numpy.testing import assert_allclose
 from reference_rk4 import reference_integrate, reference_rhs
 
+from fluctuation_bounds import dynamics
 from fluctuation_bounds.dynamics import (
     CHECK_BLOCK,
     G_MIN,
+    STEP_MAP_MAX,
     IntegrationError,
     analytic_amplitude_damping,
     eigenflow_rate_terms,
@@ -17,6 +19,7 @@ from fluctuation_bounds.dynamics import (
     lindblad_model,
     lindblad_rhs,
     pseudo_hamiltonian_residuals,
+    step_map_size,
     trajectory_from_states,
 )
 from fluctuation_bounds.linalg import (
@@ -260,6 +263,125 @@ def test_integrate_validates_arguments():
 def test_integrate_rejects_non_finite_grid(t_max, dt, match):
     with pytest.raises(ValueError, match=match):
         integrate(damping_model(1.0), PROJ_1, t_max=t_max, dt=dt)
+
+
+# ---------------------------------------------------------------------------
+# step maps
+
+DRIVES = (
+    lambda rng: cosine(rng.uniform(0.5, 1.5), rng.uniform(0.5, 3.0), rng.uniform(0, 6)),
+    lambda rng: sine(rng.uniform(0.5, 1.5), rng.uniform(0.5, 3.0), rng.uniform(0, 6)),
+    lambda rng: polynomial([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)]),
+    lambda rng: exponential_decay(rng.uniform(0.5, 1.5), rng.uniform(-1, 2)),
+)
+
+
+def model_with_drives(rng, dim, n_drives, n_jumps, first_kind=0):
+    """Static part plus n_drives time-dependent terms whose kinds cycle
+    through DRIVES from first_kind."""
+    scale = 1.0 / np.sqrt(dim)
+    terms = [(constant(1.0), scale * random_hermitian(rng, dim))]
+    terms += [(DRIVES[(first_kind + k) % len(DRIVES)](rng), scale * random_hermitian(rng, dim))
+              for k in range(n_drives)]
+    return lindblad_model(observable(terms), [random_jump(rng, dim, 0.7 * scale) for _ in range(n_jumps)])
+
+
+def test_step_map_size_counts_the_monomial_maps():
+    rng = np.random.default_rng(5)
+    for n_drives, k in zip(range(4), (1, 12, 54, 160)):
+        assert step_map_size(model_with_drives(rng, 3, n_drives, 1)) == k * 3 ** 4
+
+
+def test_integrate_matches_reference_with_zero_to_three_drives():
+    # 150 steps: two full check blocks and a partial one.
+    rng = np.random.default_rng(2024)
+    paths = set()
+    for n_drives in range(4):
+        for dim in range(2, 9):
+            model = model_with_drives(rng, dim, n_drives, n_jumps=1 + dim % 3, first_kind=dim)
+            paths.add(step_map_size(model) <= STEP_MAP_MAX)
+            rho0 = random_state(rng, dim)
+            traj = integrate(model, rho0, t_max=0.3, dt=2e-3)
+            times, states = reference_integrate(model, rho0, 0.3, 2e-3)
+            assert np.array_equal(traj.times, times)
+            assert np.max(np.abs(traj.states - states)) <= 1e-12
+    assert paths == {True, False}  # models on both sides of the size rule
+
+
+def test_step_map_states_are_exactly_hermitian():
+    rng = np.random.default_rng(31)
+    for model in (model_with_drives(rng, 4, 2, 2), model_with_drives(rng, 5, 0, 3)):
+        assert step_map_size(model) <= STEP_MAP_MAX
+        traj = integrate(model, random_state(rng, model.dim), t_max=0.2, dt=1e-3)
+        for rho in traj.states[1:]:
+            assert np.array_equal(rho, rho.conj().T)
+
+
+@pytest.mark.parametrize("case", ["jump entry 1e308", "drive 1e300 t^8"])
+def test_step_map_fails_at_the_first_non_finite_step(case, monkeypatch):
+    if case == "jump entry 1e308":
+        jump = np.array([[0.0, 1e308], [0.0, 0.0]], dtype=complex)
+        with np.errstate(all="ignore"):  # L^dagger L overflows: a non-finite generator
+            model = lindblad_model(static_observable(0.5 * sigma_z), [jump])
+        t_max, dt = 1.0, 0.01
+    else:
+        model = lindblad_model(observable([(polynomial([0.0] * 8 + [1e300]), sigma_x)]),
+                               [0.5 * sigma_minus])  # non-finite step map
+        t_max, dt = 30.0, 0.05
+    assert step_map_size(model) <= STEP_MAP_MAX
+    # The reference loop lets a NaN state pass; its first one is step 1.
+    with np.errstate(all="ignore"):
+        _, states = reference_integrate(model, PROJ_1, t_max, dt)
+    assert not np.isfinite(states[1]).all()
+    with pytest.raises(IntegrationError) as fast:
+        integrate(model, PROJ_1, t_max=t_max, dt=dt)
+    monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
+    with pytest.raises(IntegrationError) as operator_sum:
+        integrate(model, PROJ_1, t_max=t_max, dt=dt)
+    expected = (f"trace drift nan at t = {dt:.6g}", dt)
+    assert (str(fast.value), fast.value.t) == (str(operator_sum.value), operator_sum.value.t) == expected
+
+
+def test_step_map_overflow_on_a_finite_run_takes_the_operator_sum():
+    # c dt = 1e-5 per step, but the degree-4 monomial c^4 overflows, so
+    # every block is taken by the operator sum instead.
+    dt = 1e-90
+    model = lindblad_model(observable([(constant(0.5), sigma_z), (polynomial([1e85]), sigma_x)]),
+                           [0.5 * sigma_minus])
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    traj = integrate(model, rho0, t_max=100 * dt, dt=dt)
+    _, states = reference_integrate(model, rho0, 100 * dt, dt)
+    assert np.max(np.abs(states[-1] - states[0])) > 1e-4
+    assert np.max(np.abs(traj.states - states)) <= 1e-12
+
+
+def test_drive_overflow_at_the_first_stage_of_a_block_propagates():
+    # exp(110.56 t) overflows between t = 6.4 and 6.45: at the midpoint of
+    # step 65, the first step of the second check block, with no step of
+    # that block taken yet.
+    dt = 0.1
+    h = observable([(constant(0.5), sigma_z), (exponential_decay(0.0, -110.56), sigma_x)])
+    model = lindblad_model(h, [0.1 * sigma_minus])
+    with pytest.raises(OverflowError):
+        reference_integrate(model, PROJ_1, 10.0, dt)
+    with pytest.raises(OverflowError):
+        integrate(model, PROJ_1, t_max=10.0, dt=dt)
+
+
+def test_size_rule_picks_the_path(monkeypatch):
+    def operator_sum(*args):
+        raise AssertionError("operator-sum stage")
+
+    monkeypatch.setattr(dynamics, "_apply", operator_sum)
+    rng = np.random.default_rng(8)
+    small = [damping_model(1.0, omega=1.0), model_with_drives(rng, 3, 1, 2),
+             model_with_drives(rng, 6, 3, 1)]
+    large = model_with_drives(rng, 7, 3, 1)
+    assert max(map(step_map_size, small)) <= STEP_MAP_MAX < step_map_size(large)
+    for model in small:
+        integrate(model, random_state(rng, model.dim), t_max=0.2, dt=1e-3)
+    with pytest.raises(AssertionError, match="operator-sum stage"):
+        integrate(large, random_state(rng, large.dim), t_max=0.2, dt=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,21 @@ def test_integers_too_large_for_a_float_are_violations(field, prefix):
     assert violations[0].startswith(prefix)
 
 
+@pytest.mark.parametrize("observable, violation", [
+    ("absent", "observable: missing"),
+    ({"terms": [{"kind": "constant", "value": 1.0}]}, "observable: 'matrix'"),
+    ({"terms": [{"kind": "polynomial", "matrix": {"re": [[1.0, 0.0], [0.0, -1.0]]}}]},
+     "observable: 'coefficients'"),
+])
+def test_observable_is_missing_only_when_absent(observable, violation):
+    data = builtin_scenario_dict("example1")
+    if observable == "absent":
+        del data["observable"]
+    else:
+        data["observable"] = observable
+    assert parse_violations(data) == (violation,)
+
+
 def test_load_scenario_non_utf8_file(tmp_path):
     p = tmp_path / "latin1.json"
     p.write_bytes(b'{"name": "caf\xe9"}')
