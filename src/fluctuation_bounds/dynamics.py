@@ -25,9 +25,12 @@ matrices are expanded from the operator sum once per ``integrate`` call.
 The size rule ``step_map_size(model) <= STEP_MAP_MAX`` (K d^4 doubles)
 picks this path; larger models run the operator-sum stage loop.
 
-Integration never repairs its state: trace and positivity of every step
-are measured, in batches of CHECK_BLOCK steps, and the first violation
-aborts with the failing time in the message.
+Both paths read one drive table per CHECK_BLOCK steps: the drive
+coefficients at every stage time of the block, evaluated once, in time
+order.  Integration never repairs its state: ``integrate`` measures
+trace and positivity of every step taken, one batch per block, and the
+first violation aborts with the failing time in the message; only then
+is a drive coefficient's deferred error raised.
 """
 
 from __future__ import annotations
@@ -106,24 +109,36 @@ class LindbladModel:
     def weights(self, t) -> np.ndarray:
         """w_m(t): shape (M,) at one time, (n, M) over a 1-D array of n times."""
         times, stacked = finite_times(t)
-        w = []
-        for tj in times:
-            w += [1.0] * (self.n_terms - 2 * len(self.drive))
-            for coeff in self.drive:
-                w += [coeff.value(tj)] * 2
-        w = np.array(w)
-        return w.reshape(len(times), -1) if stacked else w
+        values, error = _drive_values(self.drive, times)
+        if error is not None:
+            raise error
+        w = _weights(self, values)
+        return w if stacked else w[0]
 
-    def left_at(self, t) -> np.ndarray:
-        """``left`` with each A_m scaled by w_m(t): (d, d*M) at one time,
-        (n, d, d*M) over a 1-D array of n times."""
-        if not self.drive:
-            if np.ndim(t) == 0:
-                return self.left
-            return np.broadcast_to(self.left, (len(t),) + self.left.shape)
-        d = self.dim
-        w = self.weights(t)
-        return (self.left.reshape(d, d, -1) * w[..., None, None, :]).reshape(w.shape[:-1] + (d, -1))
+
+def _drive_values(drive: tuple, times: list):
+    """(values, error): the (n, D) drive coefficients at each of the n
+    ``times``, evaluated in order.
+
+    If a coefficient raises, ``values`` stops before the time it failed
+    at and the exception comes back as ``error``.
+    """
+    if not drive:
+        return np.empty((len(times), 0)), None
+    values, error = [], None
+    try:
+        for t in times:
+            values.append([c.value(t) for c in drive])
+    except (ValueError, OverflowError) as err:
+        error = err
+    return np.array(values).reshape(-1, len(drive)), error
+
+
+def _weights(model: LindbladModel, values: np.ndarray) -> np.ndarray:
+    """The (..., M) weights for (..., D) drive coefficient values: 1 for
+    every static term, then each value twice, once per term of its pair."""
+    ones = np.ones(values.shape[:-1] + (model.n_terms - 2 * len(model.drive),))
+    return np.concatenate([ones, np.repeat(values, 2, axis=-1)], axis=-1)
 
 
 def lindblad_model(hamiltonian=None, jump_operators=()) -> LindbladModel:
@@ -168,9 +183,18 @@ def lindblad_model(hamiltonian=None, jump_operators=()) -> LindbladModel:
     )
 
 
+def _weighted_left(model: LindbladModel, w: np.ndarray) -> np.ndarray:
+    """``left`` with each A_m scaled by w_m: (d, d*M) for (M,) weights,
+    (n, d, d*M) for (n, M)."""
+    d = model.dim
+    return (model.left.reshape(d, d, -1) * w[..., None, None, :]).reshape(w.shape[:-1] + model.left.shape)
+
+
 def _apply(left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_m A_m rho B_m for weighted ``left`` and ``right`` laid out as in LindbladModel."""
-    return left @ (rho @ right).reshape(-1, rho.shape[0])
+    """sum_m A_m rho B_m for weighted ``left`` and ``right`` laid out as in
+    LindbladModel, for one state or an (n, d, d) stack: one (d*M, d) block
+    per state."""
+    return left @ (rho @ right).reshape(rho.shape[:-2] + (-1, rho.shape[-1]))
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t=0.0) -> np.ndarray:
@@ -184,12 +208,10 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t=0.0) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (model.dim, model.dim):
         raise ValueError(f"dimension mismatch: state {rho.shape} vs model dim {model.dim}")
-    if rho.ndim == 2:
-        return _apply(model.left_at(t), model.right, rho)
-    if np.shape(t) != rho.shape[:1]:
+    if rho.ndim == 3 and np.shape(t) != rho.shape[:1]:
         raise ValueError(f"{len(rho)} states need as many times, got shape {np.shape(t)}")
-    # The stacked form of _apply: one (d*M, d) block per state.
-    return model.left_at(t) @ (rho @ model.right).reshape(len(rho), -1, model.dim)
+    left = _weighted_left(model, model.weights(t)) if model.drive else model.left
+    return _apply(left, model.right, rho)
 
 
 @dataclass(frozen=True)
@@ -257,49 +279,46 @@ def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
     raise IntegrationError(f"positivity lost (min eigenvalue {lo[j]:.3e}) at t = {t:.6g}", t)
 
 
-def _stage_lefts(model: LindbladModel, times: np.ndarray, dt: float):
-    """Iterator over the (midpoint, end) weighted left blocks of each step
-    between consecutive grid times, from one batched weight evaluation.
+def _drive_table(drive: tuple, times: np.ndarray, dt: float):
+    """(start, mid, end, error): the drive coefficients at the start,
+    midpoint and end of each step between consecutive grid times, as
+    three (n, D) arrays, from one ordered evaluation of the stage times.
 
-    If a drive coefficient fails at some stage time, the blocks are formed
-    one step at a time instead, so the steps before that one are still
-    taken (and checked) before its error is raised.
+    If a coefficient raises, the arrays stop before the first step that
+    needs that time and the exception comes back as ``error``, to be
+    raised once the steps before are taken and checked.
     """
-    try:
-        return zip(model.left_at(times[:-1] + 0.5 * dt), model.left_at(times[1:]))
-    except (ValueError, OverflowError):
-        return (
-            (model.left_at(t + 0.5 * dt), model.left_at(t_next))
-            for t, t_next in zip(times[:-1].tolist(), times[1:].tolist())
-        )
+    stage_times = np.empty(2 * len(times) - 1)
+    stage_times[0::2] = times
+    stage_times[1::2] = times[:-1] + 0.5 * dt
+    v, error = _drive_values(drive, stage_times.tolist())
+    steps = max(len(v) - 1, 0) // 2
+    v = v[:2 * steps + 1]
+    return v[0:-1:2], v[1::2], v[2::2], error
 
 
-def _stage_block(model: LindbladModel, states: np.ndarray, times: np.ndarray, dt: float,
-                 start: int, stop: int) -> None:
-    """Operator-sum RK4 from states[start - 1] to states[start:stop].
+def _stage_block(model: LindbladModel, states: np.ndarray, dt: float, start: int, table) -> None:
+    """Operator-sum RK4 from states[start - 1] over the steps of the drive
+    table ``(start, mid, end)``.
 
     Each stage applies the model's cached operator sum (O(M d^3) for M
-    terms) and every step is re-symmetrized.  If a step raises, the steps
-    before it are checked first.
+    terms), with the weighted left blocks formed once per stage time, and
+    every step is re-symmetrized.
     """
-    stages = _stage_lefts(model, times[start - 1:stop], dt)
+    c_start, c_mid, c_end = table
+    if model.drive:
+        nodes = _weighted_left(model, _weights(model, np.concatenate([c_start[:1], c_end])))
+        mids = _weighted_left(model, _weights(model, c_mid))
+    else:
+        nodes = mids = np.broadcast_to(model.left, (len(c_mid) + 1,) + model.left.shape)
     rho, right = states[start - 1], model.right
-    k = start
-    try:
-        left_end = model.left_at(float(times[start - 1]))
-        for k in range(start, stop):
-            left_start = left_end
-            left_mid, left_end = next(stages)
-            k1 = _apply(left_start, right, rho)
-            k2 = _apply(left_mid, right, rho + 0.5 * dt * k1)
-            k3 = _apply(left_mid, right, rho + 0.5 * dt * k2)
-            k4 = _apply(left_end, right, rho + dt * k3)
-            rho = symmetrize(rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-            states[k] = rho
-    except Exception:
-        # A step before the one that raised may already have failed.
-        _check_steps(states[start:k], times[start:k])
-        raise
+    for j in range(len(c_mid)):
+        k1 = _apply(nodes[j], right, rho)
+        k2 = _apply(mids[j], right, rho + 0.5 * dt * k1)
+        k3 = _apply(mids[j], right, rho + 0.5 * dt * k2)
+        k4 = _apply(nodes[j + 1], right, rho + dt * k3)
+        rho = symmetrize(rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        states[start + j] = rho
 
 
 # ---------------------------------------------------------------------------
@@ -430,48 +449,21 @@ def _monomial_values(start: np.ndarray, mid: np.ndarray, end: np.ndarray) -> np.
     return (u1[:, :, None, None] * u2[:, None, :, None] * u3[:, None, None, :]).reshape(len(start), k)
 
 
-def _drive_values(drive: tuple, times: np.ndarray, dt: float):
-    """(start, mid, end, error): the drive coefficients at the start,
-    midpoint and end of each step between consecutive grid times, as
-    three (n, D) arrays.
-
-    The stage times are evaluated in increasing order.  If a coefficient
-    raises, the arrays stop before the first step that needs that time
-    and the exception comes back as ``error``, to be raised once the
-    steps before are taken and checked.
-    """
-    stage_times = np.empty(2 * len(times) - 1)
-    stage_times[0::2] = times
-    stage_times[1::2] = times[:-1] + 0.5 * dt
-    values, error = [], None
-    try:
-        for t in stage_times.tolist():
-            values.append([c.value(t) for c in drive])
-    except (ValueError, OverflowError) as err:
-        error = err
-    steps = max(len(values) - 1, 0) // 2
-    v = np.array(values[:2 * steps + 1]).reshape(-1, len(drive))
-    return v[0:-1:2], v[1::2], v[2::2], error
-
-
 def _map_block(model: LindbladModel, monomials: np.ndarray, states: np.ndarray,
-               times: np.ndarray, dt: float, start: int, stop: int) -> bool:
-    """Step-map RK4 from states[start - 1] to states[start:stop], one
-    matvec per step, with the flat (K, d^4) ``_step_monomials``.
+               start: int, table) -> bool:
+    """Step-map RK4 from states[start - 1] over the steps of the drive
+    table ``(start, mid, end)``, one matvec per step, with the flat
+    (K, d^4) ``_step_monomials``.
 
     Returns False, writing nothing, if a state comes out non-finite: the
-    caller then takes the block by the operator sum, which fails where
-    it fails.  A drive coefficient that raises is raised after the steps
-    before it are written and checked.
+    caller then takes the steps by the operator sum, which fails where
+    it fails.
     """
     dim = model.dim * model.dim
-    error = None
+    steps = len(table[1])
     if model.drive:
-        *values, error = _drive_values(model.drive, times[start - 1:stop], dt)
-        steps = len(values[1])
-        maps = _monomial_values(*values) @ monomials
+        maps = _monomial_values(*table) @ monomials
     else:
-        steps = stop - start
         maps = np.broadcast_to(monomials, (steps, dim * dim))
     maps = maps.reshape(steps, dim, dim)
     x = np.empty((steps + 1, dim))
@@ -481,33 +473,34 @@ def _map_block(model: LindbladModel, monomials: np.ndarray, states: np.ndarray,
     if not np.isfinite(x).all():
         return False
     _set_from_coordinates(states[start:start + steps], x[1:])
-    if error is not None:
-        _check_steps(states[start:start + steps], times[start:start + steps])
-        raise error
     return True
 
 
 def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 from t = 0 to t_max.
 
-    Models with ``step_map_size(model) <= STEP_MAP_MAX`` take each step
-    as one real matvec ``x -> P_n x`` on the d^2 Hermitian coordinates
-    of the state.  The K monomial maps of P are expanded once per call;
-    each CHECK_BLOCK of steps forms its P_n with one (steps, K) @ (K, d^4)
-    product, or, undriven (K = 1), reuses the one constant P.  States are
-    rebuilt from their coordinates, so they are exactly Hermitian by
-    construction.  A block with a non-finite state is taken again by the
-    operator-sum stage loop, which every larger model uses: each stage
-    applies the cached operator sum (O(M d^3) for M terms), with the
-    weighted left blocks formed once per distinct stage time, and states
-    are re-symmetrized every step.
+    Each CHECK_BLOCK of steps starts from one drive table: the drive
+    coefficients at the start, midpoint and end of every step, evaluated
+    once in time order (``_drive_table``).  Models with
+    ``step_map_size(model) <= STEP_MAP_MAX`` take each step as one real
+    matvec ``x -> P_n x`` on the d^2 Hermitian coordinates of the state.
+    The K monomial maps of P are expanded once per call; each block forms
+    its P_n from the table with one (steps, K) @ (K, d^4) product, or,
+    undriven (K = 1), reuses the one constant P.  States are rebuilt from
+    their coordinates, so they are exactly Hermitian by construction.  A
+    block with a non-finite state is taken again by the operator-sum
+    stage loop, which every larger model uses: each stage applies the
+    cached operator sum (O(M d^3) for M terms), with the weighted left
+    blocks formed from the table once per stage time, and states are
+    re-symmetrized every step.
 
-    Trace drift and negative eigenvalues of every step are measured,
-    never corrected, with one batched trace and eigvalsh per CHECK_BLOCK
-    steps; the first step past TAU_TRACE_RUN / TAU_PSD_RUN, or with a
-    non-finite trace or eigenvalue, aborts the run with its time, at
-    most one block later.  A drive coefficient that raises does so after
-    the steps before it are taken and checked.
+    This function is the one place that checks and raises.  Trace drift
+    and negative eigenvalues of every step taken are measured, never
+    corrected, with one batched trace and eigvalsh per block; the first
+    step past TAU_TRACE_RUN / TAU_PSD_RUN, or with a non-finite trace or
+    eigenvalue, aborts the run with its time, at most one block later.
+    A drive coefficient that raised while the table was built stops the
+    table short; its error is raised after the steps before it pass.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -528,9 +521,13 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
         monomials = _step_monomials(model, dt) if step_map_size(model) <= STEP_MAP_MAX else None
         for start in range(1, n_steps + 1, CHECK_BLOCK):
             stop = min(start + CHECK_BLOCK, n_steps + 1)
-            if monomials is None or not _map_block(model, monomials, states, times, dt, start, stop):
-                _stage_block(model, states, times, dt, start, stop)
+            *table, error = _drive_table(model.drive, times[start - 1:stop], dt)
+            if monomials is None or not _map_block(model, monomials, states, start, table):
+                _stage_block(model, states, dt, start, table)
+            stop = start + len(table[1])  # short of the block if a drive coefficient raised
             _check_steps(states[start:stop], times[start:stop])
+            if error is not None:
+                raise error
     return Trajectory(times=times, states=states, model=model)
 
 

@@ -187,14 +187,9 @@ def matrix_exponential_antihermitian(g: np.ndarray, s: float) -> np.ndarray:
     return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
 
 
-def matrix_to_dict(m: np.ndarray) -> dict:
-    """Serialize as paired real/imaginary row-major grids."""
-    a = as_matrix(m)
-    return {"re": a.real.tolist(), "im": a.imag.tolist()}
-
-
 def matrix_from_dict(d: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_dict`; "im" may be omitted for real input."""
+    """A matrix from paired real/imaginary row-major grids; "im" may be
+    omitted for real input."""
     re = np.asarray(d["re"], dtype=float)
     im = np.asarray(d.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape:

@@ -17,7 +17,6 @@ from .linalg import (
     as_density_matrix,
     as_matrix,
     matrix_from_dict,
-    matrix_to_dict,
     require_hermitian,
 )
 
@@ -103,18 +102,6 @@ def polynomial(coefficients) -> CoefficientFunction:
     if len(params) - 1 > MAX_POLY_DEGREE:
         raise ValueError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
     return CoefficientFunction("polynomial", params)
-
-
-def _coefficient_to_dict(c: CoefficientFunction) -> dict:
-    if c.kind == "constant":
-        return {"kind": "constant", "value": c.params[0]}
-    if c.kind in ("cosine", "sine"):
-        a, omega, phi = c.params
-        return {"kind": c.kind, "amplitude": a, "omega": omega, "phase": phi}
-    if c.kind == "exponential-decay":
-        a, lam = c.params
-        return {"kind": c.kind, "amplitude": a, "rate": lam}
-    return {"kind": "polynomial", "coefficients": list(c.params)}
 
 
 def coefficient_from_dict(d: dict) -> CoefficientFunction:
@@ -226,15 +213,6 @@ def squared_partial_expectation(a: TimeDependentObservable, t, rho: np.ndarray):
         raise ValueError(f"dimension mismatch: {da.shape} vs {rho.shape}")
     value = np.trace(rho @ da @ da, axis1=-2, axis2=-1).real
     return float(value) if value.ndim == 0 else value
-
-
-def observable_to_dict(a: TimeDependentObservable) -> dict:
-    terms = []
-    for coeff, basis in a.terms:
-        d = _coefficient_to_dict(coeff)
-        d["matrix"] = matrix_to_dict(basis)
-        terms.append(d)
-    return {"terms": terms}
 
 
 def observable_from_dict(d: dict) -> TimeDependentObservable:

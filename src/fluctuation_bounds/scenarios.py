@@ -36,12 +36,8 @@ from .dynamics import (
     lindblad_model,
     trajectory_from_states,
 )
-from .linalg import as_density_matrix, matrix_from_dict, matrix_to_dict, sigma_z
-from .observables import (
-    TimeDependentObservable,
-    observable_from_dict,
-    observable_to_dict,
-)
+from .linalg import as_density_matrix, matrix_from_dict, sigma_z
+from .observables import TimeDependentObservable, observable_from_dict
 from .stats import EPS_SIGMA, variance, variance_rate
 
 BOUND_NAMES = ("open", "closed", "var_rate_residual", "cauchy_schwarz")
@@ -130,7 +126,7 @@ class ResultTable:
 
 
 # ---------------------------------------------------------------------------
-# parsing and serialization
+# parsing
 
 # What a field's parser raises on bad input; OverflowError: an int too large for a float.
 _FIELD_ERRORS = (ValueError, TypeError, KeyError, OverflowError)
@@ -155,13 +151,14 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
         dimension = 0
 
     initial_state = None
-    try:
-        initial_state = matrix_from_dict(data["initial_state"])
-        as_density_matrix(initial_state)
-    except KeyError:
+    if "initial_state" not in data:
         violations.append("initial_state: missing")
-    except _FIELD_ERRORS as err:
-        violations.append(f"initial_state: {err}")
+    else:
+        try:
+            initial_state = matrix_from_dict(data["initial_state"])
+            as_density_matrix(initial_state)
+        except _FIELD_ERRORS as err:
+            violations.append(f"initial_state: {err}")
     if initial_state is not None and dimension and initial_state.shape[0] != dimension:
         violations.append(
             f"initial_state: dimension {initial_state.shape[0]} does not match {dimension}"
@@ -252,30 +249,6 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
         bounds=tuple(bounds),
         rho_dot_mode=rho_dot_mode,
     )
-
-
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    out = {
-        "name": spec.name,
-        "dimension": spec.dimension,
-        "initial_state": matrix_to_dict(spec.initial_state),
-        "observable": observable_to_dict(spec.observable),
-        "t_max": spec.t_max,
-        "dt": spec.dt,
-        "bounds": list(spec.bounds),
-        "rho_dot_mode": spec.rho_dot_mode,
-    }
-    if spec.hamiltonian is not None:
-        out["hamiltonian"] = observable_to_dict(spec.hamiltonian)
-    if spec.jump_terms:
-        entries = []
-        for m, rate in spec.jump_terms:
-            entry = {"matrix": matrix_to_dict(m)}
-            if rate is not None:
-                entry["rate"] = rate
-            entries.append(entry)
-        out["jump_operators"] = entries
-    return out
 
 
 def read_scenario(path) -> dict:

@@ -29,6 +29,7 @@ from fluctuation_bounds.linalg import (
     sigma_z,
 )
 from fluctuation_bounds.observables import (
+    CoefficientFunction,
     constant,
     cosine,
     exponential_decay,
@@ -366,6 +367,54 @@ def test_drive_overflow_at_the_first_stage_of_a_block_propagates():
         reference_integrate(model, PROJ_1, 10.0, dt)
     with pytest.raises(OverflowError):
         integrate(model, PROJ_1, t_max=10.0, dt=dt)
+
+
+def _failure(run):
+    with pytest.raises((IntegrationError, OverflowError)) as err:
+        run()
+    return type(err.value), str(err.value), getattr(err.value, "t", None)
+
+
+@pytest.mark.parametrize("path", ["step map", "stage loop"])
+@pytest.mark.parametrize("case", ["drive overflow at block 2", "positivity at step 32, then drive overflow"])
+def test_both_paths_fail_as_the_reference(path, case, monkeypatch):
+    if case == "drive overflow at block 2":
+        # exp(110.56 t) overflows at the first midpoint of the second check
+        # block, so that block's drive table has no step.
+        h = observable([(constant(0.5), sigma_z), (exponential_decay(0.0, -110.56), sigma_x)])
+        model, rho0, t_max, dt = lindblad_model(h, [0.1 * sigma_minus]), PROJ_1, 10.0, 0.1
+        kind = OverflowError
+    else:
+        # The drive overflows at step 43, after positivity is lost at step 32.
+        model = lindblad_model(observable([(exponential_decay(0.0, -6.0), sigma_x)]), [sigma_minus])
+        rho0, t_max, dt = np.eye(2, dtype=complex) / 2, 300 * 2.8, 2.8
+        kind = IntegrationError
+    assert step_map_size(model) <= STEP_MAP_MAX
+    expected = _failure(lambda: reference_integrate(model, rho0, t_max, dt))
+    assert expected[0] is kind
+    if path == "stage loop":
+        monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
+    assert _failure(lambda: integrate(model, rho0, t_max=t_max, dt=dt)) == expected
+
+
+def test_each_block_evaluates_its_drive_table_once(monkeypatch):
+    # Every block of this run falls back from the step map to the stage
+    # loop (see the c = 1e85 test above); both read the one table, which
+    # holds 2 * steps + 1 stage times per block.
+    dt, steps = 1e-90, 100
+    model = lindblad_model(observable([(constant(0.5), sigma_z), (polynomial([1e85]), sigma_x)]),
+                           [0.5 * sigma_minus])
+    calls = []
+    value = CoefficientFunction.value
+
+    def counted(self, t):
+        calls.append(t)
+        return value(self, t)
+
+    monkeypatch.setattr(CoefficientFunction, "value", counted)
+    integrate(model, np.diag([0.3, 0.7]).astype(complex), t_max=steps * dt, dt=dt)
+    blocks = -(-steps // CHECK_BLOCK)
+    assert len(calls) == 2 * steps + blocks == 202
 
 
 def test_size_rule_picks_the_path(monkeypatch):

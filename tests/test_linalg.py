@@ -8,6 +8,7 @@ import reference_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scenario_writers import matrix_to_dict
 
 from fluctuation_bounds.channels import amplitude_damping, apply
 from fluctuation_bounds.dynamics import analytic_amplitude_damping, integrate, lindblad_model
@@ -19,7 +20,6 @@ from fluctuation_bounds.linalg import (
     hermitian_eigendecomposition,
     matrix_exponential_antihermitian,
     matrix_from_dict,
-    matrix_to_dict,
     require_hermitian,
     sigma_minus,
     sigma_plus,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scenario_writers import observable_to_dict
 
 from fluctuation_bounds.linalg import sigma_x, sigma_y, sigma_z
 from fluctuation_bounds.observables import (
@@ -12,7 +13,6 @@ from fluctuation_bounds.observables import (
     exponential_decay,
     observable,
     observable_from_dict,
-    observable_to_dict,
     polynomial,
     sine,
     squared_partial_expectation,

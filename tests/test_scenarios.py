@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scenario_writers import scenario_to_dict
 
 from fluctuation_bounds import scenarios as sc
 from fluctuation_bounds.dynamics import IntegrationError, LindbladModel
@@ -29,7 +30,6 @@ from fluctuation_bounds.scenarios import (
     rows_to_csv_text,
     run_scenario,
     sanity_check_figure_sigma,
-    scenario_to_dict,
     write_csv,
 )
 
@@ -180,6 +180,19 @@ def test_observable_is_missing_only_when_absent(observable, violation):
         del data["observable"]
     else:
         data["observable"] = observable
+    assert parse_violations(data) == (violation,)
+
+
+@pytest.mark.parametrize("state, violation", [
+    ("absent", "initial_state: missing"),
+    ({"im": [[0, 0], [0, 0]]}, "initial_state: 're'"),
+])
+def test_initial_state_is_missing_only_when_absent(state, violation):
+    data = builtin_scenario_dict("example1")
+    if state == "absent":
+        del data["initial_state"]
+    else:
+        data["initial_state"] = state
     assert parse_violations(data) == (violation,)
 
 
