@@ -34,60 +34,31 @@ TAU_BOUND = 1e-9  # absolute slack separating violations from round-off
 
 @dataclass(frozen=True)
 class BoundReport:
-    kind: str  # "open" | "closed"
-    t: float
-    lhs: float
-    rhs: float
-    margin: float
-    satisfied: bool
-    skipped: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class BoundReports:
-    """One bound at a 1-D array of times, one array per field.
+    """One bound at one time (Python scalars), or at a 1-D array of n
+    times ((n,) arrays, ``reason`` a tuple of n strings), as StatPoint.
 
     ``lhs``, ``rhs`` and ``margin`` are nan where ``live`` is False
-    (sigma below eps_sigma); ``reasons`` gives the skip reason at those
-    points and "" at the others.
+    (sigma below EPS_SIGMA); ``reason`` gives the skip reason there and
+    "" elsewhere.  ``satisfied`` is ``margin >= -TAU_BOUND``, so False
+    where skipped.
     """
 
     kind: str  # "open" | "closed"
-    lhs: np.ndarray
-    rhs: np.ndarray
-    margin: np.ndarray
-    live: np.ndarray
-    reasons: tuple
+    t: float | np.ndarray
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    margin: float | np.ndarray
+    satisfied: bool | np.ndarray
+    live: bool | np.ndarray
+    reason: str | tuple
 
     def __len__(self) -> int:
-        return len(self.live)
+        return np.size(self.live)
 
     @property
     def skipped(self) -> int:
         """How many of the points were skipped."""
-        return int(np.count_nonzero(~self.live))
-
-    @property
-    def satisfied(self) -> np.ndarray:
-        """Per point, as BoundReport.satisfied: False where skipped."""
-        return self.margin >= -TAU_BOUND
-
-
-def _skipped(kind: str, t: float, reason: str) -> BoundReport:
-    nan = float("nan")
-    return BoundReport(
-        kind=kind, t=t, lhs=nan, rhs=nan, margin=nan,
-        satisfied=False, skipped=True, reason=reason,
-    )
-
-
-def _report(kind: str, t: float, lhs: float, rhs: float) -> BoundReport:
-    margin = rhs - lhs
-    return BoundReport(
-        kind=kind, t=t, lhs=lhs, rhs=rhs, margin=margin,
-        satisfied=bool(margin >= -TAU_BOUND), skipped=False,
-    )
+        return int(np.size(self.live) - np.count_nonzero(self.live))
 
 
 def _squared(x: np.ndarray) -> np.ndarray:
@@ -100,60 +71,55 @@ def _squared(x: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _bound(kind, traj, a, t, sp, eps_sigma, rhs_at) -> BoundReport | BoundReports:
+def _bound(kind, traj, a, t, sp, rhs_at) -> BoundReport:
     """Shared skeleton of the two bounds.
 
-    Points with sigma below eps_sigma are skipped; at the others lhs =
+    Points with sigma below EPS_SIGMA are skipped; at the others lhs =
     var_rate^2 / (4 sigma^2), and rhs_at(times, states, live) gives the
-    right side at all of them (``live`` masks them) in one call.  One
-    BoundReport for a scalar t, a BoundReports for a 1-D array.
+    right side at all of them (``live`` masks them) in one call.  For a
+    scalar t the report holds element 0 of each array.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     sigma, var, var_rate = (np.atleast_1d(x) for x in (sp.sigma, sp.variance, sp.var_rate))
-    live = ~(sigma < eps_sigma)
+    live = ~(sigma < EPS_SIGMA)
     lhs = np.full(len(times), np.nan)
     rhs = np.full(len(times), np.nan)
     if live.any():
-        rate_sq = _squared(var_rate[live])
-        if (var[live] == 0.0).any():
-            raise ZeroDivisionError("float division by zero")
-        lhs[live] = rate_sq / (4.0 * var[live])
+        lhs[live] = _squared(var_rate[live]) / (4.0 * var[live])
         rho = traj.states[traj.index_of(times[live])]
         rhs[live] = rhs_at(times[live], rho, live)
-    reasons = [""] * len(times)
+    reason = [""] * len(times)
     for j in np.flatnonzero(~live):
-        reasons[j] = f"sigma {float(sigma[j]):.3e} below {eps_sigma:.0e}"
+        reason[j] = f"sigma {float(sigma[j]):.3e} below {EPS_SIGMA:.0e}"
+    margin = rhs - lhs
+    fields = (times, lhs, rhs, margin, margin >= -TAU_BOUND, live)
     if np.ndim(t) > 0:
-        return BoundReports(kind, lhs, rhs, rhs - lhs, live, tuple(reasons))
-    if not live[0]:
-        return _skipped(kind, t, reasons[0])
-    return _report(kind, t, float(lhs[0]), float(rhs[0]))
+        return BoundReport(kind, *fields, tuple(reason))
+    return BoundReport(kind, *(x[0].item() for x in fields), reason[0])
 
 
 def open_bound(
     traj: Trajectory,
     a: TimeDependentObservable,
     t,
-    eps_sigma: float = EPS_SIGMA,
-    rho_dot_mode: str = "auto",
     stat: StatPoint | None = None,
-) -> BoundReport | BoundReports:
+) -> BoundReport:
     """Generator-independent bound on the spread growth rate.
 
     lhs = var_rate^2 / (4 sigma^2) is (d sigma_A/dt)^2; points with
-    sigma below eps_sigma are reported as skipped, not errors.  Pass a
-    precomputed StatPoint for t as stat to skip recomputing it.  For a
-    1-D array of times t the result is a BoundReports, computed in one
+    sigma below EPS_SIGMA are reported as skipped, not errors.  Pass a
+    precomputed StatPoint for t as stat to skip recomputing it, or to
+    choose its rho_dot mode.  A 1-D array of times t is computed in one
     batched pass (states checked only at the points not skipped).
     """
-    sp = stat if stat is not None else variance_rate(traj, a, t, rho_dot_mode)
+    sp = stat if stat is not None else variance_rate(traj, a, t)
 
     def rhs_at(times, rho, live):
         rd_term = np.atleast_1d(sp.rho_dot_term)[live]
         var = np.atleast_1d(sp.variance)[live]
         return 2.0 * (squared_partial_expectation(a, times, rho) + _squared(rd_term) / (4.0 * var))
 
-    return _bound("open", traj, a, t, sp, eps_sigma, rhs_at)
+    return _bound("open", traj, a, t, sp, rhs_at)
 
 
 def adjoint_heisenberg_rate(model: LindbladModel, a: TimeDependentObservable, t) -> np.ndarray:
@@ -180,9 +146,8 @@ def closed_bound(
     model: LindbladModel,
     a: TimeDependentObservable,
     t,
-    eps_sigma: float = EPS_SIGMA,
     stat: StatPoint | None = None,
-) -> BoundReport | BoundReports:
+) -> BoundReport:
     """Heisenberg-rate bound; guaranteed only without jump operators.
 
     Evaluating it on open dynamics is deliberate (that is how the
@@ -194,14 +159,13 @@ def closed_bound(
     def rhs_at(times, rho, live):
         return variance(rho, adjoint_heisenberg_rate(model, a, times))
 
-    return _bound("closed", traj, a, t, sp, eps_sigma, rhs_at)
+    return _bound("closed", traj, a, t, sp, rhs_at)
 
 
 def var_rate_residual(
     traj: Trajectory,
     a: TimeDependentObservable,
     t,
-    rho_dot_mode: str = "auto",
     stat: StatPoint | None = None,
 ):
     """|var_rate - central difference of sigma^2|; O(dt^2) on smooth runs.
@@ -214,7 +178,7 @@ def var_rate_residual(
     edge = ~((0 < ks) & (ks < len(traj) - 1))
     if edge.any():
         raise ValueError(f"grid index {ks[edge][0]} has no two-sided neighbors")
-    sp = stat if stat is not None else variance_rate(traj, a, t, rho_dot_mode)
+    sp = stat if stat is not None else variance_rate(traj, a, t)
     # The variance of every neighbouring grid point, each computed once;
     # highest index first, so one point checks k+1 before k-1.
     need = np.unique(np.concatenate([ks - 1, ks + 1]))[::-1]

@@ -35,15 +35,13 @@ class KrausChannel:
 
 
 def completeness_residual(operators) -> float:
-    """max |sum_k E_k^dagger E_k - I|.
+    """max |sum_k E_k^dagger E_k - I| of a list of operators.
 
-    Accepts a KrausChannel or a raw operator list, so incomplete sets can
-    be measured rather than rejected.
+    Incomplete sets are measured rather than rejected.
     """
-    if isinstance(operators, KrausChannel):
-        ops = operators.operators
-    else:
-        ops = [as_matrix(e) for e in operators]
+    ops = [as_matrix(e) for e in operators]
+    if not ops:
+        raise ValueError("channel needs at least one Kraus operator")
     dim = ops[0].shape[0]
     acc = np.zeros((dim, dim), dtype=complex)
     for e in ops:

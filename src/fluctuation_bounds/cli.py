@@ -29,7 +29,6 @@ from .scenarios import (
     read_scenario,
     rows_to_csv_text,
     run_scenario,
-    write_csv,
 )
 
 SWEEP_PARAMS = ("dt", "t_max", "gamma")
@@ -181,7 +180,7 @@ def _sweep_job(job) -> dict:
             overridden = _apply_overrides(data, **{param: float(value_text)})
             spec = parse_scenario(overridden, default_name=data.get("name", "sweep"))
             rows = run_scenario(spec)
-            write_csv(rows, out_path)
+            _emit(rows_to_csv_text(rows), out_path)
     except (ValueError, RuntimeError, OSError) as err:
         return {"ok": False, "param": param, "value": value_text, "detail": str(err)}
     return {"ok": True, "param": param, "value": value_text, "rows": len(rows), "out": out_path}
@@ -190,6 +189,10 @@ def _sweep_job(job) -> dict:
 def _cmd_sweep(args) -> int:
     data = read_scenario(args.scenario)
     parse_scenario(data, default_name=str(args.scenario))  # fail before forking
+    name = data.get("name", "sweep")
+    if os.path.basename(name) != name:
+        # every CSV path is built from the name and must stay in --out-dir
+        raise ScenarioError([f"name: must not contain a path separator in sweep, got {name!r}"])
     for i, value_text in enumerate(args.values):
         try:
             float(value_text)
@@ -199,7 +202,6 @@ def _cmd_sweep(args) -> int:
             # both workers would write the same CSV
             raise OverrideError(f"--values: {value_text!r} is given more than once")
     os.makedirs(args.out_dir, exist_ok=True)
-    name = data.get("name", "sweep")
     jobs = [
         (data, args.param, v, os.path.join(args.out_dir, f"{name}__{args.param}_{v}.csv"))
         for v in args.values

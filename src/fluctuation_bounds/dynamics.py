@@ -54,6 +54,7 @@ TAU_PSD_RUN = 1e-8   # positivity floor while integrating
 TAU_TRACE_RUN = 1e-8
 CHECK_BLOCK = 64     # integration steps per batched trace/positivity check
 STEP_MAP_MAX = 300_000  # largest step_map_size that integrate advances by step maps
+QUAD_POINTS = 16     # Gauss-Legendre nodes per Dyson propagator integral
 G_MIN = 1e-6         # smallest admissible eigenvalue gap for eigenvector pairing
 EXTERNAL_MODEL = "externally supplied"
 
@@ -622,9 +623,7 @@ def taylor_propagator(h: TimeDependentObservable, t0: float, dt: float, order: i
     return PropagatorStep(matrix=u, scheme=f"taylor{order}", interval=(t0, t0 + dt))
 
 
-def dyson_propagator(
-    h: TimeDependentObservable, t0: float, dt: float, order: int, quad_points: int = 16
-) -> PropagatorStep:
+def dyson_propagator(h: TimeDependentObservable, t0: float, dt: float, order: int) -> PropagatorStep:
     """Time-ordered expansion to first or second order.
 
     The second-order term integrates H(t1) H(t2) over the triangle
@@ -634,15 +633,13 @@ def dyson_propagator(
     _check_step(dt)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if quad_points < 2:
-        raise ValueError(f"quad_points must be at least 2, got {quad_points}")
-    t1_nodes, t1_weights = _quadrature(t0, t0 + dt, quad_points)
+    t1_nodes, t1_weights = _quadrature(t0, t0 + dt, QUAD_POINTS)
     h1 = h.evaluate(t1_nodes)
     u = np.eye(h.dim, dtype=complex) - 1j * _weighted_sum(t1_weights, h1)
     if order == 2:
         # Inner rule on [t0, t1] for every outer node t1 at once: axis 0
         # runs over the inner nodes, axis 1 over the outer ones.
-        t2_nodes, t2_weights = _quadrature(t0, t1_nodes, quad_points)
+        t2_nodes, t2_weights = _quadrature(t0, t1_nodes, QUAD_POINTS)
         h2 = h.evaluate(t2_nodes.reshape(-1)).reshape(t2_nodes.shape + h1.shape[1:])
         u = u - _weighted_sum(t1_weights, h1 @ _weighted_sum(t2_weights, h2))
     return PropagatorStep(matrix=u, scheme=f"dyson{order}", interval=(t0, t0 + dt))

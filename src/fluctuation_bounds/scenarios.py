@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    BoundReports,
+    BoundReport,
     cauchy_schwarz_margin,
     closed_bound,
     open_bound,
@@ -97,15 +97,15 @@ class ResultTable:
 
     ``columns`` maps each name to a 1-D array of its values in grid order
     (an object array of strings for ``skipped_flags``).  ``open`` and
-    ``closed`` are the BoundReports of the requested bounds and
+    ``closed`` are the grid BoundReport objects of the requested bounds and
     ``cauchy_schwarz`` the array of Cauchy-Schwarz margins; each is None
     when its check was not requested.  Indexing or iterating gives
     ResultRows, built only when asked for.
     """
 
     columns: dict
-    open: BoundReports | None
-    closed: BoundReports | None
+    open: BoundReport | None
+    closed: BoundReport | None
     cauchy_schwarz: np.ndarray | None
 
     def __len__(self) -> int:
@@ -379,7 +379,7 @@ def _evaluate_points(spec, traj, times) -> ResultTable:
             continue
         bound_columns += [reports.lhs, reports.rhs, reports.margin]
         for j in np.flatnonzero(~reports.live):
-            flags[j] += f"{';' if flags[j] else ''}{reports.kind}:{reports.reasons[j]}"
+            flags[j] += f"{';' if flags[j] else ''}{reports.kind}:{reports.reason[j]}"
     values = (sp.t, sp.mean, sp.sigma, sp.variance, sp.var_rate, *bound_columns, residuals)
     return ResultTable(
         columns=dict(zip(RESULT_COLUMNS, values + (np.array(flags, dtype=object),))),
@@ -448,9 +448,3 @@ def rows_to_csv_text(rows, columns=RESULT_COLUMNS) -> str:
         fmt = ",".join("%s" if isinstance(v, str) else "%.11e" for v in rows[0])
         lines += [fmt % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def write_csv(rows, path, columns=RESULT_COLUMNS) -> None:
-    text = rows_to_csv_text(rows, columns)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)

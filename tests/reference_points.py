@@ -4,9 +4,10 @@ This is the direct formulation the batched grid pass replaced: every
 statistic and bound is assembled for a single time, re-validating its
 matrices at each use.  Tests hold ``scenarios.run_scenario`` (and the
 stacked forms of the stats and bounds functions) to it, values and
-failures alike.  Model, observable and trajectory types, tolerances and
-report constructors come from the package; matrices and states are
-validated by the one-matrix checks in tests/reference_linalg.py.
+failures alike.  Model, observable, trajectory and report types and
+tolerances come from the package, but every report is built here;
+matrices and states are validated by the one-matrix checks in
+tests/reference_linalg.py.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from reference_linalg import as_density_matrix, require_hermitian
 
-from fluctuation_bounds.bounds import BoundReport, _report, _skipped
+from fluctuation_bounds.bounds import TAU_BOUND, BoundReport
 from fluctuation_bounds.dynamics import LindbladModel, Trajectory, lindblad_rhs
 from fluctuation_bounds.observables import TimeDependentObservable
 from fluctuation_bounds.scenarios import ResultRow, build_trajectory
@@ -31,6 +32,18 @@ class PointRecord:
     open_report: BoundReport | None
     closed_report: BoundReport | None
     cs_margin: float | None
+
+
+def _skipped(kind: str, t: float, sigma: float) -> BoundReport:
+    reason = f"sigma {sigma:.3e} below {EPS_SIGMA:.0e}"
+    return BoundReport(kind, t, _NAN, _NAN, _NAN, satisfied=False, live=False, reason=reason)
+
+
+def _report(kind: str, t: float, lhs: float, rhs: float) -> BoundReport:
+    margin = rhs - lhs
+    return BoundReport(
+        kind, t, lhs, rhs, margin, satisfied=margin >= -TAU_BOUND, live=True, reason=""
+    )
 
 
 def reference_evaluate_scenario(spec, traj=None):
@@ -153,19 +166,17 @@ def open_bound(
     traj: Trajectory,
     a: TimeDependentObservable,
     t: float,
-    eps_sigma: float = EPS_SIGMA,
-    rho_dot_mode: str = "auto",
     stat: StatPoint | None = None,
 ) -> BoundReport:
     """Generator-independent bound on the spread growth rate.
 
     lhs = var_rate^2 / (4 sigma^2) is (d sigma_A/dt)^2; points with
-    sigma below eps_sigma are reported as skipped, not errors.  Pass a
+    sigma below EPS_SIGMA are reported as skipped, not errors.  Pass a
     precomputed StatPoint for t as stat to skip recomputing it.
     """
-    sp = stat if stat is not None else variance_rate(traj, a, t, rho_dot_mode)
-    if sp.sigma < eps_sigma:
-        return _skipped("open", t, f"sigma {sp.sigma:.3e} below {eps_sigma:.0e}")
+    sp = stat if stat is not None else variance_rate(traj, a, t)
+    if sp.sigma < EPS_SIGMA:
+        return _skipped("open", t, sp.sigma)
     lhs = sp.var_rate**2 / (4.0 * sp.variance)
     rho = traj.states[traj.index_of(t)]
     rhs = 2.0 * (
@@ -196,7 +207,6 @@ def closed_bound(
     model: LindbladModel,
     a: TimeDependentObservable,
     t: float,
-    eps_sigma: float = EPS_SIGMA,
     stat: StatPoint | None = None,
 ) -> BoundReport:
     """Heisenberg-rate bound; guaranteed only without jump operators.
@@ -205,8 +215,8 @@ def closed_bound(
     crossover time shows up); violations set satisfied=False.
     """
     sp = stat if stat is not None else variance_rate(traj, a, t)
-    if sp.sigma < eps_sigma:
-        return _skipped("closed", t, f"sigma {sp.sigma:.3e} below {eps_sigma:.0e}")
+    if sp.sigma < EPS_SIGMA:
+        return _skipped("closed", t, sp.sigma)
     lhs = sp.var_rate**2 / (4.0 * sp.variance)
     rho = traj.states[traj.index_of(t)]
     rhs = variance(rho, adjoint_heisenberg_rate(model, a, t))
@@ -217,7 +227,6 @@ def var_rate_residual(
     traj: Trajectory,
     a: TimeDependentObservable,
     t: float,
-    rho_dot_mode: str = "auto",
     stat: StatPoint | None = None,
 ) -> float:
     """|var_rate - central difference of sigma^2|; O(dt^2) on smooth runs.
@@ -228,7 +237,7 @@ def var_rate_residual(
     k = traj.index_of(t)
     if not 0 < k < len(traj) - 1:
         raise ValueError(f"grid index {k} has no two-sided neighbors")
-    sp = stat if stat is not None else variance_rate(traj, a, t, rho_dot_mode)
+    sp = stat if stat is not None else variance_rate(traj, a, t)
     var_up = variance(traj.states[k + 1], a.evaluate(traj.times[k + 1]))
     var_dn = variance(traj.states[k - 1], a.evaluate(traj.times[k - 1]))
     fd = (var_up - var_dn) / (2.0 * traj.dt)

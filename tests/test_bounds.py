@@ -95,8 +95,8 @@ def test_open_bound_generator_independence():
     traj = damping_trajectory(t_max=1.0)
     a = static_observable(sigma_z)
     for t in (0.1, 0.5, 0.9):
-        r_an = open_bound(traj, a, t, rho_dot_mode="analytic")
-        r_fd = open_bound(traj, a, t, rho_dot_mode="finite_difference")
+        r_an = open_bound(traj, a, t, stat=variance_rate(traj, a, t, "analytic"))
+        r_fd = open_bound(traj, a, t, stat=variance_rate(traj, a, t, "finite_difference"))
         assert r_fd.lhs == pytest.approx(r_an.lhs, abs=1e-5)
         assert r_fd.rhs == pytest.approx(r_an.rhs, abs=1e-5)
         assert r_fd.satisfied

@@ -108,7 +108,7 @@ def test_apply_preserves_trace_and_hermiticity():
 # completeness residual
 
 def test_completeness_residual_valid_channel():
-    assert completeness_residual(amplitude_damping(0.3)) < 1e-15
+    assert completeness_residual(amplitude_damping(0.3).operators) < 1e-15
 
 
 def test_completeness_residual_half_identity():
@@ -118,6 +118,11 @@ def test_completeness_residual_half_identity():
 def test_completeness_residual_unitary_singleton():
     rng = np.random.default_rng(59)
     assert completeness_residual([random_unitary(rng, 3)]) <= 1e-12
+
+
+def test_completeness_residual_of_no_operators_is_a_value_error():
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        completeness_residual([])
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,21 @@ def test_scenario_errors_agree_across_commands(bad, tmp_path, capsys, no_workers
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_rejects_a_name_with_a_path_separator(tmp_path, capsys, no_workers):
+    data = builtin_scenario_dict("example1")
+    data.update(name="../escaped", t_max=0.2, dt=0.001)
+    scen = tmp_path / "escaping.json"
+    scen.write_text(json.dumps(data), encoding="utf-8")
+    rc = cli_main(["sweep", "--scenario", str(scen), "--param", "dt",
+                   "--values", "0.01", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    payload, captured = last_stderr_json(capsys)
+    assert payload["error"] == "invalid-scenario"
+    assert [v.split(":")[0] for v in payload["violations"]] == ["name"]
+    assert captured.out == "" and not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "builtin", "figure1", "sweep"])
 def test_unwritable_output_is_write_failed(command, tmp_path, capsys, no_workers):
     taken = tmp_path / "taken"

@@ -14,14 +14,13 @@ import pytest
 import reference_linalg
 from conftest import random_hermitian, random_jump, random_observable, random_state
 from reference_points import adjoint_heisenberg_rate as ref_adjoint_rate
-from reference_points import open_bound as ref_open_bound
 from reference_points import reference_evaluate_scenario
 from reference_points import squared_partial_expectation as ref_squared_partial
 from reference_points import variance_rate as ref_variance_rate
 
 from fluctuation_bounds import scenarios as sc
 from fluctuation_bounds import stats
-from fluctuation_bounds.bounds import adjoint_heisenberg_rate, open_bound
+from fluctuation_bounds.bounds import adjoint_heisenberg_rate, closed_bound, open_bound
 from fluctuation_bounds.dynamics import (
     analytic_amplitude_damping,
     lindblad_model,
@@ -73,8 +72,8 @@ def assert_same_records(got, want):
             assert (rg is None) == (rw is None)
             if rw is None:
                 continue
-            assert (rg.kind, not rg.live[k], rg.reasons[k], rg.satisfied[k]) == (
-                rw.kind, rw.skipped, rw.reason, rw.satisfied)
+            assert (rg.kind, rg.live[k], rg.reason[k], rg.satisfied[k]) == (
+                rw.kind, rw.live, rw.reason, rw.satisfied)
             assert got.columns["t"][k] == rw.t
             for f in ("lhs", "rhs", "margin"):
                 assert_same_number(getattr(rg, f)[k], getattr(rw, f), f"t={rw.t} {rw.kind}.{f}")
@@ -312,16 +311,30 @@ def test_float_overflow_of_a_square_matches_reference(bounds):
         assert_both_fail_at(spec, traj, t, "range")
 
 
-def test_zero_spread_with_zero_eps_divides_by_zero_as_before():
-    states = damped_states(12)
-    spec, traj = crafted(states, obs=static_observable(np.eye(2)))
-    for bound in (open_bound, ref_open_bound):
-        with pytest.raises(ZeroDivisionError):
-            bound(traj, spec.observable, 0.5, eps_sigma=0.0)
-
-
 # ---------------------------------------------------------------------------
 # stacked forms of the scalar calls
+
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_one_time_report_is_element_k_of_the_grid_report(kind):
+    # c(t) = t - 0.5 vanishes at t = 0.5, so the grid report skips one point.
+    one_zero = observable([(polynomial([-0.5, 1.0]), sigma_x)])
+    spec = spec_for((None, [DAMPING]), np.diag([0.3, 0.7]).astype(complex), one_zero, 1.25, DT)
+    traj = sc.build_trajectory(spec)
+    check = {"open": lambda t: open_bound(traj, one_zero, t),
+             "closed": lambda t: closed_bound(traj, traj.model, one_zero, t)}[kind]
+    times = traj.times[1:-1]
+    grid = check(times)
+    assert grid.kind == kind and len(grid) == len(times) and grid.skipped == 1
+    scalar_types = {"t": float, "lhs": float, "rhs": float, "margin": float,
+                    "satisfied": bool, "live": bool, "reason": str}
+    for k, t in enumerate(times.tolist()):
+        one = check(t)
+        assert one.kind == kind and len(one) == 1 and one.skipped == int(not grid.live[k])
+        for name, scalar_type in scalar_types.items():
+            got, want = getattr(one, name), getattr(grid, name)[k]
+            assert type(got) is scalar_type, f"t={t} {name}: {type(got)}"
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f"t={t} {name}"
+
 
 def test_stacked_evaluate_matches_scalar_bitwise():
     rng = np.random.default_rng(3)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scenario_writers import scenario_to_dict
 
 from fluctuation_bounds import scenarios as sc
+from fluctuation_bounds.cli import _emit
 from fluctuation_bounds.dynamics import IntegrationError, LindbladModel
 from fluctuation_bounds.linalg import sigma_plus, sigma_x
 from fluctuation_bounds.observables import cosine, observable, static_observable
@@ -30,7 +31,6 @@ from fluctuation_bounds.scenarios import (
     rows_to_csv_text,
     run_scenario,
     sanity_check_figure_sigma,
-    write_csv,
 )
 
 
@@ -467,8 +467,8 @@ def test_csv_file_bytes(tmp_path):
     rows = run_scenario(small_example1(t_max=0.05))
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_csv(rows, p1)
-    write_csv(rows, p2)
+    _emit(rows_to_csv_text(rows), p1)
+    _emit(rows_to_csv_text(rows), p2)
     blob = p1.read_bytes()
     assert blob == p2.read_bytes()
     assert b"\r" not in blob
