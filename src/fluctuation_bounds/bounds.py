@@ -19,15 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LindbladModel, Trajectory
-from .observables import TimeDependentObservable, squared_partial_expectation
-from .stats import (
-    EPS_SIGMA,
-    StatPoint,
-    covariance_sym,
-    expectation,
-    variance,
-    variance_rate,
-)
+from .linalg import as_density_matrix
+from .observables import TimeDependentObservable
+from .stats import EPS_SIGMA, StatPoint, _stat_point, variance, variance_rate
 
 TAU_BOUND = 1e-9  # absolute slack separating violations from round-off
 
@@ -115,9 +109,10 @@ def open_bound(
     sp = stat if stat is not None else variance_rate(traj, a, t)
 
     def rhs_at(times, rho, live):
-        rd_term = np.atleast_1d(sp.rho_dot_term)[live]
-        var = np.atleast_1d(sp.variance)[live]
-        return 2.0 * (squared_partial_expectation(a, times, rho) + _squared(rd_term) / (4.0 * var))
+        as_density_matrix(rho)
+        partial_sq, rd_term, var = (
+            np.atleast_1d(x)[live] for x in (sp.partial_sq, sp.rho_dot_term, sp.variance))
+        return 2.0 * (partial_sq + _squared(rd_term) / (4.0 * var))
 
     return _bound("open", traj, a, t, sp, rhs_at)
 
@@ -193,34 +188,16 @@ def cauchy_schwarz_margin(
     traj: Trajectory,
     a: TimeDependentObservable,
     t,
+    stat: StatPoint | None = None,
 ):
     """sigma_A^2 <(partial_t A)^2> - Cov(A, partial_t A)^2, nonnegative up to round-off.
 
-    A 1-D array of times gives the n margins.
+    Every state is checked at TAU_PSD.  Takes a precomputed StatPoint as
+    stat, as the bounds do; without one no rho_dot is formed.  A 1-D
+    array of times gives the n margins.
     """
-    k = traj.index_of(t)
-    rho = traj.states[k]
-    a_t = a.evaluate(t)
-    da_t = a.partial_time(t)
-    cov = covariance_sym(rho, a_t, da_t)
-    cov_sq = _squared(np.asarray(cov))
-    margin = variance(rho, a_t) * squared_partial_expectation(a, t, rho) - cov_sq
+    sp = stat if stat is not None else _stat_point(traj, a, t, None)
+    cov_sq = _squared(np.asarray(sp.cov))
+    as_density_matrix(traj.states[traj.index_of(t)])
+    margin = sp.variance * sp.partial_sq - cov_sq
     return float(margin) if np.ndim(t) == 0 else margin
-
-
-def closed_system_anticommutator_rate(
-    traj: Trajectory,
-    model: LindbladModel,
-    a: TimeDependentObservable,
-    t: float,
-) -> float:
-    """<{DeltaA, Adot}>, which equals d(sigma^2)/dt for closed dynamics."""
-    if not model.is_closed:
-        raise ValueError("anticommutator rate is a closed-system identity; jump operators present")
-    k = traj.index_of(t)
-    rho = traj.states[k]
-    a_t = a.evaluate(t)
-    adot = adjoint_heisenberg_rate(model, a, t)
-    mean = expectation(rho, a_t)
-    delta = a_t - mean * np.eye(a_t.shape[0])
-    return float(np.trace(rho @ (delta @ adot + adot @ delta)).real)

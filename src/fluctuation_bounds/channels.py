@@ -1,9 +1,9 @@
 """Discrete-time CPTP channels as Kraus operator sums.
 
-Only amplitude damping is provided as a named constructor; arbitrary
-operator sets are accepted as long as they satisfy the completeness
-relation.  Channels failing completeness are rejected at construction,
-never renormalized, so a bad scenario file fails loudly.
+Amplitude damping is the one constructor; its operators satisfy the
+completeness relation exactly.  ``apply`` validates the state it maps
+and the state it returns and never renormalizes, so an operator set
+that is not trace-preserving fails loudly at its first use.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .linalg import (
     symmetrize,
 )
 
-TAU_KRAUS = 1e-10
-
-
 @dataclass(frozen=True)
 class KrausChannel:
     """CPTP map rho -> sum_k E_k rho E_k^dagger."""
@@ -32,35 +29,6 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
-
-
-def completeness_residual(operators) -> float:
-    """max |sum_k E_k^dagger E_k - I| of a list of operators.
-
-    Incomplete sets are measured rather than rejected.
-    """
-    ops = [as_matrix(e) for e in operators]
-    if not ops:
-        raise ValueError("channel needs at least one Kraus operator")
-    dim = ops[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for e in ops:
-        acc = acc + e.conj().T @ e
-    return float(np.max(np.abs(acc - np.eye(dim))))
-
-
-def kraus_channel(operators) -> KrausChannel:
-    ops = [as_matrix(e) for e in operators]
-    if not ops:
-        raise ValueError("channel needs at least one Kraus operator")
-    dim = ops[0].shape[0]
-    for e in ops[1:]:
-        if e.shape[0] != dim:
-            raise ValueError(f"dimension mismatch: {e.shape[0]} vs {dim}")
-    res = completeness_residual(ops)
-    if res > TAU_KRAUS:
-        raise ValueError(f"channel violates completeness (residual {res:.3e})")
-    return KrausChannel(operators=tuple(ops))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    as_density_matrix,
-    as_matrix,
-    matrix_from_dict,
-    require_hermitian,
-)
+from .linalg import as_matrix, matrix_from_dict, require_hermitian
 
 MAX_POLY_DEGREE = 8
 
@@ -199,20 +194,6 @@ def observable(terms) -> TimeDependentObservable:
 
 def static_observable(matrix: np.ndarray) -> TimeDependentObservable:
     return observable([(constant(1.0), matrix)])
-
-
-def squared_partial_expectation(a: TimeDependentObservable, t, rho: np.ndarray):
-    """tr(rho * (partial_t A)^2), real and nonnegative.
-
-    One time and a (d, d) state give a float; a 1-D array of n times and
-    an (n, d, d) stack of states give the n values, every state checked.
-    """
-    rho = as_density_matrix(rho)
-    da = a.partial_time(t)
-    if da.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: {da.shape} vs {rho.shape}")
-    value = np.trace(rho @ da @ da, axis1=-2, axis2=-1).real
-    return float(value) if value.ndim == 0 else value
 
 
 def observable_from_dict(d: dict) -> TimeDependentObservable:

@@ -36,9 +36,9 @@ from .dynamics import (
     lindblad_model,
     trajectory_from_states,
 )
-from .linalg import as_density_matrix, matrix_from_dict, sigma_z
+from .linalg import as_density_matrix, matrix_from_dict
 from .observables import TimeDependentObservable, observable_from_dict
-from .stats import EPS_SIGMA, variance, variance_rate
+from .stats import EPS_SIGMA, variance_rate
 
 BOUND_NAMES = ("open", "closed", "var_rate_residual", "cauchy_schwarz")
 BUILTIN_NAMES = ("example1", "example2", "crossover", "figure1")
@@ -258,7 +258,9 @@ def read_scenario(path) -> dict:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as err:
         raise ScenarioError([f"read: {err}"]) from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # JSONDecodeError, an integer past Python's digit limit, or
+        # nesting deeper than the decoder recurses
         raise ScenarioError([f"parse: {err}"]) from err
     if not isinstance(data, dict):
         raise ScenarioError(["parse: top-level value must be an object"])
@@ -369,7 +371,7 @@ def _evaluate_points(spec, traj, times) -> ResultTable:
     if "var_rate_residual" in spec.bounds:
         residuals = var_rate_residual(traj, a, times, stat=sp)
     if "cauchy_schwarz" in spec.bounds:
-        cs_margins = cauchy_schwarz_margin(traj, a, times)
+        cs_margins = cauchy_schwarz_margin(traj, a, times, stat=sp)
 
     flags = [""] * len(times)
     bound_columns = []
@@ -424,14 +426,6 @@ def figure1_curves(gamma_rate: float, t_max: float, dt: float) -> list:
             margin = v * v - mu_dot_sq - sigma_dot_sq
         out.append((t, mu, sigma, v, margin))
     return out
-
-
-def sanity_check_figure_sigma(gamma_rate: float, t: float) -> float:
-    """Spread of the population-difference observable from the statistics
-    pipeline on the closed-form state; cross-checks the curve formula."""
-    rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    rho = analytic_amplitude_damping(rho0, gamma_rate, 0.0, t)
-    return float(math.sqrt(variance(rho, sigma_z)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Observable statistics along trajectories.
 
-Means, variances, the symmetrized covariance, and the variance growth
-rate assembled from tr(rho_dot DeltaA^2) + 2 Cov(A, partial_t A).  The
-state derivative comes from the model's generator when one is attached
-to the trajectory and from central finite differences otherwise.
+Every per-point moment of A the bounds read (mean, variance,
+Cov(A, partial_t A), <(partial_t A)^2>, tr(rho_dot DeltaA^2)) and the
+variance growth rate tr(rho_dot DeltaA^2) + 2 Cov(A, partial_t A) come
+out of one StatPoint.  The state derivative comes from the model's
+generator when one is attached to the trajectory and from central finite
+differences otherwise.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ def _traces(x: np.ndarray) -> np.ndarray:
 def _first(values: np.ndarray, bad: np.ndarray):
     """The entry of values at the first True of bad (0-d or 1-d)."""
     return values.flat[int(np.argmax(bad))]
-
-
-def _scalar_or_stack(x: np.ndarray):
-    return float(x) if x.ndim == 0 else x
 
 
 def _check_dims(rho: np.ndarray, m: np.ndarray) -> None:
@@ -74,51 +72,24 @@ def _symmetrized(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _traces(rho @ (a @ b + b @ a)).real / 2.0
 
 
-def _rho_dot_term(rho_dot: np.ndarray, rho: np.ndarray, a: np.ndarray, mean=None) -> np.ndarray:
+def _rho_dot_term(rho_dot: np.ndarray, a: np.ndarray, mean: np.ndarray) -> np.ndarray:
     tr = _traces(rho_dot)
     bad = np.abs(tr) > 1e-10 * np.fmax(1.0, np.abs(rho_dot).max(axis=(-2, -1)))
     if bad.any():
         raise ValueError(f"rho_dot must be traceless, got trace {complex(_first(tr, bad)):.3e}")
-    if mean is None:
-        mean = _expectation(rho, a)
     rho_dot_a = rho_dot @ a
     return _traces(rho_dot_a @ a).real - 2.0 * mean * _traces(rho_dot_a).real
 
 
-# Each public function below takes one (d, d) state and matrices, giving a
-# float, or (n, d, d) stacks of them, giving the n values; require_hermitian
-# checks each matrix argument once per call, one matrix or a whole stack.
-
-def expectation(rho: np.ndarray, m: np.ndarray):
-    """tr(rho m) for Hermitian m; the imaginary part must be round-off."""
-    m = require_hermitian(m, "observable matrix")
-    return _scalar_or_stack(_expectation(rho, m))
-
-
 def variance(rho: np.ndarray, m: np.ndarray):
-    """tr(rho m^2) - tr(rho m)^2, clamped to 0 over round-off negatives."""
-    m = require_hermitian(m, "observable matrix")
-    return _scalar_or_stack(_mean_and_variance(rho, m)[1])
+    """tr(rho m^2) - tr(rho m)^2, clamped to 0 over round-off negatives.
 
-
-def covariance_sym(rho: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Symmetrized covariance (1/2)<{a, b}> - <a><b>."""
-    a = require_hermitian(a, "first observable")
-    b = require_hermitian(b, "second observable")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    half_anti = _symmetrized(rho, a, b)
-    return _scalar_or_stack(half_anti - _expectation(rho, a) * _expectation(rho, b))
-
-
-def rho_dot_delta_sq(rho_dot: np.ndarray, rho: np.ndarray, a: np.ndarray):
-    """tr(rho_dot DeltaA^2) = tr(rho_dot a^2) - 2<a> tr(rho_dot a).
-
-    Requires a traceless rho_dot; the <a>^2 tr(rho_dot) term is dropped
-    on that ground.
+    One (d, d) state and matrix give a float; (n, d, d) stacks give the n
+    values, m checked once as a stack.
     """
-    a = require_hermitian(a, "observable matrix")
-    return _scalar_or_stack(_rho_dot_term(rho_dot, rho, a))
+    m = require_hermitian(m, "observable matrix")
+    var = _mean_and_variance(rho, m)[1]
+    return float(var) if var.ndim == 0 else var
 
 
 @dataclass(frozen=True)
@@ -131,6 +102,7 @@ class StatPoint:
     variance: float
     sigma: float
     cov: float           # Cov(A, partial_t A)
+    partial_sq: float    # <(partial_t A)^2>
     rho_dot_term: float  # tr(rho_dot DeltaA^2)
     var_rate: float      # d(sigma^2)/dt = rho_dot_term + 2 cov
 
@@ -173,6 +145,13 @@ def variance_rate(
     (Hermiticity, imaginary parts, the variance floor, a traceless
     rho_dot) raising the message of the first time that fails it.
     """
+    return _stat_point(traj, a, t, rho_dot_mode)
+
+
+def _stat_point(traj, a, t, rho_dot_mode) -> StatPoint:
+    """variance_rate's StatPoint; with rho_dot_mode None no rho_dot is
+    formed, so rho_dot_term and var_rate are nan and a point without a
+    model or grid neighbours does not fail for want of one."""
     k = traj.index_of(t)
     rho = traj.states[k]
     a_t = a.evaluate(t)
@@ -181,9 +160,12 @@ def variance_rate(
     mean, var = _mean_and_variance(rho, a_t)
     da_t = require_hermitian(da_t, "second observable")
     cov = _symmetrized(rho, a_t, da_t) - mean * _expectation(rho, da_t)
-    rho_dot = state_derivative(traj, k, t, rho_dot_mode)
-    rd_term = _rho_dot_term(rho_dot, rho, a_t, mean)
-    out = (mean, var, np.sqrt(var), cov, rd_term, rd_term + 2.0 * cov)
+    partial_sq = _traces(rho @ da_t @ da_t).real
+    rd_term = np.full(np.shape(mean), np.nan)
+    if rho_dot_mode is not None:
+        rho_dot = state_derivative(traj, k, t, rho_dot_mode)
+        rd_term = _rho_dot_term(rho_dot, a_t, mean)
+    out = (mean, var, np.sqrt(var), cov, partial_sq, rd_term, rd_term + 2.0 * cov)
     if np.ndim(t) == 0:
         return StatPoint(t, *(float(x) for x in out))
     return StatPoint(np.asarray(t, dtype=float), *out)

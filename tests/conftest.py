@@ -1,4 +1,7 @@
-"""Shared random-model builders and the acceptance verdict summary."""
+"""Shared random-model builders, the figure-1 spread from the statistics
+pipeline, and the acceptance verdict summary."""
+
+import math
 
 import numpy as np
 
@@ -11,8 +14,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from fluctuation_bounds.linalg import matrix_exponential_antihermitian
-from fluctuation_bounds.dynamics import lindblad_model
+from fluctuation_bounds.linalg import matrix_exponential_antihermitian, sigma_z
+from fluctuation_bounds.dynamics import analytic_amplitude_damping, lindblad_model
 from fluctuation_bounds.observables import (
     cosine,
     observable,
@@ -20,6 +23,7 @@ from fluctuation_bounds.observables import (
     sine,
     static_observable,
 )
+from fluctuation_bounds.stats import variance
 
 
 def random_hermitian(rng, dim):
@@ -60,3 +64,11 @@ def random_observable(rng, dim, time_dependent=False, scale=1.0):
             (polynomial([rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)]), scale * random_hermitian(rng, dim)),
         ]
     )
+
+
+def sanity_check_figure_sigma(gamma_rate: float, t: float) -> float:
+    """Spread of the population-difference observable from the statistics
+    pipeline on the closed-form state; cross-checks the curve formula."""
+    rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    rho = analytic_amplitude_damping(rho0, gamma_rate, 0.0, t)
+    return float(math.sqrt(variance(rho, sigma_z)))

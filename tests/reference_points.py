@@ -140,6 +140,7 @@ def variance_rate(
     mean = expectation(rho, a_t)
     var = variance(rho, a_t)
     cov = covariance_sym(rho, a_t, da_t)
+    partial_sq = float(np.trace(rho @ da_t @ da_t).real)
     rho_dot = state_derivative(traj, k, t, rho_dot_mode)
     rd_term = rho_dot_delta_sq(rho_dot, rho, a_t)
     return StatPoint(
@@ -148,6 +149,7 @@ def variance_rate(
         variance=var,
         sigma=float(np.sqrt(var)),
         cov=cov,
+        partial_sq=partial_sq,
         rho_dot_term=rd_term,
         var_rate=rd_term + 2.0 * cov,
     )
@@ -221,6 +223,22 @@ def closed_bound(
     rho = traj.states[traj.index_of(t)]
     rhs = variance(rho, adjoint_heisenberg_rate(model, a, t))
     return _report("closed", t, lhs, rhs)
+
+
+def closed_system_anticommutator_rate(
+    traj: Trajectory,
+    model: LindbladModel,
+    a: TimeDependentObservable,
+    t: float,
+) -> float:
+    """<{DeltaA, Adot}>, which equals d(sigma^2)/dt for closed dynamics."""
+    if not model.is_closed:
+        raise ValueError("anticommutator rate is a closed-system identity; jump operators present")
+    rho = traj.states[traj.index_of(t)]
+    a_t = a.evaluate(t)
+    adot = adjoint_heisenberg_rate(model, a, t)
+    delta = a_t - expectation(rho, a_t) * np.eye(a_t.shape[0])
+    return float(np.trace(rho @ (delta @ adot + adot @ delta)).real)
 
 
 def var_rate_residual(

@@ -13,10 +13,16 @@ import time
 import numpy as np
 
 import conftest
-from conftest import random_hermitian, random_model, random_observable, random_state
+from conftest import (
+    random_hermitian,
+    random_model,
+    random_observable,
+    random_state,
+    sanity_check_figure_sigma,
+)
+from reference_points import closed_system_anticommutator_rate, expectation
 from fluctuation_bounds.bounds import (
     closed_bound,
-    closed_system_anticommutator_rate,
     open_bound,
     var_rate_residual,
 )
@@ -38,9 +44,8 @@ from fluctuation_bounds.scenarios import (
     figure1_curves,
     parse_scenario,
     run_scenario,
-    sanity_check_figure_sigma,
 )
-from fluctuation_bounds.stats import expectation, variance_rate
+from fluctuation_bounds.stats import variance_rate
 
 
 def criterion(num, summary):

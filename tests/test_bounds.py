@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_jump, random_model, random_observable, random_state
+from reference_points import closed_system_anticommutator_rate
 
 from fluctuation_bounds.bounds import (
     TAU_BOUND,
     adjoint_heisenberg_rate,
     cauchy_schwarz_margin,
     closed_bound,
-    closed_system_anticommutator_rate,
     open_bound,
     var_rate_residual,
 )
@@ -232,6 +232,32 @@ def test_cauchy_schwarz_everywhere():
         a = random_observable(rng, dim, time_dependent=True)
         for t in (0.02, 0.05, 0.08):
             assert cauchy_schwarz_margin(traj, a, t) >= -1e-10
+
+
+def test_cauchy_schwarz_margin_from_the_stat_point_is_bitwise_the_same():
+    rng = np.random.default_rng(109)
+    model = random_model(rng, 3)
+    traj = integrate(model, random_state(rng, 3), t_max=0.05, dt=1e-3)
+    a = random_observable(rng, 3, time_dependent=True)
+    times = traj.times[1:-1]
+    grid = cauchy_schwarz_margin(traj, a, times, stat=variance_rate(traj, a, times))
+    assert grid.tobytes() == cauchy_schwarz_margin(traj, a, times).tobytes()
+    for t in times[::10].tolist():
+        one = cauchy_schwarz_margin(traj, a, t, stat=variance_rate(traj, a, t))
+        assert type(one) is float and one == cauchy_schwarz_margin(traj, a, t)
+
+
+def test_cauchy_schwarz_margin_without_stat_forms_no_rho_dot():
+    # At t = 0 a trajectory without a model has neither a generator nor a
+    # left neighbour, so no rho_dot exists there; the margin needs none.
+    times = np.arange(5) * 0.1
+    states = [analytic_amplitude_damping(PROJ_1, 1.0, 0.0, t) for t in times]
+    traj = trajectory_from_states(times, states, None)
+    with pytest.raises(ValueError, match="neighbors"):
+        variance_rate(traj, ROTATING, 0.0)
+    want = variance(states[0], sigma_x) * 1.0  # (partial_t A)^2 = I; Cov = 0 here
+    assert cauchy_schwarz_margin(traj, ROTATING, 0.0) == pytest.approx(want, abs=1e-15)
+    assert cauchy_schwarz_margin(traj, ROTATING, times[:2]).shape == (2,)
 
 
 def test_square_sum_inequality_on_encountered_pairs():

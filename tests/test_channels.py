@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from reference_channels import completeness_residual, kraus_channel
 
-from fluctuation_bounds.channels import (
-    amplitude_damping,
-    apply,
-    completeness_residual,
-    kraus_channel,
-)
+from fluctuation_bounds.channels import amplitude_damping, apply
 from fluctuation_bounds.dynamics import analytic_amplitude_damping
 from fluctuation_bounds.linalg import matrix_exponential_antihermitian, sigma_minus
 

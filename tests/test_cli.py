@@ -285,9 +285,9 @@ def test_verify_verdict_matches_the_reference(tmp_path, capsys, monkeypatch):
     bad_times = (0.001, 0.4)
 
     def shifted(real):
-        def margin(traj, a, t):
+        def margin(traj, a, t, **stat):
             hit = np.isclose(np.asarray(t)[..., None], bad_times, rtol=0.0, atol=1e-12).any(-1)
-            out = real(traj, a, t) - np.where(hit, 1.0, 0.0)
+            out = real(traj, a, t, **stat) - np.where(hit, 1.0, 0.0)
             return float(out) if np.ndim(t) == 0 else out
         return margin
 
@@ -551,6 +551,25 @@ def test_scenario_errors_agree_across_commands(bad, tmp_path, capsys, no_workers
     assert reported["run"] == reported["verify"] == reported["sweep"]
     assert reported["run"][0] == "invalid-scenario"
     assert reported["run"][1][0].startswith(prefix)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bad", ["int-digits", "deep-nesting"])
+@pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+def test_decoder_errors_besides_bad_syntax_are_parse_violations(
+        command, bad, tmp_path, capsys, no_workers):
+    # An integer literal past Python's 4300-digit limit raises a plain
+    # ValueError; nesting too deep raises RecursionError.  The top level is
+    # an array, so a decoder that nests deeper still fails with "parse:".
+    path = tmp_path / "bad.json"
+    text = {"int-digits": '{"t_max": ' + "1" * 4301 + "}",
+            "deep-nesting": "[" * 100_000 + "]" * 100_000}[bad]
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(scenario_argv(command, path, tmp_path)) == 2
+    payload, captured = last_stderr_json(capsys)
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert payload["error"] == "invalid-scenario"
+    assert len(payload["violations"]) == 1 and payload["violations"][0].startswith("parse:")
     assert not (tmp_path / "o").exists()
 
 

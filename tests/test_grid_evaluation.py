@@ -15,7 +15,6 @@ import reference_linalg
 from conftest import random_hermitian, random_jump, random_observable, random_state
 from reference_points import adjoint_heisenberg_rate as ref_adjoint_rate
 from reference_points import reference_evaluate_scenario
-from reference_points import squared_partial_expectation as ref_squared_partial
 from reference_points import variance_rate as ref_variance_rate
 
 from fluctuation_bounds import scenarios as sc
@@ -29,12 +28,12 @@ from fluctuation_bounds.dynamics import (
 )
 from fluctuation_bounds.linalg import require_hermitian, sigma_x, sigma_z
 from fluctuation_bounds.observables import (
+    TimeDependentObservable,
     constant,
     cosine,
     exponential_decay,
     observable,
     polynomial,
-    squared_partial_expectation,
     static_observable,
 )
 from fluctuation_bounds.scenarios import (
@@ -179,6 +178,22 @@ def test_clean_run_is_one_batched_pass(monkeypatch):
     monkeypatch.setattr(sc, "variance_rate", counting)
     records = run_scenario(short_builtin("example1", 50))
     assert len(records) == 50 and calls == [1]
+
+
+def test_all_checks_evaluate_a_and_its_derivative_once_per_use(monkeypatch):
+    # A(t): variance_rate, the closed bound's Heisenberg rate and the
+    # residual's neighbours; partial_t A: variance_rate and the Heisenberg
+    # rate.  The open bound and the Cauchy-Schwarz margin read the StatPoint.
+    calls = {"evaluate": [], "partial_time": []}
+    for name, seen in calls.items():
+        def counting(self, t, real=getattr(TimeDependentObservable, name), seen=seen):
+            seen.append(np.ndim(t))
+            return real(self, t)
+        monkeypatch.setattr(TimeDependentObservable, name, counting)
+    data = builtin_scenario_dict("example1")
+    data.update(t_max=51 * data["dt"], bounds=list(ALL_CHECKS))
+    assert len(run_scenario(parse_scenario(data))) == 50
+    assert calls == {"evaluate": [1, 1, 1], "partial_time": [1, 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +376,9 @@ def test_stacked_state_functions_match_scalar():
     rhs = lindblad_rhs(model, rhos, times)
     obs = random_observable(rng, 3, time_dependent=True)
     rates = adjoint_heisenberg_rate(model, obs, times)
-    squares = squared_partial_expectation(obs, times, rhos)
     for k, t in enumerate(times):
         assert np.array_equal(rhs[k], lindblad_rhs(model, rhos[k], float(t)))
         assert np.array_equal(rates[k], ref_adjoint_rate(model, obs, float(t)))
-        assert squares[k] == ref_squared_partial(obs, float(t), rhos[k])
     with pytest.raises(ValueError, match="times"):
         lindblad_rhs(model, rhos, 0.1)
     rho2 = random_state(rng, 2)

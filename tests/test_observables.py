@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from reference_points import squared_partial_expectation
 from scenario_writers import observable_to_dict
 
 from fluctuation_bounds.linalg import sigma_x, sigma_y, sigma_z
@@ -15,7 +16,6 @@ from fluctuation_bounds.observables import (
     observable_from_dict,
     polynomial,
     sine,
-    squared_partial_expectation,
     static_observable,
 )
 

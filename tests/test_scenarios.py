@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import sanity_check_figure_sigma
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scenario_writers import scenario_to_dict
@@ -30,7 +31,6 @@ from fluctuation_bounds.scenarios import (
     read_scenario,
     rows_to_csv_text,
     run_scenario,
-    sanity_check_figure_sigma,
 )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_model, random_state
+from reference_points import covariance_sym, expectation, rho_dot_delta_sq
 
 from fluctuation_bounds.dynamics import (
     analytic_amplitude_damping,
@@ -13,14 +14,7 @@ from fluctuation_bounds.dynamics import (
 )
 from fluctuation_bounds.linalg import sigma_minus, sigma_x, sigma_y, sigma_z
 from fluctuation_bounds.observables import cosine, observable, sine, static_observable
-from fluctuation_bounds.stats import (
-    covariance_sym,
-    expectation,
-    rho_dot_delta_sq,
-    state_derivative,
-    variance,
-    variance_rate,
-)
+from fluctuation_bounds.stats import state_derivative, variance, variance_rate
 
 PROJ_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
