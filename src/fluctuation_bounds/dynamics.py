@@ -252,10 +252,11 @@ def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] < 2:
         raise ValueError("trajectory needs at least two grid points")
-    steps = np.diff(times)
-    dt = steps[0]
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * dt:
-        raise ValueError("trajectory grid must be uniform and increasing")
+    with np.errstate(invalid="ignore"):  # inf - inf, in a grid that fails anyway
+        steps = np.diff(times)
+        dt = steps[0]
+        if not (dt > 0 and np.max(np.abs(steps - dt)) <= 1e-9 * dt):
+            raise ValueError("trajectory grid must be uniform and increasing")
     checked = as_density_matrix(states, tau_psd=TAU_PSD_RUN)
     if checked.shape[:-2] != times.shape:
         raise ValueError("times and states lengths differ")
@@ -538,16 +539,20 @@ def analytic_amplitude_damping(rho0, gamma_rate: float, omega: float, t) -> np.n
     Populations relax as e^{-Gamma t}; the coherence shrinks by
     e^{-Gamma t/2} and rotates by e^{-i omega t}.  ``t`` is one time,
     giving a (2, 2) state, or a 1-D array of n times, giving the
-    (n, 2, 2) stack; rho0 is validated once either way.
+    (n, 2, 2) stack; rho0 is validated once either way.  Gamma, omega
+    and every time must be finite.
     """
     rho0 = as_density_matrix(as_matrix(rho0))
     if rho0.shape[0] != 2:
         raise ValueError("closed-form solution is for dimension 2 only")
-    if gamma_rate < 0:
+    if not gamma_rate >= 0:
         raise ValueError(f"decay rate must be nonnegative, got {gamma_rate}")
-    times = np.asarray(t, dtype=float)
-    decay = np.array([math.exp(-gamma_rate * tj) for tj in times.reshape(-1).tolist()])
-    decay = decay.reshape(times.shape)
+    if not (math.isfinite(gamma_rate) and math.isfinite(omega)):
+        raise ValueError(f"decay rate and splitting must be finite, got {gamma_rate} and {omega}")
+    times, stacked = finite_times(t)
+    shape = (len(times),) if stacked else ()
+    decay = np.array([math.exp(-gamma_rate * tj) for tj in times]).reshape(shape)
+    times = np.reshape(times, shape)
     scaled = rho0[0, 1] * np.sqrt(decay)
     phase = np.exp(-1j * omega * times)
     out = np.empty(times.shape + (2, 2), dtype=complex)
@@ -561,20 +566,18 @@ def analytic_amplitude_damping(rho0, gamma_rate: float, omega: float, t) -> np.n
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _gauss_legendre(n: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached per n."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+# The read-only QUAD_POINTS-node Gauss-Legendre rule on [-1, 1]: (nodes, weights).
+_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(QUAD_POINTS)
+for _a in _GAUSS_LEGENDRE:
+    _a.setflags(write=False)
 
 
-def _quadrature(a, b, n: int):
-    """Gauss-Legendre nodes and weights on [a, b]; for a 1-D array b, one
-    rule per entry, as columns of (n, len(b)) arrays."""
-    x, w = _gauss_legendre(n)
-    shape = (n,) + (1,) * np.ndim(b)
+def _quadrature(a, b):
+    """QUAD_POINTS Gauss-Legendre nodes and weights on [a, b]; for a 1-D
+    array b, one rule per entry, as columns of (QUAD_POINTS, len(b))
+    arrays."""
+    x, w = _GAUSS_LEGENDRE
+    shape = (QUAD_POINTS,) + (1,) * np.ndim(b)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x.reshape(shape), half * w.reshape(shape)
@@ -633,13 +636,13 @@ def dyson_propagator(h: TimeDependentObservable, t0: float, dt: float, order: in
     _check_step(dt)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    t1_nodes, t1_weights = _quadrature(t0, t0 + dt, QUAD_POINTS)
+    t1_nodes, t1_weights = _quadrature(t0, t0 + dt)
     h1 = h.evaluate(t1_nodes)
     u = np.eye(h.dim, dtype=complex) - 1j * _weighted_sum(t1_weights, h1)
     if order == 2:
         # Inner rule on [t0, t1] for every outer node t1 at once: axis 0
         # runs over the inner nodes, axis 1 over the outer ones.
-        t2_nodes, t2_weights = _quadrature(t0, t1_nodes, QUAD_POINTS)
+        t2_nodes, t2_weights = _quadrature(t0, t1_nodes)
         h2 = h.evaluate(t2_nodes.reshape(-1)).reshape(t2_nodes.shape + h1.shape[1:])
         u = u - _weighted_sum(t1_weights, h1 @ _weighted_sum(t2_weights, h2))
     return PropagatorStep(matrix=u, scheme=f"dyson{order}", interval=(t0, t0 + dt))
@@ -650,52 +653,36 @@ def dyson_propagator(h: TimeDependentObservable, t0: float, dt: float, order: in
 
 def _nondegenerate_decomposition(rho, what: str):
     dec = hermitian_eigendecomposition(as_density_matrix(rho, tau_psd=TAU_PSD_RUN))
-    gaps = -np.diff(dec.eigenvalues)
-    if dec.dim > 1 and float(np.min(gaps)) < G_MIN:
-        raise ValueError(
-            f"{what} spectrum is degenerate (min gap {float(np.min(gaps)):.3e} < {G_MIN})"
-        )
+    gap = float(np.min(-np.diff(dec.eigenvalues), initial=np.inf))
+    if gap < G_MIN:
+        raise ValueError(f"{what} spectrum is degenerate (min gap {gap:.3e} < {G_MIN})")
     return dec
 
 
-def _match_columns(ref: np.ndarray, other: np.ndarray) -> list:
-    """For each column of ref, the index of the other column with the
-    largest overlap.  Errors when the two best overlaps are within 10%
-    of each other or when the assignment is not one-to-one."""
-    n = ref.shape[1]
-    overlap = np.abs(other.conj().T @ ref)  # overlap[k, j] = |<other_k|ref_j>|
-    picks = []
-    for j in range(n):
-        col = overlap[:, j]
-        order = np.argsort(-col)
-        best = int(order[0])
-        if n > 1:
-            runner = int(order[1])
-            if col[runner] >= 0.9 * col[best]:
-                raise ValueError(
-                    f"eigenvector pairing ambiguous: overlaps {col[best]:.6f} and "
-                    f"{col[runner]:.6f} within 10%"
-                )
-        picks.append(best)
-    if len(set(picks)) != n:
-        raise ValueError("eigenvector pairing is not one-to-one")
-    return picks
-
-
 def _pair(dec_a, dec_b):
-    """(vb, pb): the eigenvectors and eigenvalues of b, columns reordered
-    onto a's and phase-fixed so <psi_j(a)|psi_j(b)> is real positive."""
-    picks = _match_columns(dec_a.eigenvectors, dec_b.eigenvectors)
-    vb = np.empty_like(dec_b.eigenvectors)
-    pb = np.empty_like(dec_b.eigenvalues)
-    for j, k in enumerate(picks):
-        col = dec_b.eigenvectors[:, k]
-        ov = np.vdot(dec_a.eigenvectors[:, j], col)
-        if abs(ov) > 0:
-            col = col * (ov.conjugate() / abs(ov))
-        vb[:, j] = col
-        pb[j] = dec_b.eigenvalues[k]
-    return vb, pb
+    """(vb, pb): b's eigenvectors and eigenvalues, columns reordered onto
+    a's by largest overlap and phase-fixed so <psi_j(a)|psi_j(b)> is real
+    positive.  Raises for the first column whose two best overlaps are
+    within 10%, or for an assignment that is not one-to-one."""
+    va = dec_a.eigenvectors
+    overlap = np.abs(dec_b.eigenvectors.conj().T @ va)  # overlap[k, j] = |<b_k|a_j>|
+    ranked = np.argsort(-overlap, axis=0)
+    picks, cols = ranked[0], np.arange(len(overlap))
+    if len(picks) > 1:
+        best, runner = overlap[picks, cols], overlap[ranked[1], cols]
+        close = runner >= 0.9 * best
+        if close.any():
+            j = int(np.argmax(close))
+            raise ValueError(
+                f"eigenvector pairing ambiguous: overlaps {best[j]:.6f} and "
+                f"{runner[j]:.6f} within 10%"
+            )
+    if len(set(picks.tolist())) != len(picks):
+        raise ValueError("eigenvector pairing is not one-to-one")
+    vb = np.take(dec_b.eigenvectors, picks, axis=1)
+    overlaps = map(np.vdot, va.T, vb.T)  # <psi_j(a)|psi_j(b)>, column by column
+    phases = np.array([z.conjugate() / abs(z) for z in overlaps])
+    return vb * phases, dec_b.eigenvalues[picks]
 
 
 def _flow_generator(va: np.ndarray, vb: np.ndarray, dt: float) -> np.ndarray:
@@ -703,6 +690,22 @@ def _flow_generator(va: np.ndarray, vb: np.ndarray, dt: float) -> np.ndarray:
     |vb_j><va_j| between paired eigenvector columns."""
     transfer = vb @ va.conj().T
     return symmetrize(1j * (transfer - np.eye(transfer.shape[0])) / dt)
+
+
+def _check_flow_step(dt: float) -> None:
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    _check_step(dt, nonnegative=False)
+
+
+def _paired_flow(rho_a, rho_b, dt: float):
+    """(va, vb, omega): the eigenvectors of rho_a, the paired ones of
+    rho_b, and the flow generator between them; dt is checked first, then
+    each state is decomposed once and the two are paired once."""
+    _check_flow_step(dt)
+    dec_a = _nondegenerate_decomposition(rho_a, "first state")
+    vb, _ = _pair(dec_a, _nondegenerate_decomposition(rho_b, "second state"))
+    return dec_a.eigenvectors, vb, _flow_generator(dec_a.eigenvectors, vb, dt)
 
 
 def extract_pseudo_hamiltonian(rho_a, rho_b, dt: float) -> np.ndarray:
@@ -714,24 +717,16 @@ def extract_pseudo_hamiltonian(rho_a, rho_b, dt: float) -> np.ndarray:
     is gauge-dependent; only commutator expectations against the state
     are physical.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    dec_a = _nondegenerate_decomposition(rho_a, "first state")
-    vb, _ = _pair(dec_a, _nondegenerate_decomposition(rho_b, "second state"))
-    return _flow_generator(dec_a.eigenvectors, vb, dt)
+    return _paired_flow(rho_a, rho_b, dt)[2]
 
 
 def pseudo_hamiltonian_residuals(rho_a, rho_b, dt: float) -> np.ndarray:
     """Per-eigenvector norms ||(I - i Omega dt) psi_j(a) - psi_j(b)||,
     with Omega from ``extract_pseudo_hamiltonian``; each state is
     decomposed and the pair matched once."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    dec_a = _nondegenerate_decomposition(rho_a, "first state")
-    vb, _ = _pair(dec_a, _nondegenerate_decomposition(rho_b, "second state"))
-    omega = _flow_generator(dec_a.eigenvectors, vb, dt)
+    va, vb, omega = _paired_flow(rho_a, rho_b, dt)
     step = np.eye(omega.shape[0], dtype=complex) - 1j * dt * omega
-    return np.linalg.norm(step @ dec_a.eigenvectors - vb, axis=0)
+    return np.linalg.norm(step @ va - vb, axis=0)
 
 
 def eigenflow_rate_terms(traj: Trajectory, a: TimeDependentObservable, k: int):
@@ -759,8 +754,7 @@ def eigenflow_rate_terms(traj: Trajectory, a: TimeDependentObservable, k: int):
     diag_a = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), a_k, vecs))
     pdot_term = float(np.dot(p_dot, diag_a))
     partial_term = float(np.trace(rho_k @ a.partial_time(t_k)).real)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_flow_step(dt)
     omega = _flow_generator(vecs, v_next, dt)
     omega_term = float((1j * np.trace(rho_k @ (omega @ a_k - a_k @ omega))).real)
     return pdot_term, partial_term, omega_term

@@ -5,7 +5,7 @@ Everything here works on plain ``numpy`` arrays of shape ``(d, d)`` with
 ``as_density_matrix``, also take an ``(n, d, d)`` stack and check every
 matrix in it.  Validation raises ``ValueError`` with the name of the
 violated invariant, for the first matrix that violates one; it never
-repairs its input.
+repairs its input.  Equal eigenvalues keep ``eigh``'s order.
 """
 
 from __future__ import annotations
@@ -135,49 +135,21 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if abs(pivot) == 0.0:
-        return v
-    return v * (pivot.conjugate() / abs(pivot))
-
-
 def hermitian_eigendecomposition(m: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix with deterministic ordering.
+    """Eigendecompose a Hermitian matrix, eigenvalues descending.
 
     The input must pass the Hermiticity check; the decomposition then acts
-    on the symmetrized matrix to strip round-off asymmetry.  Eigenvalues
-    come out descending; exact ties are ordered by comparing the
-    phase-fixed eigenvectors lexicographically (component-wise on
-    (real, imag)).
+    on the symmetrized matrix to strip round-off asymmetry.  Equal
+    eigenvalues keep ``eigh``'s order, which is deterministic for a given
+    matrix.
     """
     a = require_hermitian(_square(m, (2,)))
     w, v = np.linalg.eigh(symmetrize(a))
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    cols = [_fix_phase(v[:, j]) for j in range(v.shape[1])]
-
-    # Deterministic ordering inside degenerate clusters.
-    scale = max(1.0, float(np.max(np.abs(w))))
-    idx = list(range(len(w)))
-    start = 0
-    while start < len(idx):
-        stop = start + 1
-        while stop < len(idx) and abs(w[start] - w[stop]) <= 1e-12 * scale:
-            stop += 1
-        if stop - start > 1:
-            group = sorted(
-                idx[start:stop],
-                key=lambda j: tuple((c.real, c.imag) for c in cols[j]),
-            )
-            idx[start:stop] = group
-        start = stop
-
-    eigenvalues = np.array([w[j] for j in idx], dtype=float)
-    eigenvectors = np.column_stack([cols[j] for j in idx])
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    v = np.take(v, order, axis=1)
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    phases = np.array([z.conjugate() / abs(z) for z in pivots])
+    return SpectralDecomposition(eigenvalues=w[order], eigenvectors=v * phases)
 
 
 def matrix_exponential_antihermitian(g: np.ndarray, s: float) -> np.ndarray:

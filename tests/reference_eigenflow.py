@@ -6,14 +6,14 @@ re-extract the generator and then pair the same two states a second
 time, and ``eigenflow_rate_terms`` pairs (k, k+1) twice.  Tests hold
 ``dynamics.extract_pseudo_hamiltonian``, ``pseudo_hamiltonian_residuals``
 and ``eigenflow_rate_terms`` to it, values bit for bit and errors by
-message.
+message.  It decomposes through ``reference_linalg``'s tie-sorting
+eigendecomposition, so it does not change with the code it checks.
 """
 
 import numpy as np
-from reference_linalg import as_density_matrix, symmetrize
+from reference_linalg import as_density_matrix, hermitian_eigendecomposition, symmetrize
 
 from fluctuation_bounds.dynamics import G_MIN, TAU_PSD_RUN, Trajectory
-from fluctuation_bounds.linalg import hermitian_eigendecomposition
 from fluctuation_bounds.observables import TimeDependentObservable
 
 

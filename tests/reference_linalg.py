@@ -1,5 +1,6 @@
 """One-matrix validators as written before each invariant had a single
-implementation for a matrix or a stack.
+implementation for a matrix or a stack, and the eigendecomposition as
+written before equal eigenvalues kept ``eigh``'s order.
 
 ``require_hermitian`` and ``as_density_matrix`` check exactly one (d, d)
 matrix: shape, then finite entries, then Hermiticity, then (for states)
@@ -11,6 +12,8 @@ the code they check.
 """
 
 import numpy as np
+
+from fluctuation_bounds.linalg import SpectralDecomposition
 
 TAU_HERM = 1e-10   # Hermiticity defect, scaled by the largest entry magnitude
 TAU_TRACE = 1e-8   # unit-trace deviation of density matrices
@@ -71,3 +74,48 @@ def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
     if lo < -tau_psd:
         raise ValueError(f"density matrix violates positivity (min eigenvalue {lo:.3e})")
     return rho
+
+
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    k = int(np.argmax(np.abs(v)))
+    pivot = v[k]
+    if abs(pivot) == 0.0:
+        return v
+    return v * (pivot.conjugate() / abs(pivot))
+
+
+def hermitian_eigendecomposition(m: np.ndarray) -> SpectralDecomposition:
+    """Eigendecompose a Hermitian matrix with deterministic ordering.
+
+    The input must pass the Hermiticity check; the decomposition then acts
+    on the symmetrized matrix to strip round-off asymmetry.  Eigenvalues
+    come out descending; exact ties are ordered by comparing the
+    phase-fixed eigenvectors lexicographically (component-wise on
+    (real, imag)).
+    """
+    a = require_hermitian(m)
+    w, v = np.linalg.eigh(symmetrize(a))
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    cols = [_fix_phase(v[:, j]) for j in range(v.shape[1])]
+
+    # Deterministic ordering inside degenerate clusters.
+    scale = max(1.0, float(np.max(np.abs(w))))
+    idx = list(range(len(w)))
+    start = 0
+    while start < len(idx):
+        stop = start + 1
+        while stop < len(idx) and abs(w[start] - w[stop]) <= 1e-12 * scale:
+            stop += 1
+        if stop - start > 1:
+            group = sorted(
+                idx[start:stop],
+                key=lambda j: tuple((c.real, c.imag) for c in cols[j]),
+            )
+            idx[start:stop] = group
+        start = stop
+
+    eigenvalues = np.array([w[j] for j in idx], dtype=float)
+    eigenvectors = np.column_stack([cols[j] for j in idx])
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)

@@ -473,6 +473,24 @@ def test_analytic_validates_input():
         analytic_amplitude_damping(PROJ_1, -1.0, 0.0, 1.0)
 
 
+def test_analytic_rejects_nan_rate():
+    with pytest.raises(ValueError, match="decay rate must be nonnegative, got nan"):
+        analytic_amplitude_damping(PROJ_1, np.nan, 0.0, 1.0)
+
+
+def test_analytic_rejects_infinite_rate_and_splitting():
+    # An infinite rate gives exp(-inf * 0) = nan at t = 0.
+    for gamma_rate, omega in ((np.inf, 0.0), (1.0, np.inf), (1.0, -np.inf), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            analytic_amplitude_damping(PROJ_1, gamma_rate, omega, 0.0)
+
+
+def test_analytic_rejects_infinite_time():
+    for t in (np.inf, np.array([0.0, 0.5, np.inf]), [np.nan]):
+        with pytest.raises(ValueError, match="time must be finite"):
+            analytic_amplitude_damping(PROJ_1, 1.0, 0.0, t)
+
+
 # ---------------------------------------------------------------------------
 # external trajectories
 
@@ -492,6 +510,13 @@ def test_trajectory_from_states_rejects_bad_input():
         trajectory_from_states([0.0, 0.1], [good, np.diag([1.5, -0.5]).astype(complex)])
     with pytest.raises(ValueError, match="grid"):
         trajectory_from_states([0.0, 0.1], [good, good]).index_of(0.05)
+
+
+def test_trajectory_from_states_rejects_non_finite_grid():
+    good = np.diag([0.6, 0.4]).astype(complex)
+    for times in ([0.0, 1.0, np.nan], [np.nan, 1.0, 2.0], [0.0, np.inf, np.inf]):
+        with pytest.raises(ValueError, match="trajectory grid must be uniform and increasing"):
+            trajectory_from_states(times, [good] * 3)
 
 
 def test_trajectory_from_states_needs_one_state_per_time():
@@ -564,6 +589,20 @@ def test_extract_rejects_degenerate_and_ambiguous():
 
 def sigma_y_like():
     return np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def test_eigenflow_rejects_infinite_step():
+    rho_a, rho_b = np.diag([0.8, 0.2]).astype(complex), np.diag([0.79, 0.21]).astype(complex)
+    for fn in (extract_pseudo_hamiltonian, pseudo_hamiltonian_residuals):
+        with pytest.raises(ValueError, match="dt must be finite, got inf"):
+            fn(rho_a, rho_b, np.inf)
+        with pytest.raises(ValueError, match="dt must be positive, got -inf"):
+            fn(rho_a, rho_b, -np.inf)
+    # A hand-built grid whose first time is -inf has dt = inf.
+    traj = dynamics.Trajectory(times=np.array([-np.inf, 0.0, 0.125]),
+                               states=np.array([rho_b, rho_a, rho_b]), model=None)
+    with pytest.raises(ValueError, match="dt must be finite, got inf"):
+        eigenflow_rate_terms(traj, static_observable(sigma_z), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,26 @@ def test_eigh_degenerate_is_deterministic():
     assert_allclose(reconstruct(dec1), np.eye(3), atol=1e-14)
 
 
+def test_eigh_degenerate_matches_reference():
+    # Ties keep eigh's order, so columns inside a cluster may come out in
+    # another order than the reference's tie sort; the spectrum and the
+    # matrix they rebuild do not move.
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        dim = int(rng.integers(2, 7))
+        values = rng.choice(rng.uniform(-2.0, 2.0, int(rng.integers(1, dim))), size=dim)
+        if trial % 3 == 0:
+            values = values + rng.choice([0.0, 1e-13], size=dim)  # near-ties
+        u = matrix_exponential_antihermitian(random_hermitian(rng, dim), 1.0)
+        m = (u * values) @ u.conj().T
+        m = (m + m.conj().T) / 2
+        dec = hermitian_eigendecomposition(m)
+        ref = reference_linalg.hermitian_eigendecomposition(m)
+        assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-12
+        assert np.max(np.abs(reconstruct(dec) - m)) <= 1e-14
+        assert gram_defect(dec) <= TAU_ORTH
+
+
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eigendecomposition(sigma_minus)

@@ -222,9 +222,9 @@ def test_dyson_matches_node_by_node_loop(h, order):
 
 
 def test_gauss_legendre_rule_is_cached_read_only():
-    from fluctuation_bounds.dynamics import _gauss_legendre
+    from fluctuation_bounds.dynamics import _GAUSS_LEGENDRE, QUAD_POINTS
 
-    x, w = _gauss_legendre(16)
-    assert _gauss_legendre(16)[0] is x
+    x, w = _GAUSS_LEGENDRE
+    assert x.shape == w.shape == (QUAD_POINTS,)
     assert not x.flags.writeable and not w.flags.writeable
     assert_allclose(w.sum(), 2.0, rtol=1e-14)
