@@ -26,11 +26,11 @@ The size rule ``step_map_size(model) <= STEP_MAP_MAX`` (K d^4 doubles)
 picks this path; larger models run the operator-sum stage loop.
 
 Both paths read one drive table per CHECK_BLOCK steps: the drive
-coefficients at every stage time of the block, evaluated once, in time
-order.  Integration never repairs its state: ``integrate`` measures
-trace and positivity of every step taken, one batch per block, and the
-first violation aborts with the failing time in the message; only then
-is a drive coefficient's deferred error raised.
+coefficients at every stage time of the block, one array per coefficient.
+Integration never repairs its state: ``integrate`` checks trace and
+positivity of every step taken, one batch per block, and the first
+violation aborts with the failing time in the message; only then is a
+drive coefficient's deferred error raised.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _psd_screen,
     as_density_matrix,
     as_matrix,
     hermitian_eigendecomposition,
@@ -117,22 +118,21 @@ class LindbladModel:
         return w if stacked else w[0]
 
 
-def _drive_values(drive: tuple, times: list):
+def _drive_values(drive: tuple, times: np.ndarray):
     """(values, error): the (n, D) drive coefficients at each of the n
-    ``times``, evaluated in order.
+    ``times``, one ``values`` call per coefficient.
 
-    If a coefficient raises, ``values`` stops before the time it failed
-    at and the exception comes back as ``error``.
-    """
+    If a coefficient raises, ``values`` stops before the earliest time one
+    failed at, and ``error`` is that of the first to fail there, as in a
+    time-by-time evaluation."""
     if not drive:
         return np.empty((len(times), 0)), None
-    values, error = [], None
-    try:
-        for t in times:
-            values.append([c.value(t) for c in drive])
-    except (ValueError, OverflowError) as err:
-        error = err
-    return np.array(values).reshape(-1, len(drive)), error
+    columns = [c.values(times) for c in drive]
+    n, error = len(times), None
+    for v, err in columns:
+        if len(v) < n:
+            n, error = len(v), err
+    return np.column_stack([v[:n] for v, _ in columns]), error
 
 
 def _weights(model: LindbladModel, values: np.ndarray) -> np.ndarray:
@@ -159,7 +159,7 @@ def lindblad_model(hamiltonian=None, jump_operators=()) -> LindbladModel:
     drive, drive_pairs = [], []
     for coeff, basis in hamiltonian.terms if hamiltonian is not None else ():
         if coeff.kind == "constant":
-            k = k + coeff.value(0.0) * basis
+            k = k + coeff.params[0] * basis
         else:
             drive.append(coeff)
             drive_pairs += [(-1j * basis, eye), (eye, 1j * basis)]
@@ -266,10 +266,13 @@ def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
 def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
     """Trace and positivity of a block of integrated states, batched.
 
-    Raises for the first failing state, trace first as for a single step.
-    Written as ``not x <= tau`` so a non-finite trace or eigenvalue fails.
+    Traces that hold and a pass of ``_psd_screen`` accept the block; else
+    ``eigvalsh`` finds the first failing state, trace first as for one
+    step.  ``not x <= tau`` fails a non-finite trace or eigenvalue.
     """
     drift = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    if (drift <= TAU_TRACE_RUN).all() and _psd_screen(states, TAU_PSD_RUN):
+        return
     lo = np.min(np.linalg.eigvalsh(states), axis=1)
     bad = ~((drift <= TAU_TRACE_RUN) & (-lo <= TAU_PSD_RUN))
     if not bad.any():
@@ -293,7 +296,7 @@ def _drive_table(drive: tuple, times: np.ndarray, dt: float):
     stage_times = np.empty(2 * len(times) - 1)
     stage_times[0::2] = times
     stage_times[1::2] = times[:-1] + 0.5 * dt
-    v, error = _drive_values(drive, stage_times.tolist())
+    v, error = _drive_values(drive, stage_times)
     steps = max(len(v) - 1, 0) // 2
     v = v[:2 * steps + 1]
     return v[0:-1:2], v[1::2], v[2::2], error
@@ -408,6 +411,15 @@ def _generator_parts(model: LindbladModel) -> np.ndarray:
     return _coordinates(np.stack(parts)).transpose(0, 2, 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_indices(n: int):
+    """Read-only np.triu_indices(n): the pairs k <= l of midpoint monomials."""
+    out = np.triu_indices(n)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _step_monomials(model: LindbladModel, dt: float) -> np.ndarray:
     """(K, d^4): the flattened C_m of P = sum_m monomial_m * C_m, with the
     K monomials ordered as by ``_monomial_values``.
@@ -419,7 +431,7 @@ def _step_monomials(model: LindbladModel, dt: float) -> np.ndarray:
     """
     parts = _generator_parts(model)
     n, dim = parts.shape[0], parts.shape[1]
-    ku, lu = np.triu_indices(n)
+    ku, lu = _pair_indices(n)
     pairs = np.empty((n, n), dtype=int)  # position of the pair {k, l} in triu order
     pairs[ku, lu] = pairs[lu, ku] = np.arange(len(ku))
     monomials = np.zeros((n, len(ku), n, dim, dim))
@@ -445,7 +457,7 @@ def _monomial_values(start: np.ndarray, mid: np.ndarray, end: np.ndarray) -> np.
     (n, D) drive coefficients at their start, midpoint and end."""
     one = np.ones((len(start), 1))
     u1, b, u3 = np.hstack([one, start]), np.hstack([one, mid]), np.hstack([one, end])
-    ku, lu = np.triu_indices(b.shape[1])
+    ku, lu = _pair_indices(b.shape[1])
     u2 = b[:, ku] * b[:, lu]
     k = u1.shape[1] * u2.shape[1] * u3.shape[1]
     return (u1[:, :, None, None] * u2[:, None, :, None] * u3[:, None, None, :]).reshape(len(start), k)
@@ -482,8 +494,8 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     """Classical fixed-step RK4 from t = 0 to t_max.
 
     Each CHECK_BLOCK of steps starts from one drive table: the drive
-    coefficients at the start, midpoint and end of every step, evaluated
-    once in time order (``_drive_table``).  Models with
+    coefficients at the start, midpoint and end of every step, one array
+    per coefficient (``_drive_table``).  Models with
     ``step_map_size(model) <= STEP_MAP_MAX`` take each step as one real
     matvec ``x -> P_n x`` on the d^2 Hermitian coordinates of the state.
     The K monomial maps of P are expanded once per call; each block forms
@@ -497,10 +509,11 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     re-symmetrized every step.
 
     This function is the one place that checks and raises.  Trace drift
-    and negative eigenvalues of every step taken are measured, never
-    corrected, with one batched trace and eigvalsh per block; the first
-    step past TAU_TRACE_RUN / TAU_PSD_RUN, or with a non-finite trace or
-    eigenvalue, aborts the run with its time, at most one block later.
+    and negative eigenvalues of every step taken are checked, never
+    corrected: one batched trace and Cholesky screen per block, and one
+    ``eigvalsh`` of a block the screen does not pass.  The first step past
+    TAU_TRACE_RUN / TAU_PSD_RUN, or with a non-finite trace or eigenvalue,
+    aborts the run with its time, at most one block later.
     A drive coefficient that raised while the table was built stops the
     table short; its error is raised after the steps before it pass.
     """
@@ -551,7 +564,7 @@ def analytic_amplitude_damping(rho0, gamma_rate: float, omega: float, t) -> np.n
         raise ValueError(f"decay rate and splitting must be finite, got {gamma_rate} and {omega}")
     times, stacked = finite_times(t)
     shape = (len(times),) if stacked else ()
-    decay = np.array([math.exp(-gamma_rate * tj) for tj in times]).reshape(shape)
+    decay = np.array([math.exp(-gamma_rate * tj) for tj in times.tolist()]).reshape(shape)
     times = np.reshape(times, shape)
     scaled = rho0[0, 1] * np.sqrt(decay)
     phase = np.exp(-1j * omega * times)
@@ -566,17 +579,21 @@ def analytic_amplitude_damping(rho0, gamma_rate: float, omega: float, t) -> np.n
     return out
 
 
-# The read-only QUAD_POINTS-node Gauss-Legendre rule on [-1, 1]: (nodes, weights).
-_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(QUAD_POINTS)
-for _a in _GAUSS_LEGENDRE:
-    _a.setflags(write=False)
+@functools.cache
+def _gauss_legendre():
+    """The read-only QUAD_POINTS-node Gauss-Legendre rule on [-1, 1], built
+    on first use: most runs never import numpy.polynomial."""
+    rule = np.polynomial.legendre.leggauss(QUAD_POINTS)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _quadrature(a, b):
     """QUAD_POINTS Gauss-Legendre nodes and weights on [a, b]; for a 1-D
     array b, one rule per entry, as columns of (QUAD_POINTS, len(b))
     arrays."""
-    x, w = _GAUSS_LEGENDRE
+    x, w = _gauss_legendre()
     shape = (QUAD_POINTS,) + (1,) * np.ndim(b)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)

@@ -90,6 +90,21 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def _psd_screen(stack: np.ndarray, tau: float) -> bool:
+    """True only if the (n, d, d) stack, n > 1, is finite and ``stack +
+    (tau/2) I`` has a Cholesky factor (from the lower triangle, which
+    ``eigvalsh`` reads too): every smallest eigenvalue is then at least
+    -tau/2 - O(d eps), so above -tau.  False decides nothing; a single
+    matrix costs ``eigvalsh`` less than this screen."""
+    if len(stack) < 2 or not np.isfinite(stack).all():
+        return False
+    try:
+        np.linalg.cholesky(stack + (0.5 * tau) * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
     """Validate one (d, d) state or an (n, d, d) stack; return the array.
 
@@ -104,16 +119,17 @@ def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
     # fail trace or positivity comes before k.
     valid = stack[:k]
     tr = valid.trace(axis1=1, axis2=2)
-    adjoint = valid.conj().transpose(0, 2, 1)
-    lo = np.linalg.eigvalsh((valid + adjoint) / 2)[:, 0]  # ascending
+    hermitian = (valid + valid.conj().transpose(0, 2, 1)) / 2
     drifted = np.abs(tr - 1.0) > TAU_TRACE
-    bad = drifted | (lo < -tau_psd)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if drifted[k]:
-            failure = f"density matrix violates trace normalization (tr = {tr[k]:.12g})"
-        else:
-            failure = f"density matrix violates positivity (min eigenvalue {lo[k]:.3e})"
+    if drifted.any() or not _psd_screen(hermitian, tau_psd):
+        lo = np.linalg.eigvalsh(hermitian)[:, 0]  # ascending
+        bad = drifted | (lo < -tau_psd)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if drifted[k]:
+                failure = f"density matrix violates trace normalization (tr = {tr[k]:.12g})"
+            else:
+                failure = f"density matrix violates positivity (min eigenvalue {lo[k]:.3e})"
     if failure is not None:
         raise ValueError(failure)
     return rho

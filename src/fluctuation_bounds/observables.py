@@ -35,34 +35,42 @@ class CoefficientFunction:
     kind: str
     params: tuple
 
-    def value(self, t: float) -> float:
+    def values(self, times: np.ndarray, derivative: bool = False):
+        """(values, error): c(t), or c'(t) if ``derivative``, at each time of
+        a 1-D float array, bit for bit the scalar ``math`` formula.  Where
+        that raises (``math.exp`` overflows, or omega*t + phi is infinite),
+        ``values`` stops before the first such time and ``error`` is its
+        exception."""
         if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "cosine":
-            a, omega, phi = self.params
-            return a * math.cos(omega * t + phi)
-        if self.kind == "sine":
-            a, omega, phi = self.params
-            return a * math.sin(omega * t + phi)
+            return np.full(len(times), 0.0 if derivative else self.params[0]), None
+        if self.kind == "polynomial":
+            coef = np.polynomial.polynomial.polyder(self.params) if derivative else self.params
+            return np.polynomial.polynomial.polyval(times, coef), None
         if self.kind == "exponential-decay":
+            # np.exp rounds differently from math.exp on some arguments.
             a, lam = self.params
-            return a * math.exp(-lam * t)
-        return float(np.polynomial.polynomial.polyval(t, self.params))
-
-    def derivative(self, t: float) -> float:
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "cosine":
-            a, omega, phi = self.params
-            return -a * omega * math.sin(omega * t + phi)
-        if self.kind == "sine":
-            a, omega, phi = self.params
-            return a * omega * math.cos(omega * t + phi)
-        if self.kind == "exponential-decay":
-            a, lam = self.params
-            return -a * lam * math.exp(-lam * t)
-        dcoef = np.polynomial.polynomial.polyder(np.asarray(self.params, dtype=float))
-        return float(np.polynomial.polynomial.polyval(t, dcoef))
+            scale, out = (-a * lam if derivative else a), []
+            try:
+                for t in times.tolist():
+                    out.append(scale * math.exp(-lam * t))
+            except OverflowError as err:
+                return np.array(out), err
+            return np.array(out), None
+        # cosine: a cos(arg), (-a omega) sin(arg); sine: a sin(arg), (a omega) cos(arg)
+        a, omega, phi = self.params
+        if derivative:
+            a = (-a if self.kind == "cosine" else a) * omega
+        scalar, vector = (math.cos, np.cos) if (self.kind == "cosine") != derivative else (math.sin, np.sin)
+        with np.errstate(over="ignore", invalid="ignore"):  # math raises below instead
+            arg = omega * times + phi
+            out = a * vector(arg)
+        if np.isinf(arg).any():
+            k = int(np.argmax(np.isinf(arg)))
+            try:
+                scalar(arg[k])
+            except ValueError as err:
+                return out[:k], err
+        return out, None
 
 
 def _finite_params(params, kind: str) -> tuple:
@@ -140,16 +148,18 @@ class TimeDependentObservable:
     def _combine(self, t, derivative: bool) -> np.ndarray:
         """sum_k c_k(t) B_k (or c_k'(t) B_k) at every time of t.
 
-        Each coefficient value comes from the scalar ``math`` formula, so
-        values and OverflowError are those of a single time; each term is
-        then added over the whole stack at once, in the order of ``terms``.
+        Each term's coefficients come from one ``values`` call over all the
+        times, bit for bit the scalar formula; its error, if any, is raised
+        for the first term that has one.  Each term is then added over the
+        whole stack at once, in the order of ``terms``.
         """
         times, stacked = finite_times(t)
         out = np.zeros((len(times),) * stacked + (self.dim, self.dim), dtype=complex)
         for coeff, basis in self.terms:
-            f = coeff.derivative if derivative else coeff.value
-            values = [f(tj) for tj in times]
-            c = np.array(values, dtype=float).reshape(-1, 1, 1) if stacked else values[0]
+            values, error = coeff.values(times, derivative)
+            if error is not None:
+                raise error
+            c = values.reshape(-1, 1, 1) if stacked else values[0]
             out = out + c * basis
         return out
 
@@ -159,21 +169,18 @@ class TimeDependentObservable:
 
 
 def finite_times(t):
-    """(times, stacked): the times of ``t`` as a list of Python floats, and
+    """(times, stacked): the times of ``t`` as a 1-D float array, and
     whether ``t`` is a 1-D array of times rather than a single time.
 
     Raises ``ValueError`` naming the first non-finite time.
     """
     stacked = isinstance(t, (np.ndarray, list, tuple)) and np.ndim(t) > 0
-    if stacked:
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim > 1:
-            raise ValueError(f"times must be a scalar or a 1-D array, got shape {arr.shape}")
-        times = arr.tolist()
-    else:
-        times = [float(t)]
-    if not all(map(math.isfinite, times)):
-        bad = next(x for x in times if not math.isfinite(x)) if stacked else t
+    times = np.asarray(t if stacked else [float(t)], dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
+    finite = np.isfinite(times)
+    if not finite.all():
+        bad = float(times[~finite][0]) if stacked else t
         raise ValueError(f"time must be finite, got {bad!r}")
     return times, stacked
 

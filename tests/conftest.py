@@ -72,3 +72,40 @@ def sanity_check_figure_sigma(gamma_rate: float, t: float) -> float:
     rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     rho = analytic_amplitude_damping(rho0, gamma_rate, 0.0, t)
     return float(math.sqrt(variance(rho, sigma_z)))
+
+
+def placed_state(rng, dim, lowest):
+    """A trace-one Hermitian matrix in a random basis with eigenvalue
+    ``lowest``, its others positive."""
+    p = rng.uniform(0.5, 1.5, dim)
+    p *= (1.0 - lowest) / p[1:].sum()
+    p[0] = lowest
+    u = random_unitary(rng, dim)
+    rho = (u * p) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+# The positivity_cases that the Cholesky screen alone accepts: finite, with
+# every eigenvalue at or above -0.4 tau.
+SCREEN_PASSES = {"valid", "lowest -0.4 tau", "lowest 0 tau", "lowest +0.1", "pure"}
+
+
+def positivity_cases(rng, dim, tau):
+    """Named (dim, dim) matrices around the positivity floor tau: a valid
+    state, smallest eigenvalue placed at -2, -1, -0.6, -0.4 and 0 times tau
+    and at +0.1, a pure state, a trace drift with a negative eigenvalue,
+    and a valid state with a NaN or inf on the diagonal, in the lower or in
+    the upper triangle."""
+    cases = {"valid": placed_state(rng, dim, 0.05 / dim)}
+    cases.update((f"lowest {x:g} tau", placed_state(rng, dim, x * tau)) for x in (-2.0, -1.0, -0.6, -0.4, 0.0))
+    cases["lowest +0.1"] = placed_state(rng, dim, 0.1)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    cases["pure"] = np.outer(psi, psi.conj())
+    cases["trace drift, negative"] = 1.001 * placed_state(rng, dim, -2.0 * tau)
+    for value in (np.nan, np.inf):
+        for where, (i, j) in (("diagonal", (dim - 1, dim - 1)), ("lower", (dim - 1, 0)), ("upper", (0, dim - 1))):
+            m = placed_state(rng, dim, 0.05 / dim)
+            m[i, j] = value
+            cases[f"{value} {where}"] = m
+    return cases

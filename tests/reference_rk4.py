@@ -5,6 +5,8 @@ H(t) is rebuilt from its terms at every stage, every jump operator is
 applied by hand, and trace and positivity are checked after every single
 step.  Tests hold ``dynamics.integrate`` to it, values and failures alike,
 except that these checks compare with ``>`` and so let a NaN state pass.
+``check_steps`` is integrate's batched block check as it was before the
+Cholesky screen: a full ``eigvalsh`` of every state.
 """
 
 import numpy as np
@@ -51,3 +53,20 @@ def reference_integrate(model, rho0, t_max, dt):
             )
         states[k + 1] = rho
     return times, states
+
+
+def check_steps(states, times):
+    """Trace and positivity of a block of states, batched, from a full
+    ``eigvalsh`` of every state: the block check without its Cholesky
+    screen.  Raises for the first failing state, trace first; a
+    non-finite trace or eigenvalue fails."""
+    drift = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    lo = np.min(np.linalg.eigvalsh(states), axis=1)
+    bad = ~((drift <= TAU_TRACE_RUN) & (-lo <= TAU_PSD_RUN))
+    if not bad.any():
+        return
+    j = int(np.argmax(bad))
+    t = float(times[j])
+    if not drift[j] <= TAU_TRACE_RUN:
+        raise IntegrationError(f"trace drift {drift[j]:.3e} at t = {t:.6g}", t)
+    raise IntegrationError(f"positivity lost (min eigenvalue {lo[j]:.3e}) at t = {t:.6g}", t)

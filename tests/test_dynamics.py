@@ -1,9 +1,20 @@
 """Lindblad right-hand side, RK4 integration, closed forms, generator extraction."""
 
+import itertools
+
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_jump, random_model, random_state
+import reference_coefficients
+from conftest import (
+    SCREEN_PASSES,
+    positivity_cases,
+    random_hermitian,
+    random_jump,
+    random_model,
+    random_state,
+)
 from numpy.testing import assert_allclose
+from reference_rk4 import check_steps as reference_check_steps
 from reference_rk4 import reference_integrate, reference_rhs
 
 from fluctuation_bounds import dynamics
@@ -11,6 +22,7 @@ from fluctuation_bounds.dynamics import (
     CHECK_BLOCK,
     G_MIN,
     STEP_MAP_MAX,
+    TAU_PSD_RUN,
     IntegrationError,
     analytic_amplitude_damping,
     eigenflow_rate_terms,
@@ -399,22 +411,87 @@ def test_both_paths_fail_as_the_reference(path, case, monkeypatch):
 
 def test_each_block_evaluates_its_drive_table_once(monkeypatch):
     # Every block of this run falls back from the step map to the stage
-    # loop (see the c = 1e85 test above); both read the one table, which
-    # holds 2 * steps + 1 stage times per block.
+    # loop (see the c = 1e85 test above); both read the one table: one
+    # kernel call per coefficient per block, over its 2 * steps + 1 stage
+    # times.
     dt, steps = 1e-90, 100
     model = lindblad_model(observable([(constant(0.5), sigma_z), (polynomial([1e85]), sigma_x)]),
                            [0.5 * sigma_minus])
     calls = []
-    value = CoefficientFunction.value
+    values = CoefficientFunction.values
 
-    def counted(self, t):
-        calls.append(t)
-        return value(self, t)
+    def counted(self, times, derivative=False):
+        calls.append(len(times))
+        return values(self, times, derivative)
 
-    monkeypatch.setattr(CoefficientFunction, "value", counted)
+    monkeypatch.setattr(CoefficientFunction, "values", counted)
     integrate(model, np.diag([0.3, 0.7]).astype(complex), t_max=steps * dt, dt=dt)
-    blocks = -(-steps // CHECK_BLOCK)
-    assert len(calls) == 2 * steps + blocks == 202
+    assert calls == [2 * CHECK_BLOCK + 1, 2 * (steps - CHECK_BLOCK) + 1]
+
+
+# Two drives that fail at different stage times (the second first), and
+# at the same one, in both orders.  On a grid of 0.125: cosine(1e308 t)
+# and exp(390 t) first fail at t = 1.875, exp(100 t) at t = 7.125.  The
+# amplitudes keep the drives below 1e-3 before that.
+COS = cosine(1e-300, 1e308, 0.0)
+EXP_100, EXP_390 = exponential_decay(1e-300, -100.0), exponential_decay(1e-300, -390.0)
+FAILING_DRIVES = {
+    "different times": (EXP_100, COS),
+    "same time, cosine first": (COS, EXP_390),
+    "same time, exponential first": (EXP_390, COS),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_DRIVES))
+def test_drive_table_fails_as_the_time_major_loop(case):
+    drive = FAILING_DRIVES[case]
+    stage_times = 0.125 * np.arange(81)
+    got, error = dynamics._drive_values(drive, stage_times)
+    want, want_error = reference_coefficients.drive_values(drive, stage_times.tolist())
+    assert (type(error), str(error)) == (type(want_error), str(want_error))
+    assert got.shape == want.shape == (15, 2) and np.array_equal(got, want)
+    # integrate raises that error once the steps before it are checked
+    model = lindblad_model(observable([(constant(0.5), sigma_z), (drive[0], sigma_x), (drive[1], sigma_z)]),
+                           [0.3 * sigma_minus])
+    with pytest.raises(type(want_error)) as run:
+        integrate(model, PROJ_1, t_max=10.0, dt=0.25)
+    with pytest.raises(type(want_error)) as reference:
+        reference_integrate(model, PROJ_1, 10.0, 0.25)
+    assert str(run.value) == str(reference.value) == str(want_error)
+
+
+def test_block_check_screen_matches_the_eigvalsh_reference(monkeypatch):
+    rng = np.random.default_rng(67)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for dim in (2, 3, 5, 8):
+        cases = positivity_cases(rng, dim, TAU_PSD_RUN)
+        for name_a, name_b in itertools.product(cases, repeat=2):
+            for names in (["valid", name_a, "valid", name_b], [name_a, name_b], []):
+                states = np.array([cases[n] for n in names], dtype=complex).reshape(-1, dim, dim)
+                times = 0.25 * np.arange(1, len(states) + 1)
+                calls.clear()
+                got = block_check_outcome(dynamics._check_steps, states, times)
+                # accepted with no eigenvalue when there are two or more
+                # states, all finite and at or above -0.4 tau
+                assert (not calls) == (len(names) > 1 and SCREEN_PASSES.issuperset(names))
+                assert got == block_check_outcome(reference_check_steps, states, times)
+
+
+def block_check_outcome(check, states, times):
+    try:
+        check(states, times)
+    except IntegrationError as err:
+        return str(err), err.t
+    except np.linalg.LinAlgError as err:  # eigvalsh of a partly non-finite state
+        return "LinAlgError", str(err)
+    return None
 
 
 def test_size_rule_picks_the_path(monkeypatch):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import reference_linalg
+from conftest import SCREEN_PASSES, positivity_cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -14,6 +15,7 @@ from fluctuation_bounds.channels import amplitude_damping, apply
 from fluctuation_bounds.dynamics import analytic_amplitude_damping, integrate, lindblad_model
 from fluctuation_bounds.linalg import (
     TAU_HERM,
+    TAU_PSD,
     TAU_UNIT,
     as_density_matrix,
     as_matrix,
@@ -300,6 +302,36 @@ def test_validators_match_the_reference_on_matrices_and_stacks(validator):
     for (a, want_a), (b, want_b) in itertools.product(zip(cases, expected), repeat=2):
         stack = np.stack([valid, a, valid, b])
         assert validation_outcome(merged, stack) == (want_a if want_a is not None else want_b)
+
+
+@pytest.mark.parametrize("tau", [TAU_PSD, 1e-8])
+def test_positivity_screen_matches_the_eigvalsh_reference(tau, monkeypatch):
+    rng = np.random.default_rng(61)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    merged = lambda m: as_density_matrix(m, tau_psd=tau)  # noqa: E731
+    reference = lambda m: reference_linalg.as_density_matrix(m, tau_psd=tau)  # noqa: E731
+    for dim in (2, 3, 5, 8):
+        cases = positivity_cases(rng, dim, tau)
+        expected = {name: validation_outcome(reference, m) for name, m in cases.items()}
+        assert expected["lowest -2 tau"] is not None and expected["lowest -0.6 tau"] is None
+        for name_a, name_b in itertools.product(cases, repeat=2):
+            # [a, b] has an empty valid prefix when a is not finite
+            for names in (["valid", name_a, "valid", name_b], [name_a, name_b]):
+                calls.clear()
+                want = next((expected[n] for n in names if expected[n] is not None), None)
+                assert validation_outcome(merged, [cases[n] for n in names]) == want
+                # The states before the first non-finite one are checked
+                # with no eigenvalue when there are two or more and all
+                # are at or above -0.4 tau.
+                prefix = list(itertools.takewhile(lambda n: "nan" not in n and "inf" not in n, names))
+                assert (not calls) == (len(prefix) > 1 and SCREEN_PASSES.issuperset(prefix))
 
 
 def test_validators_accept_an_empty_stack():

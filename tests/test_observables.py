@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import reference_coefficients
 from numpy.testing import assert_allclose
 from reference_points import squared_partial_expectation
 from scenario_writers import observable_to_dict
@@ -116,6 +117,80 @@ def test_random_samples_stay_hermitian():
             assert np.max(np.abs(value - value.conj().T)) < 1e-12 * max(
                 1.0, np.max(np.abs(value))
             )
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against the scalar formulas
+
+KERNEL_CASES = {
+    "constant": [constant(-1.3), constant(0.0)],
+    "cosine": [cosine(0.8, 2.7, 0.4), cosine(-1.1, 0.3, 5.9)],
+    "sine": [sine(-1.1, 1.9, 5.0), sine(0.6, 4.2, 0.0)],
+    "exponential-decay": [exponential_decay(0.9, 0.35), exponential_decay(-1.4, -1.2)],
+    # the second is constant, so its derivative is a signed zero
+    "polynomial": [polynomial([0.2, -0.5, 0.0, 0.1, -0.03, 1e-3, 0.0, -2e-4, 1e-6]), polynomial([-2.0])],
+}
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bit patterns, signed zeros included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def same_error(a, b) -> bool:
+    return type(a) is type(b) and str(a) == str(b)
+
+
+@pytest.mark.parametrize("kind", list(KERNEL_CASES))
+def test_kernel_matches_the_scalar_formula_bit_for_bit(kind):
+    rng = np.random.default_rng(71)
+    times = np.concatenate([rng.uniform(-25.0, 25.0, 100_000), [0.0, -0.0, 5e-324, -1e-300, 1e-8]])
+    for coeff in KERNEL_CASES[kind]:
+        for derivative in (False, True):
+            got, error = coeff.values(times, derivative)
+            want, want_error = reference_coefficients.values(coeff, times.tolist(), derivative)
+            assert error is None and want_error is None
+            assert same_bits(got, want)
+
+
+OVERFLOWING = {
+    # omega * t overflows to +inf at t = 1e9, then to -inf at t = -1e9
+    "cosine, omega t": (cosine(0.7, 1e300, 0.2), [0.5, 1.0, 1.7, -2.0, 1e9, 3.0, -1e9]),
+    "sine, omega t": (sine(-0.7, -1e300, 0.2), [0.5, 1.0, 1.7, -2.0, -1e9, 3.0, 1e9]),
+    # omega * t is finite; adding phi overflows
+    "cosine, phase": (cosine(1.0, 1.0, 1.7e308), [0.0, 1e307, 1.7e308, 2.0]),
+    "sine, phase": (sine(1.0, -1.0, -1.7e308), [0.0, 1e307, 1.7e308, 2.0]),
+    # exp(100 t) overflows past t = 7.0978
+    "exponential-decay": (exponential_decay(0.5, -100.0), [0.0, 1.0, 7.09, 7.1, 3.0, 8.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING))
+def test_kernel_errors_where_the_scalar_formula_raises(case):
+    coeff, times = OVERFLOWING[case]
+    for derivative in (False, True):
+        got, error = coeff.values(np.array(times), derivative)
+        want, want_error = reference_coefficients.values(coeff, times, derivative)
+        assert error is not None and same_error(error, want_error)
+        assert 0 < len(want) < len(times)
+        assert same_bits(got, want)
+
+
+def test_evaluate_raises_the_first_failing_term_error():
+    # The exponential overflows at t = 8, the cosine already at t = 2; the
+    # terms are read in order, so the exponential's error comes first.
+    a = observable([(exponential_decay(1.0, -100.0), sigma_x), (cosine(1.0, 1e308, 0.0), sigma_z)])
+    times = np.array([0.0, 1.0, 2.0, 8.0])
+    for method, f in ((a.evaluate, reference_coefficients.value),
+                      (a.partial_time, reference_coefficients.derivative)):
+        with pytest.raises(OverflowError) as err:
+            method(times)
+        with pytest.raises(OverflowError) as want:
+            [f(coeff, t) for coeff, _ in a.terms for t in times.tolist()]
+        assert same_error(err.value, want.value)
+        with pytest.raises(ValueError, match="math domain error"):
+            method(2.0)
 
 
 # ---------------------------------------------------------------------------

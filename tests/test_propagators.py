@@ -1,11 +1,16 @@
 """Short-time propagators: Taylor and Dyson expansions against exact exponentials."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fluctuation_bounds
 from fluctuation_bounds.dynamics import (
     dyson_propagator,
     exact_propagator,
@@ -222,9 +227,21 @@ def test_dyson_matches_node_by_node_loop(h, order):
 
 
 def test_gauss_legendre_rule_is_cached_read_only():
-    from fluctuation_bounds.dynamics import _GAUSS_LEGENDRE, QUAD_POINTS
+    from fluctuation_bounds.dynamics import QUAD_POINTS, _gauss_legendre
 
-    x, w = _GAUSS_LEGENDRE
+    x, w = _gauss_legendre()
+    assert _gauss_legendre() is _gauss_legendre()
     assert x.shape == w.shape == (QUAD_POINTS,)
     assert not x.flags.writeable and not w.flags.writeable
     assert_allclose(w.sum(), 2.0, rtol=1e-14)
+
+
+def test_importing_the_package_leaves_numpy_polynomial_unloaded():
+    # The quadrature rule is built on first use, so a run without a Dyson
+    # propagator or a polynomial coefficient never imports numpy.polynomial.
+    src = str(Path(fluctuation_bounds.__file__).resolve().parent.parent)
+    code = ("import sys; import fluctuation_bounds.cli, fluctuation_bounds.dynamics; "
+            "print('numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
