@@ -217,7 +217,12 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t=0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a uniform time grid."""
+    """States on a uniform time grid.
+
+    ``integrate`` and ``trajectory_from_states`` hand over read-only
+    states, so the spectral series that ``eigenflow_rate_terms`` reads can
+    be built from them once, on its first call.
+    """
 
     times: np.ndarray  # (n,)
     states: np.ndarray  # (n, d, d)
@@ -246,9 +251,15 @@ class Trajectory:
             raise ValueError(f"t = {bad} is not on the trajectory grid")
         return int(k) if times.ndim == 0 else k
 
+    @functools.cached_property
+    def _spectra(self):
+        """The spectral series: ``_stack_spectra`` of every state."""
+        return _stack_spectra(self.states)
+
 
 def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
-    """Wrap externally produced states, enforcing grid and state invariants."""
+    """Wrap a read-only copy of externally produced states, enforcing grid
+    and state invariants; the caller's array stays as it was."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] < 2:
         raise ValueError("trajectory needs at least two grid points")
@@ -257,9 +268,10 @@ def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
         dt = steps[0]
         if not (dt > 0 and np.max(np.abs(steps - dt)) <= 1e-9 * dt):
             raise ValueError("trajectory grid must be uniform and increasing")
-    checked = as_density_matrix(states, tau_psd=TAU_PSD_RUN)
+    checked = as_density_matrix(np.array(states, dtype=complex), tau_psd=TAU_PSD_RUN)
     if checked.shape[:-2] != times.shape:
         raise ValueError("times and states lengths differ")
+    checked.setflags(write=False)
     return Trajectory(times=times, states=checked, model=model)
 
 
@@ -267,13 +279,17 @@ def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
     """Trace and positivity of a block of integrated states, batched.
 
     Traces that hold and a pass of ``_psd_screen`` accept the block; else
-    ``eigvalsh`` finds the first failing state, trace first as for one
-    step.  ``not x <= tau`` fails a non-finite trace or eigenvalue.
+    ``eigvalsh`` of the finite states finds the first failing state, trace
+    first as for one step.  A state with a non-finite entry has minimum
+    eigenvalue nan, and ``not x <= tau`` fails a non-finite trace or
+    eigenvalue.
     """
     drift = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     if (drift <= TAU_TRACE_RUN).all() and _psd_screen(states, TAU_PSD_RUN):
         return
-    lo = np.min(np.linalg.eigvalsh(states), axis=1)
+    finite = np.isfinite(states).all(axis=(1, 2))
+    lo = np.full(len(states), np.nan)
+    lo[finite] = np.min(np.linalg.eigvalsh(states[finite]), axis=1)
     bad = ~((drift <= TAU_TRACE_RUN) & (-lo <= TAU_PSD_RUN))
     if not bad.any():
         return
@@ -482,8 +498,9 @@ def _map_block(model: LindbladModel, monomials: np.ndarray, states: np.ndarray,
     maps = maps.reshape(steps, dim, dim)
     x = np.empty((steps + 1, dim))
     x[0] = _coordinates(states[start - 1])
-    for j in range(steps):
-        np.matmul(maps[j], x[j], out=x[j + 1])
+    rows = list(x)
+    for step, here, there in zip(maps, rows, rows[1:]):
+        step.dot(here, out=there)
     if not np.isfinite(x).all():
         return False
     _set_from_coordinates(states[start:start + steps], x[1:])
@@ -543,6 +560,7 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
             _check_steps(states[start:stop], times[start:stop])
             if error is not None:
                 raise error
+    states.setflags(write=False)
     return Trajectory(times=times, states=states, model=model)
 
 
@@ -669,20 +687,60 @@ def dyson_propagator(h: TimeDependentObservable, t0: float, dt: float, order: in
 # eigenvector-flow generator
 
 def _nondegenerate_decomposition(rho, what: str):
-    dec = hermitian_eigendecomposition(as_density_matrix(rho, tau_psd=TAU_PSD_RUN))
+    """One state, validated at TAU_PSD_RUN and decomposed, raising if a
+    gap is below G_MIN.  The eigenflow functions call it only for a state
+    that failed the stacked checks, to raise that state's error."""
+    dec = hermitian_eigendecomposition(as_density_matrix(as_matrix(rho), tau_psd=TAU_PSD_RUN))
     gap = float(np.min(-np.diff(dec.eigenvalues), initial=np.inf))
     if gap < G_MIN:
         raise ValueError(f"{what} spectrum is degenerate (min gap {gap:.3e} < {G_MIN})")
     return dec
 
 
-def _pair(dec_a, dec_b):
-    """(vb, pb): b's eigenvectors and eigenvalues, columns reordered onto
-    a's by largest overlap and phase-fixed so <psi_j(a)|psi_j(b)> is real
-    positive.  Raises for the first column whose two best overlaps are
-    within 10%, or for an assignment that is not one-to-one."""
-    va = dec_a.eigenvectors
-    overlap = np.abs(dec_b.eigenvectors.conj().T @ va)  # overlap[k, j] = |<b_k|a_j>|
+def _is_state(rho) -> bool:
+    """Whether rho passes ``as_density_matrix`` at TAU_PSD_RUN."""
+    try:
+        as_density_matrix(rho, tau_psd=TAU_PSD_RUN)
+    except ValueError:
+        return False
+    return True
+
+
+def _stack_spectra(states: np.ndarray):
+    """(dec, usable) for an (n, d, d) stack of states: the stacked
+    eigendecomposition, and per state whether it is a density matrix (at
+    TAU_PSD_RUN) whose eigenvalue gaps are all at least G_MIN.  When every
+    state passes, that is one validation, one decomposition and one gap
+    test; an unusable state's eigensystem is not to be read."""
+    valid = True
+    try:
+        as_density_matrix(states, tau_psd=TAU_PSD_RUN)
+    except ValueError:
+        valid = np.array([_is_state(rho) for rho in states], dtype=bool)
+        states = np.where(valid[:, None, None], states, np.eye(states.shape[-1]))
+    dec = hermitian_eigendecomposition(states)
+    gap = np.min(-np.diff(dec.eigenvalues, axis=-1), axis=-1, initial=np.inf)
+    return dec, valid & ~(gap < G_MIN)
+
+
+def _usable(spectra, j: int, rho, what: str):
+    """(eigenvalues, eigenvectors) of state j of a ``_stack_spectra``
+    result ``spectra``; rho is that state.  An unusable state goes through
+    the one-state checks, which raise its error naming ``what``."""
+    dec, usable = spectra
+    if not usable[j]:
+        _nondegenerate_decomposition(rho, what)
+        raise AssertionError(f"{what} fails the stacked checks but passes alone")
+    return dec.eigenvalues[j], dec.eigenvectors[j]
+
+
+def _pair(va, pb, vb):
+    """(vb, pb): the eigenvectors vb and eigenvalues pb of a second state,
+    columns reordered onto the eigenvectors va of a first by largest
+    overlap and phase-fixed so <psi_j(a)|psi_j(b)> is real positive.
+    Raises for the first column whose two best overlaps are within 10%,
+    or for an assignment that is not one-to-one."""
+    overlap = np.abs(vb.conj().T @ va)  # overlap[k, j] = |<b_k|a_j>|
     ranked = np.argsort(-overlap, axis=0)
     picks, cols = ranked[0], np.arange(len(overlap))
     if len(picks) > 1:
@@ -696,10 +754,10 @@ def _pair(dec_a, dec_b):
             )
     if len(set(picks.tolist())) != len(picks):
         raise ValueError("eigenvector pairing is not one-to-one")
-    vb = np.take(dec_b.eigenvectors, picks, axis=1)
+    vb = np.take(vb, picks, axis=1)
     overlaps = map(np.vdot, va.T, vb.T)  # <psi_j(a)|psi_j(b)>, column by column
     phases = np.array([z.conjugate() / abs(z) for z in overlaps])
-    return vb * phases, dec_b.eigenvalues[picks]
+    return vb * phases, pb[picks]
 
 
 def _flow_generator(va: np.ndarray, vb: np.ndarray, dt: float) -> np.ndarray:
@@ -717,12 +775,18 @@ def _check_flow_step(dt: float) -> None:
 
 def _paired_flow(rho_a, rho_b, dt: float):
     """(va, vb, omega): the eigenvectors of rho_a, the paired ones of
-    rho_b, and the flow generator between them; dt is checked first, then
-    each state is decomposed once and the two are paired once."""
+    rho_b, and the flow generator between them.  dt is checked first;
+    then the two states are decomposed as one stack and paired once."""
     _check_flow_step(dt)
-    dec_a = _nondegenerate_decomposition(rho_a, "first state")
-    vb, _ = _pair(dec_a, _nondegenerate_decomposition(rho_b, "second state"))
-    return dec_a.eigenvectors, vb, _flow_generator(dec_a.eigenvectors, vb, dt)
+    a, b = np.asarray(rho_a, dtype=complex), np.asarray(rho_b, dtype=complex)
+    if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1] or a.size == 0:
+        _nondegenerate_decomposition(a, "first state")
+        _nondegenerate_decomposition(b, "second state")
+        raise ValueError(f"states differ in shape: {a.shape} and {b.shape}")
+    spectra = _stack_spectra(np.stack([a, b]))
+    _, va = _usable(spectra, 0, a, "first state")
+    vb, _ = _pair(va, *_usable(spectra, 1, b, "second state"))
+    return va, vb, _flow_generator(va, vb, dt)
 
 
 def extract_pseudo_hamiltonian(rho_a, rho_b, dt: float) -> np.ndarray:
@@ -730,17 +794,17 @@ def extract_pseudo_hamiltonian(rho_a, rho_b, dt: float) -> np.ndarray:
 
     Builds the transfer map T = sum_j |psi_j(b)><psi_j(a)| from
     overlap-paired, phase-fixed eigenvectors and returns the Hermitian
-    part of i(T - I)/dt.  Each state is decomposed once.  The generator
-    is gauge-dependent; only commutator expectations against the state
-    are physical.
+    part of i(T - I)/dt.  The two states are decomposed as one stack.
+    The generator is gauge-dependent; only commutator expectations
+    against the state are physical.
     """
     return _paired_flow(rho_a, rho_b, dt)[2]
 
 
 def pseudo_hamiltonian_residuals(rho_a, rho_b, dt: float) -> np.ndarray:
     """Per-eigenvector norms ||(I - i Omega dt) psi_j(a) - psi_j(b)||,
-    with Omega from ``extract_pseudo_hamiltonian``; each state is
-    decomposed and the pair matched once."""
+    with Omega from ``extract_pseudo_hamiltonian``; the two states are
+    decomposed as one stack and paired once."""
     va, vb, omega = _paired_flow(rho_a, rho_b, dt)
     step = np.eye(omega.shape[0], dtype=complex) - 1j * dt * omega
     return np.linalg.norm(step @ va - vb, axis=0)
@@ -753,21 +817,23 @@ def eigenflow_rate_terms(traj: Trajectory, a: TimeDependentObservable, k: int):
     Eigenvalue rates use central differences with overlap pairing against
     the middle point; the flow generator is extracted over the forward
     step, so the decomposition carries O(dt) error overall.  The states
-    at k - 1, k and k + 1 are decomposed once each, and the (k, k + 1)
-    pairing serves both the eigenvalue rate and the flow generator.
+    at k - 1, k and k + 1 are read from the trajectory's spectral series,
+    which its first call builds from all states at once (one validation,
+    one stacked decomposition, one gap test), and the (k, k + 1) pairing
+    serves both the eigenvalue rate and the flow generator.
     """
     if not 0 < k < len(traj) - 1:
         raise ValueError(f"index {k} has no two-sided neighbors")
     dt = traj.dt
     rho_k = traj.states[k]
     t_k = float(traj.times[k])
-    dec_k = _nondegenerate_decomposition(rho_k, "first state")
-    v_next, p_next = _pair(dec_k, _nondegenerate_decomposition(traj.states[k + 1], "second state"))
-    _, p_prev = _pair(dec_k, _nondegenerate_decomposition(traj.states[k - 1], "second state"))
+    spectra = traj._spectra
+    _, vecs = _usable(spectra, k, rho_k, "first state")
+    v_next, p_next = _pair(vecs, *_usable(spectra, k + 1, traj.states[k + 1], "second state"))
+    _, p_prev = _pair(vecs, *_usable(spectra, k - 1, traj.states[k - 1], "second state"))
     p_dot = (p_next - p_prev) / (2.0 * dt)
 
     a_k = a.evaluate(t_k)
-    vecs = dec_k.eigenvectors
     diag_a = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), a_k, vecs))
     pdot_term = float(np.dot(p_dot, diag_a))
     partial_term = float(np.trace(rho_k @ a.partial_time(t_k)).real)

@@ -2,10 +2,11 @@
 
 Everything here works on plain ``numpy`` arrays of shape ``(d, d)`` with
 ``complex128`` entries; the two validators, ``require_hermitian`` and
-``as_density_matrix``, also take an ``(n, d, d)`` stack and check every
-matrix in it.  Validation raises ``ValueError`` with the name of the
-violated invariant, for the first matrix that violates one; it never
-repairs its input.  Equal eigenvalues keep ``eigh``'s order.
+``as_density_matrix``, and ``hermitian_eigendecomposition`` also take an
+``(n, d, d)`` stack and act on every matrix in it.  Validation raises
+``ValueError`` with the name of the violated invariant, for the first
+matrix that violates one; it never repairs its input.  Equal eigenvalues
+keep ``eigh``'s order.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def require_hermitian(m, what: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m^dagger)/2."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (m + m^dagger)/2 of a matrix or of each in a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def _psd_screen(stack: np.ndarray, tau: float) -> bool:
@@ -137,35 +138,43 @@ def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix, eigenvalues descending.
+    """Eigensystem of a Hermitian matrix, or of each in a stack,
+    eigenvalues descending.
 
-    ``eigenvectors[:, j]`` is the unit eigenvector for ``eigenvalues[j]``,
-    phase-fixed so its largest-magnitude component is real and positive.
+    ``eigenvectors[..., :, j]`` is the unit eigenvector for
+    ``eigenvalues[..., j]``, phase-fixed so its largest-magnitude
+    component is real and positive.
     """
 
-    eigenvalues: np.ndarray   # (d,) real, descending
-    eigenvectors: np.ndarray  # (d, d) complex, columns
+    eigenvalues: np.ndarray   # (d,) or (n, d) real, descending
+    eigenvectors: np.ndarray  # (d, d) or (n, d, d) complex, columns
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
-def hermitian_eigendecomposition(m: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending.
+def hermitian_eigendecomposition(m) -> SpectralDecomposition:
+    """Eigendecompose one Hermitian matrix or an (n, d, d) stack of them,
+    eigenvalues descending.
 
-    The input must pass the Hermiticity check; the decomposition then acts
-    on the symmetrized matrix to strip round-off asymmetry.  Equal
-    eigenvalues keep ``eigh``'s order, which is deterministic for a given
-    matrix.
+    The input must pass the Hermiticity check (the first failing matrix
+    of a stack raises); the decomposition then acts on the symmetrized
+    matrices to strip round-off asymmetry, in one stacked ``eigh``.
+    Equal eigenvalues keep ``eigh``'s order, which is deterministic for a
+    given matrix.  A stack gives each matrix's one-matrix result bit for
+    bit: the phase factors are numpy scalar divisions, one per column.
     """
-    a = require_hermitian(_square(m, (2,)))
-    w, v = np.linalg.eigh(symmetrize(a))
-    order = np.argsort(-w, kind="stable")
-    v = np.take(v, order, axis=1)
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    phases = np.array([z.conjugate() / abs(z) for z in pivots])
-    return SpectralDecomposition(eigenvalues=w[order], eigenvectors=v * phases)
+    a = require_hermitian(m)
+    d = a.shape[-1]
+    w, v = np.linalg.eigh(symmetrize(a.reshape(-1, d, d)))
+    order = np.argsort(-w, axis=-1, kind="stable")
+    stack, cols = np.arange(len(w))[:, None], np.arange(d)
+    w, v = w[stack, order], v[stack[:, :, None], cols[:, None], order[:, None, :]]
+    pivots = v[stack, np.argmax(np.abs(v), axis=1), cols]
+    phases = np.array([z.conjugate() / abs(z) for z in pivots.ravel()]).reshape(pivots.shape)
+    return SpectralDecomposition(eigenvalues=w.reshape(a.shape[:-1]),
+                                 eigenvectors=(v * phases[:, None, :]).reshape(a.shape))
 
 
 def matrix_exponential_antihermitian(g: np.ndarray, s: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 import reference_coefficients
 from conftest import (
     SCREEN_PASSES,
+    placed_state,
     positivity_cases,
     random_hermitian,
     random_jump,
@@ -23,6 +24,7 @@ from fluctuation_bounds.dynamics import (
     G_MIN,
     STEP_MAP_MAX,
     TAU_PSD_RUN,
+    TAU_TRACE_RUN,
     IntegrationError,
     analytic_amplitude_damping,
     eigenflow_rate_terms,
@@ -355,6 +357,41 @@ def test_step_map_fails_at_the_first_non_finite_step(case, monkeypatch):
     assert (str(fast.value), fast.value.t) == (str(operator_sum.value), operator_sum.value.t) == expected
 
 
+def test_non_finite_state_fails_at_its_time_before_eigvalsh(monkeypatch):
+    # J[0, 1] = 1e308 at d = 3: L^dagger L overflows, and eigvalsh raises
+    # LinAlgError on the first non-finite state instead of returning nan.
+    jump = np.zeros((3, 3), dtype=complex)
+    jump[0, 1] = 1e308
+    with np.errstate(all="ignore"):
+        model = lindblad_model(static_observable(np.diag([0.5, 0.0, -0.5])), [jump])
+    rho0 = np.diag([0.2, 0.3, 0.5])
+    eigvalsh = np.linalg.eigvalsh
+
+    def nan_if_non_finite(a):
+        return eigvalsh(a) if np.isfinite(a).all() else np.full(a.shape[:-1], np.nan)
+
+    with monkeypatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(np.linalg, "eigvalsh", nan_if_non_finite)
+        times, states = reference_integrate(model, rho0, 1.0, 0.01)
+    j = int(np.argmin(np.isfinite(states).all(axis=(1, 2))))
+    assert j > 0
+    t = float(times[j])
+    drift = abs(np.trace(states[j]).real - 1.0)
+    with pytest.raises(IntegrationError) as err:
+        integrate(model, rho0, 1.0, 0.01)
+    assert (str(err.value), err.value.t) == (f"trace drift {drift:.3e} at t = {t:.6g}", t)
+
+
+def test_block_check_fails_a_non_finite_lower_entry_at_its_time():
+    rng = np.random.default_rng(71)
+    states = np.array([placed_state(rng, 5, 0.01) for _ in range(6)])
+    states[3, 4, 0] = np.nan  # trace and diagonal stay finite
+    states[5, 0, 0] = np.nan  # a later state that fails as well
+    with pytest.raises(IntegrationError) as err:
+        dynamics._check_steps(states, 0.5 * np.arange(1, 7))
+    assert (str(err.value), err.value.t) == ("positivity lost (min eigenvalue nan) at t = 2", 2.0)
+
+
 def test_step_map_overflow_on_a_finite_run_takes_the_operator_sum():
     # c dt = 1e-5 per step, but the degree-4 monomial c^4 overflows, so
     # every block is taken by the operator sum instead.
@@ -481,7 +518,7 @@ def test_block_check_screen_matches_the_eigvalsh_reference(monkeypatch):
                 # accepted with no eigenvalue when there are two or more
                 # states, all finite and at or above -0.4 tau
                 assert (not calls) == (len(names) > 1 and SCREEN_PASSES.issuperset(names))
-                assert got == block_check_outcome(reference_check_steps, states, times)
+                assert got == expected_block_outcome(states, times)
 
 
 def block_check_outcome(check, states, times):
@@ -489,9 +526,23 @@ def block_check_outcome(check, states, times):
         check(states, times)
     except IntegrationError as err:
         return str(err), err.t
-    except np.linalg.LinAlgError as err:  # eigvalsh of a partly non-finite state
-        return "LinAlgError", str(err)
     return None
+
+
+def expected_block_outcome(states, times):
+    """The reference's outcome on the states before the first non-finite
+    one; if those pass, that state fails with minimum eigenvalue nan (the
+    reference's eigvalsh may raise LinAlgError on it, or pass it)."""
+    finite = np.isfinite(states).all(axis=(1, 2))
+    j = int(np.argmin(finite)) if not finite.all() else len(states)
+    want = block_check_outcome(reference_check_steps, states[:j], times[:j])
+    if want is None and j < len(states):
+        t = float(times[j])
+        drift = abs(np.trace(states[j]).real - 1.0)
+        if not drift <= TAU_TRACE_RUN:
+            return f"trace drift {drift:.3e} at t = {t:.6g}", t
+        return f"positivity lost (min eigenvalue nan) at t = {t:.6g}", t
+    return want
 
 
 def test_size_rule_picks_the_path(monkeypatch):

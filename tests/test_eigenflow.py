@@ -1,8 +1,9 @@
 """Eigenvector-flow diagnostics against the pair-twice reference.
 
-``extract_pseudo_hamiltonian``, ``pseudo_hamiltonian_residuals`` and
-``eigenflow_rate_terms`` decompose each distinct state once per call.
-They must give bit-identical results to tests/reference_eigenflow.py,
+``extract_pseudo_hamiltonian`` and ``pseudo_hamiltonian_residuals``
+decompose their two states as one stack; ``eigenflow_rate_terms`` reads
+a trajectory's spectral series, built once for all its states.  They
+must give bit-identical results to tests/reference_eigenflow.py,
 which decomposes and pairs the same states several times, and raise the
 reference's message for the first failing check, in the reference's order.
 """
@@ -63,20 +64,62 @@ def test_each_state_is_decomposed_once(monkeypatch):
     decompose = dynamics.hermitian_eigendecomposition
 
     def counting(m):
-        calls.append(1)
+        calls.append(len(m) if np.ndim(m) == 3 else 1)  # states decomposed
         return decompose(m)
 
     monkeypatch.setattr(dynamics, "hermitian_eigendecomposition", counting)
     traj, a = TRAJECTORIES[3]
+    traj = trajectory_from_states(traj.times, traj.states)  # no spectral series yet
+    for k in range(1, len(traj) - 1):
+        eigenflow_rate_terms(traj, a, k)
+    assert sum(calls) == len(traj)
     rho_a, rho_b = traj.states[4], traj.states[5]
-    for fn, args, want in (
-        (eigenflow_rate_terms, (traj, a, 4), 3),
-        (pseudo_hamiltonian_residuals, (rho_a, rho_b, traj.dt), 2),
-        (extract_pseudo_hamiltonian, (rho_a, rho_b, traj.dt), 2),
-    ):
+    for fn in (pseudo_hamiltonian_residuals, extract_pseudo_hamiltonian):
         calls.clear()
-        fn(*args)
-        assert len(calls) == want, fn.__name__
+        fn(rho_a, rho_b, traj.dt)
+        assert calls == [2], fn.__name__
+
+
+def test_series_gives_the_reference_values_in_any_order():
+    rng = np.random.default_rng(5)
+    for case in (0, 3, 5):
+        traj, a = TRAJECTORIES[case]
+        fresh = trajectory_from_states(traj.times, traj.states)  # no spectral series yet
+        order = rng.permutation(np.arange(1, len(traj) - 1))
+        for k in [*order, order[2]]:  # shuffled, and one k a second time
+            assert eigenflow_rate_terms(fresh, a, k) == ref_rate_terms(traj, a, k)
+
+
+@pytest.mark.parametrize("replacement,message", [
+    (np.diag([0.5, 0.25, 0.25]), "spectrum is degenerate"),
+    (np.diag([0.6, 0.3, 0.2]), "violates trace normalization"),
+])
+def test_a_bad_state_fails_only_the_points_that_touch_it(replacement, message):
+    traj, a = TRAJECTORIES[2]  # d = 3
+    bad = 6
+    states = np.array(traj.states)
+    states[bad] = replacement
+    # built by hand: trajectory_from_states refuses a state off trace one
+    traj = Trajectory(times=traj.times, states=states, model=None)
+    for k in range(1, len(traj) - 1):
+        got = outcome(eigenflow_rate_terms, traj, a, k)
+        assert got == outcome(ref_rate_terms, traj, a, k)
+        if abs(k - bad) <= 1:
+            assert message in got[1]
+        else:
+            assert all(isinstance(x, float) for x in got)
+
+
+def test_trajectory_states_are_read_only():
+    traj, _ = TRAJECTORIES[0]
+    states = np.array(traj.states)
+    wrapped = trajectory_from_states(traj.times, states)
+    for t in (traj, wrapped):
+        with pytest.raises(ValueError, match="read-only"):
+            t.states[1] = t.states[0]
+    states[3] = states[2]  # the caller's array stays writable, and apart
+    assert np.array_equal(states[3], states[2])
+    assert not np.array_equal(wrapped.states[3], wrapped.states[2])
 
 
 ROTATION = matrix_exponential_antihermitian(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.pi / 4)

@@ -146,6 +146,35 @@ def test_eigh_rejects_non_hermitian():
         hermitian_eigendecomposition(sigma_minus)
 
 
+def test_eigh_stack_equals_the_one_matrix_call_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for dim in (2, 3, 4, 5):
+        u = matrix_exponential_antihermitian(random_hermitian(rng, dim), 1.0)
+        tied = (u * np.repeat([0.7, 0.3], [dim - 1, 1])) @ u.conj().T
+        pivot_tie = np.zeros((dim, dim), dtype=complex)  # eigenvectors (e_0 +- e_1)/sqrt(2)
+        pivot_tie[0, 1] = pivot_tie[1, 0] = 1.0
+        members = [random_hermitian(rng, dim) for _ in range(6)]
+        members += [np.eye(dim, dtype=complex), (tied + tied.conj().T) / 2, pivot_tie]
+        stack = np.array(members)
+        dec = hermitian_eigendecomposition(stack)
+        assert dec.eigenvalues.shape == (len(stack), dim)
+        assert dec.eigenvectors.shape == stack.shape
+        assert dec.dim == dim
+        for m, values, vectors in zip(stack, dec.eigenvalues, dec.eigenvectors):
+            one = hermitian_eigendecomposition(m)
+            assert np.array_equal(values, one.eigenvalues)
+            assert np.array_equal(vectors, one.eigenvectors)
+
+
+def test_eigh_stack_raises_the_first_non_hermitian_message():
+    stack = np.array([sigma_z, 2 * sigma_minus, sigma_minus])
+    with pytest.raises(ValueError) as err:
+        hermitian_eigendecomposition(stack)
+    with pytest.raises(ValueError) as first:
+        hermitian_eigendecomposition(stack[1])
+    assert str(err.value) == str(first.value) == "matrix is not Hermitian (defect 2.000e+00)"
+
+
 # ---------------------------------------------------------------------------
 # matrix exponential
 
@@ -344,7 +373,6 @@ ONE_MATRIX_CALLS = {
     "integrate": lambda m: integrate(lindblad_model(None, [sigma_minus]), m, 0.1, 0.01),
     "analytic_amplitude_damping": lambda m: analytic_amplitude_damping(m, 1.0, 0.0, 0.1),
     "channels.apply": lambda m: apply(amplitude_damping(0.5), m),
-    "hermitian_eigendecomposition": hermitian_eigendecomposition,
     "observable": lambda m: observable([(constant(1.0), m)]),
 }
 
