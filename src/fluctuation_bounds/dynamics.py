@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    _psd_screen,
+    TAU_TRACE,
+    _state_verdict,
     as_density_matrix,
     as_matrix,
     hermitian_eigendecomposition,
@@ -52,7 +53,6 @@ from .linalg import (
 from .observables import TimeDependentObservable, finite_times
 
 TAU_PSD_RUN = 1e-8   # positivity floor while integrating
-TAU_TRACE_RUN = 1e-8
 CHECK_BLOCK = 64     # integration steps per batched trace/positivity check
 STEP_MAP_MAX = 300_000  # largest step_map_size that integrate advances by step maps
 QUAD_POINTS = 16     # Gauss-Legendre nodes per Dyson propagator integral
@@ -276,28 +276,21 @@ def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
 
 
 def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
-    """Trace and positivity of a block of integrated states, batched.
+    """Trace and positivity of a block of integrated states, from one
+    ``_state_verdict`` at TAU_PSD_RUN.
 
-    Traces that hold and a pass of ``_psd_screen`` accept the block; else
-    ``eigvalsh`` of the finite states finds the first failing state, trace
-    first as for one step.  A state with a non-finite entry has minimum
-    eigenvalue nan, and ``not x <= tau`` fails a non-finite trace or
-    eigenvalue.
+    The first failing state raises with its time, trace first as for one
+    step: a non-finite trace fails as drift, and a state with a
+    non-finite entry whose trace holds has minimum eigenvalue nan.
     """
-    drift = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
-    if (drift <= TAU_TRACE_RUN).all() and _psd_screen(states, TAU_PSD_RUN):
+    j, failure, lo = _state_verdict(states, TAU_PSD_RUN)
+    if failure is None:
         return
-    finite = np.isfinite(states).all(axis=(1, 2))
-    lo = np.full(len(states), np.nan)
-    lo[finite] = np.min(np.linalg.eigvalsh(states[finite]), axis=1)
-    bad = ~((drift <= TAU_TRACE_RUN) & (-lo <= TAU_PSD_RUN))
-    if not bad.any():
-        return
-    j = int(np.argmax(bad))
     t = float(times[j])
-    if not drift[j] <= TAU_TRACE_RUN:
-        raise IntegrationError(f"trace drift {drift[j]:.3e} at t = {t:.6g}", t)
-    raise IntegrationError(f"positivity lost (min eigenvalue {lo[j]:.3e}) at t = {t:.6g}", t)
+    drift = abs(np.trace(states[j]).real - 1.0)
+    if not drift <= TAU_TRACE:
+        raise IntegrationError(f"trace drift {drift:.3e} at t = {t:.6g}", t)
+    raise IntegrationError(f"positivity lost (min eigenvalue {lo:.3e}) at t = {t:.6g}", t)
 
 
 def _drive_table(drive: tuple, times: np.ndarray, dt: float):
@@ -527,10 +520,9 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
 
     This function is the one place that checks and raises.  Trace drift
     and negative eigenvalues of every step taken are checked, never
-    corrected: one batched trace and Cholesky screen per block, and one
-    ``eigvalsh`` of a block the screen does not pass.  The first step past
-    TAU_TRACE_RUN / TAU_PSD_RUN, or with a non-finite trace or eigenvalue,
-    aborts the run with its time, at most one block later.
+    corrected: one ``linalg`` state verdict per block.  The first step
+    past TAU_TRACE / TAU_PSD_RUN, or with a non-finite entry, aborts the
+    run with its time, at most one block later.
     A drive coefficient that raised while the table was built stops the
     table short; its error is raised after the steps before it pass.
     """
@@ -686,51 +678,32 @@ def dyson_propagator(h: TimeDependentObservable, t0: float, dt: float, order: in
 # ---------------------------------------------------------------------------
 # eigenvector-flow generator
 
-def _nondegenerate_decomposition(rho, what: str):
-    """One state, validated at TAU_PSD_RUN and decomposed, raising if a
-    gap is below G_MIN.  The eigenflow functions call it only for a state
-    that failed the stacked checks, to raise that state's error."""
-    dec = hermitian_eigendecomposition(as_density_matrix(as_matrix(rho), tau_psd=TAU_PSD_RUN))
-    gap = float(np.min(-np.diff(dec.eigenvalues), initial=np.inf))
-    if gap < G_MIN:
-        raise ValueError(f"{what} spectrum is degenerate (min gap {gap:.3e} < {G_MIN})")
-    return dec
-
-
-def _is_state(rho) -> bool:
-    """Whether rho passes ``as_density_matrix`` at TAU_PSD_RUN."""
-    try:
-        as_density_matrix(rho, tau_psd=TAU_PSD_RUN)
-    except ValueError:
-        return False
-    return True
-
-
 def _stack_spectra(states: np.ndarray):
-    """(dec, usable) for an (n, d, d) stack of states: the stacked
-    eigendecomposition, and per state whether it is a density matrix (at
-    TAU_PSD_RUN) whose eigenvalue gaps are all at least G_MIN.  When every
-    state passes, that is one validation, one decomposition and one gap
-    test; an unusable state's eigensystem is not to be read."""
-    valid = True
-    try:
-        as_density_matrix(states, tau_psd=TAU_PSD_RUN)
-    except ValueError:
-        valid = np.array([_is_state(rho) for rho in states], dtype=bool)
-        states = np.where(valid[:, None, None], states, np.eye(states.shape[-1]))
+    """(dec, failures, gaps) for an (n, d, d) stack of states: the stacked
+    eigendecomposition, and per state its ``_state_verdict`` message at
+    TAU_PSD_RUN (None for a density matrix) and smallest eigenvalue gap.
+    When the stack passes, that is one verdict, one decomposition and one
+    gap test; else each state takes a verdict of its own, and a failing
+    one is decomposed as the identity, not to be read."""
+    failures = [None] * len(states)
+    if _state_verdict(states, TAU_PSD_RUN)[1] is not None:
+        failures = [_state_verdict(rho[None], TAU_PSD_RUN)[1] for rho in states]
+        ok = np.array([f is None for f in failures])
+        states = np.where(ok[:, None, None], states, np.eye(states.shape[-1]))
     dec = hermitian_eigendecomposition(states)
-    gap = np.min(-np.diff(dec.eigenvalues, axis=-1), axis=-1, initial=np.inf)
-    return dec, valid & ~(gap < G_MIN)
+    gaps = np.min(-np.diff(dec.eigenvalues, axis=-1), axis=-1, initial=np.inf)
+    return dec, failures, gaps
 
 
-def _usable(spectra, j: int, rho, what: str):
+def _usable(spectra, j: int, what: str):
     """(eigenvalues, eigenvectors) of state j of a ``_stack_spectra``
-    result ``spectra``; rho is that state.  An unusable state goes through
-    the one-state checks, which raise its error naming ``what``."""
-    dec, usable = spectra
-    if not usable[j]:
-        _nondegenerate_decomposition(rho, what)
-        raise AssertionError(f"{what} fails the stacked checks but passes alone")
+    result ``spectra``.  A state that failed its verdict raises that
+    message; one with a gap below G_MIN raises naming ``what``."""
+    dec, failures, gaps = spectra
+    if failures[j] is not None:
+        raise ValueError(failures[j])
+    if gaps[j] < G_MIN:
+        raise ValueError(f"{what} spectrum is degenerate (min gap {gaps[j]:.3e} < {G_MIN})")
     return dec.eigenvalues[j], dec.eigenvectors[j]
 
 
@@ -780,12 +753,13 @@ def _paired_flow(rho_a, rho_b, dt: float):
     _check_flow_step(dt)
     a, b = np.asarray(rho_a, dtype=complex), np.asarray(rho_b, dtype=complex)
     if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1] or a.size == 0:
-        _nondegenerate_decomposition(a, "first state")
-        _nondegenerate_decomposition(b, "second state")
+        # each state's own error first, as a one-state series
+        for rho, what in ((a, "first state"), (b, "second state")):
+            _usable(_stack_spectra(as_matrix(rho)[None]), 0, what)
         raise ValueError(f"states differ in shape: {a.shape} and {b.shape}")
     spectra = _stack_spectra(np.stack([a, b]))
-    _, va = _usable(spectra, 0, a, "first state")
-    vb, _ = _pair(va, *_usable(spectra, 1, b, "second state"))
+    _, va = _usable(spectra, 0, "first state")
+    vb, _ = _pair(va, *_usable(spectra, 1, "second state"))
     return va, vb, _flow_generator(va, vb, dt)
 
 
@@ -828,9 +802,9 @@ def eigenflow_rate_terms(traj: Trajectory, a: TimeDependentObservable, k: int):
     rho_k = traj.states[k]
     t_k = float(traj.times[k])
     spectra = traj._spectra
-    _, vecs = _usable(spectra, k, rho_k, "first state")
-    v_next, p_next = _pair(vecs, *_usable(spectra, k + 1, traj.states[k + 1], "second state"))
-    _, p_prev = _pair(vecs, *_usable(spectra, k - 1, traj.states[k - 1], "second state"))
+    _, vecs = _usable(spectra, k, "first state")
+    v_next, p_next = _pair(vecs, *_usable(spectra, k + 1, "second state"))
+    _, p_prev = _pair(vecs, *_usable(spectra, k - 1, "second state"))
     p_dot = (p_next - p_prev) / (2.0 * dt)
 
     a_k = a.evaluate(t_k)

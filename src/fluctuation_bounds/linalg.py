@@ -7,6 +7,12 @@ Everything here works on plain ``numpy`` arrays of shape ``(d, d)`` with
 ``ValueError`` with the name of the violated invariant, for the first
 matrix that violates one; it never repairs its input.  Equal eigenvalues
 keep ``eigh``'s order.
+
+``_state_verdict`` is the one implementation of the density-matrix
+invariants (finite entries, Hermiticity, unit trace, positivity):
+``as_density_matrix`` raises its message, and the integrator's block
+check and the eigenvector-flow spectral series in ``dynamics`` read it
+too.
 """
 
 from __future__ import annotations
@@ -92,18 +98,47 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _psd_screen(stack: np.ndarray, tau: float) -> bool:
-    """True only if the (n, d, d) stack, n > 1, is finite and ``stack +
+    """True only if the finite (n, d, d) stack has n > 1 and ``stack +
     (tau/2) I`` has a Cholesky factor (from the lower triangle, which
     ``eigvalsh`` reads too): every smallest eigenvalue is then at least
     -tau/2 - O(d eps), so above -tau.  False decides nothing; a single
     matrix costs ``eigvalsh`` less than this screen."""
-    if len(stack) < 2 or not np.isfinite(stack).all():
+    if len(stack) < 2:
         return False
     try:
         np.linalg.cholesky(stack + (0.5 * tau) * np.eye(stack.shape[-1]))
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _state_verdict(stack: np.ndarray, tau_psd: float):
+    """(k, message, lo) for the first state of an (n, d, d) stack that
+    breaks an invariant, as ``as_density_matrix`` names it, and lo its
+    minimum eigenvalue (nan if it is not finite and Hermitian); (n, None,
+    nan) if none does.  ``eigvalsh`` runs only if the states before the
+    first non-Hermitian one fail the stacked trace or ``_psd_screen``.
+    """
+    k, failure = _first_non_hermitian(stack, "density matrix violates hermiticity")
+    # The states before k are finite and Hermitian; the first of them to
+    # fail trace or positivity comes before k.
+    valid = stack[:k]
+    tr = valid.trace(axis1=1, axis2=2)
+    half = 0.5 * valid  # halved before adding: the Hermitian part stays finite
+    hermitian = half + half.conj().transpose(0, 2, 1)
+    drifted = np.abs(tr - 1.0) > TAU_TRACE
+    lo = np.nan
+    if drifted.any() or not _psd_screen(hermitian, tau_psd):
+        lows = np.linalg.eigvalsh(hermitian)[:, 0]  # ascending
+        bad = drifted | ~(lows >= -tau_psd)  # a nan eigenvalue fails
+        if bad.any():
+            k = int(np.argmax(bad))
+            lo = float(lows[k])
+            if drifted[k]:
+                failure = f"density matrix violates trace normalization (tr = {tr[k]:.12g})"
+            else:
+                failure = f"density matrix violates positivity (min eigenvalue {lo:.3e})"
+    return k, failure, lo
 
 
 def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
@@ -114,23 +149,7 @@ def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
     "positivity".
     """
     rho = _square(m)
-    stack = rho.reshape(-1, rho.shape[-1], rho.shape[-1])
-    k, failure = _first_non_hermitian(stack, "density matrix violates hermiticity")
-    # The states before k are finite and Hermitian; the first of them to
-    # fail trace or positivity comes before k.
-    valid = stack[:k]
-    tr = valid.trace(axis1=1, axis2=2)
-    hermitian = (valid + valid.conj().transpose(0, 2, 1)) / 2
-    drifted = np.abs(tr - 1.0) > TAU_TRACE
-    if drifted.any() or not _psd_screen(hermitian, tau_psd):
-        lo = np.linalg.eigvalsh(hermitian)[:, 0]  # ascending
-        bad = drifted | (lo < -tau_psd)
-        if bad.any():
-            k = int(np.argmax(bad))
-            if drifted[k]:
-                failure = f"density matrix violates trace normalization (tr = {tr[k]:.12g})"
-            else:
-                failure = f"density matrix violates positivity (min eigenvalue {lo[k]:.3e})"
+    _, failure, _ = _state_verdict(rho.reshape(-1, rho.shape[-1], rho.shape[-1]), tau_psd)
     if failure is not None:
         raise ValueError(failure)
     return rho

@@ -11,8 +11,8 @@ Cholesky screen: a full ``eigvalsh`` of every state.
 
 import numpy as np
 
-from fluctuation_bounds.dynamics import TAU_PSD_RUN, TAU_TRACE_RUN, IntegrationError
-from fluctuation_bounds.linalg import symmetrize
+from fluctuation_bounds.dynamics import TAU_PSD_RUN, IntegrationError
+from fluctuation_bounds.linalg import TAU_TRACE, symmetrize
 
 
 def reference_rhs(model, rho, t=0.0):
@@ -44,7 +44,7 @@ def reference_integrate(model, rho0, t_max, dt):
         rho = symmetrize(rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         t_next = float(times[k + 1])
         drift = abs(np.trace(rho).real - 1.0)
-        if drift > TAU_TRACE_RUN:
+        if drift > TAU_TRACE:
             raise IntegrationError(f"trace drift {drift:.3e} at t = {t_next:.6g}", t_next)
         lo = float(np.min(np.linalg.eigvalsh(rho)))
         if lo < -TAU_PSD_RUN:
@@ -62,11 +62,11 @@ def check_steps(states, times):
     non-finite trace or eigenvalue fails."""
     drift = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     lo = np.min(np.linalg.eigvalsh(states), axis=1)
-    bad = ~((drift <= TAU_TRACE_RUN) & (-lo <= TAU_PSD_RUN))
+    bad = ~((drift <= TAU_TRACE) & (-lo <= TAU_PSD_RUN))
     if not bad.any():
         return
     j = int(np.argmax(bad))
     t = float(times[j])
-    if not drift[j] <= TAU_TRACE_RUN:
+    if not drift[j] <= TAU_TRACE:
         raise IntegrationError(f"trace drift {drift[j]:.3e} at t = {t:.6g}", t)
     raise IntegrationError(f"positivity lost (min eigenvalue {lo[j]:.3e}) at t = {t:.6g}", t)

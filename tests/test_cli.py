@@ -145,6 +145,23 @@ def test_run_overflowing_hamiltonian_exits_2(tmp_path, capsys):
     assert "trajectory" in payload["detail"]
 
 
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_initial_state_with_huge_eigenvalues_is_an_invalid_scenario(example, tmp_path, capsys):
+    # Eigenvalues 0.5 +- 1e308: finite, but the Hermitian part (m + m^H)/2
+    # overflows unless it is halved before adding.
+    data = builtin_scenario_dict(example)
+    data["initial_state"] = {"re": [[0.5, 1e308], [1e308, 0.5]]}
+    scen = tmp_path / "huge.json"
+    scen.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("run", "verify"):
+        assert cli_main([command, "--scenario", str(scen)]) == 2
+        payload, captured = last_stderr_json(capsys)
+        assert payload["error"] == "invalid-scenario"
+        assert payload["violations"][0].startswith("initial_state:")
+        assert "violates positivity" in payload["violations"][0]
+        assert captured.out == ""
+
+
 def test_run_grid_too_long_to_allocate_exits_2(tmp_path, capsys):
     # 2e299 grid points: numpy refuses the size before it allocates.
     scen = write_small_scenario(tmp_path, dt=1e-300)

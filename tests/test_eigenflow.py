@@ -78,6 +78,16 @@ def test_each_state_is_decomposed_once(monkeypatch):
         calls.clear()
         fn(rho_a, rho_b, traj.dt)
         assert calls == [2], fn.__name__
+    # A degenerate state at k = 6 fails k = 5, 6 and 7 from the series too.
+    traj, a = TRAJECTORIES[2]  # d = 3
+    states = np.array(traj.states)
+    states[6] = np.diag([0.5, 0.25, 0.25])
+    traj = Trajectory(times=traj.times, states=states, model=None)
+    calls.clear()
+    failed = [k for k in range(1, len(traj) - 1)
+              if isinstance(outcome(eigenflow_rate_terms, traj, a, k)[0], type)]
+    assert failed == [5, 6, 7]
+    assert sum(calls) == len(traj)
 
 
 def test_series_gives_the_reference_values_in_any_order():

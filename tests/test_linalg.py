@@ -1,6 +1,7 @@
 """Matrix algebra identities, eigensystems, exponentials, validation."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,20 @@ def test_density_matrix_names_violated_invariant():
         as_density_matrix(np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="positivity"):
         as_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+@pytest.mark.parametrize("m", [
+    [[0.5, 1e308], [1e308, 0.5]],
+    [[0.5, 9e307, 0.0], [9e307, 0.25, 0.0], [0.0, 0.0, 0.25]],
+], ids=["2x2", "3x3"])
+def test_density_matrix_with_huge_finite_entries_fails_positivity(m):
+    # (m + m^H)/2 overflows to inf here, and eigvalsh of that returns nan
+    # (2x2) or does not converge (3x3).  reference_linalg computes it so
+    # too, hence the direct assertions.
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="violates positivity") as err:
+        as_density_matrix(np.array(m, dtype=complex))
+    lo = float(re.search(r"min eigenvalue (\S+)\)", str(err.value)).group(1))
+    assert lo == -m[0][1]
 
 
 def test_density_matrix_stack_matches_single_checks():
