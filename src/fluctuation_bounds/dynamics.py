@@ -43,12 +43,15 @@ import numpy as np
 
 from .linalg import (
     TAU_TRACE,
+    _psd_screen,
     _state_verdict,
+    _trace_drift,
     as_density_matrix,
     as_matrix,
     hermitian_eigendecomposition,
     matrix_exponential_antihermitian,
     symmetrize,
+    traces,
 )
 from .observables import TimeDependentObservable, finite_times
 
@@ -276,18 +279,23 @@ def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
 
 
 def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
-    """Trace and positivity of a block of integrated states, from one
-    ``_state_verdict`` at TAU_PSD_RUN.
+    """Trace and positivity of a block of integrated states, at TAU_PSD_RUN.
 
-    The first failing state raises with its time, trace first as for one
-    step: a non-finite trace fails as drift, and a state with a
-    non-finite entry whose trace holds has minimum eigenvalue nan.
+    Both RK4 paths build exactly Hermitian states, so a finite block is
+    accepted by the state verdict's trace test and ``_psd_screen`` alone,
+    without its Hermiticity scan.  Otherwise the full ``_state_verdict``
+    decides, and its first failing state raises with its time, trace
+    first as for one step: a non-finite trace fails as drift, and a state
+    with a non-finite entry whose trace holds has minimum eigenvalue nan.
     """
+    if (np.isfinite(states).all() and not _trace_drift(states)[1].any()
+            and _psd_screen(states, TAU_PSD_RUN)):
+        return
     j, failure, lo = _state_verdict(states, TAU_PSD_RUN)
     if failure is None:
         return
     t = float(times[j])
-    drift = abs(np.trace(states[j]).real - 1.0)
+    drift = abs(traces(states[j]).real - 1.0)
     if not drift <= TAU_TRACE:
         raise IntegrationError(f"trace drift {drift:.3e} at t = {t:.6g}", t)
     raise IntegrationError(f"positivity lost (min eigenvalue {lo:.3e}) at t = {t:.6g}", t)
@@ -810,8 +818,8 @@ def eigenflow_rate_terms(traj: Trajectory, a: TimeDependentObservable, k: int):
     a_k = a.evaluate(t_k)
     diag_a = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), a_k, vecs))
     pdot_term = float(np.dot(p_dot, diag_a))
-    partial_term = float(np.trace(rho_k @ a.partial_time(t_k)).real)
+    partial_term = float(traces(rho_k @ a.partial_time(t_k)).real)
     _check_flow_step(dt)
     omega = _flow_generator(vecs, v_next, dt)
-    omega_term = float((1j * np.trace(rho_k @ (omega @ a_k - a_k @ omega))).real)
+    omega_term = float((1j * traces(rho_k @ (omega @ a_k - a_k @ omega))).real)
     return pdot_term, partial_term, omega_term

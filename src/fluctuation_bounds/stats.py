@@ -15,17 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LindbladModel, Trajectory, lindblad_rhs
-from .linalg import require_hermitian
+from .linalg import require_hermitian, traces
 from .observables import TimeDependentObservable
 
 EPS_SIGMA = 1e-6         # below this spread, bound ratios are not evaluated
 VARIANCE_FLOOR = -1e-12  # round-off negatives above this are reported as 0
 
 RHO_DOT_MODES = ("auto", "analytic", "finite_difference")
-
-
-def _traces(x: np.ndarray) -> np.ndarray:
-    return np.trace(x, axis1=-2, axis2=-1)
 
 
 def _first(values: np.ndarray, bad: np.ndarray):
@@ -48,16 +44,11 @@ def _real_part(value: np.ndarray) -> np.ndarray:
     return value.real
 
 
-def _expectation(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
-    _check_dims(rho, m)
-    return _real_part(_traces(rho @ m))
-
-
 def _mean_and_variance(rho: np.ndarray, m: np.ndarray):
     _check_dims(rho, m)
     rho_m = rho @ m
-    mean = _real_part(_traces(rho_m))
-    second = _traces(rho_m @ m).real
+    mean = _real_part(traces(rho_m))
+    second = traces(rho_m @ m).real
     var = second - mean * mean
     bad = var < VARIANCE_FLOOR * np.fmax(1.0, second)
     if bad.any():
@@ -69,16 +60,16 @@ def _mean_and_variance(rho: np.ndarray, m: np.ndarray):
 
 def _symmetrized(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(1/2) tr(rho {a, b})."""
-    return _traces(rho @ (a @ b + b @ a)).real / 2.0
+    return traces(rho @ (a @ b + b @ a)).real / 2.0
 
 
 def _rho_dot_term(rho_dot: np.ndarray, a: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    tr = _traces(rho_dot)
+    tr = traces(rho_dot)
     bad = np.abs(tr) > 1e-10 * np.fmax(1.0, np.abs(rho_dot).max(axis=(-2, -1)))
     if bad.any():
         raise ValueError(f"rho_dot must be traceless, got trace {complex(_first(tr, bad)):.3e}")
     rho_dot_a = rho_dot @ a
-    return _traces(rho_dot_a @ a).real - 2.0 * mean * _traces(rho_dot_a).real
+    return traces(rho_dot_a @ a).real - 2.0 * mean * traces(rho_dot_a).real
 
 
 def variance(rho: np.ndarray, m: np.ndarray):
@@ -159,8 +150,9 @@ def _stat_point(traj, a, t, rho_dot_mode) -> StatPoint:
     a_t = require_hermitian(a_t, "observable matrix")
     mean, var = _mean_and_variance(rho, a_t)
     da_t = require_hermitian(da_t, "second observable")
-    cov = _symmetrized(rho, a_t, da_t) - mean * _expectation(rho, da_t)
-    partial_sq = _traces(rho @ da_t @ da_t).real
+    rho_da = rho @ da_t  # read by <partial_t A> and <(partial_t A)^2>
+    cov = _symmetrized(rho, a_t, da_t) - mean * _real_part(traces(rho_da))
+    partial_sq = traces(rho_da @ da_t).real
     rd_term = np.full(np.shape(mean), np.nan)
     if rho_dot_mode is not None:
         rho_dot = state_derivative(traj, k, t, rho_dot_mode)

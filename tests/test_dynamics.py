@@ -332,6 +332,17 @@ def test_step_map_states_are_exactly_hermitian():
             assert np.array_equal(rho, rho.conj().T)
 
 
+def test_stage_loop_states_are_exactly_hermitian():
+    # The block check accepts a finite block on its trace test and
+    # Cholesky screen alone, without a Hermiticity scan; that is sound
+    # only because both paths build states that are Hermitian bit for bit.
+    rng = np.random.default_rng(32)
+    model = model_with_drives(rng, 9, 2, 2)
+    assert step_map_size(model) > STEP_MAP_MAX
+    states = integrate(model, random_state(rng, model.dim), t_max=0.2, dt=1e-3).states[1:]
+    assert np.array_equal(states, states.conj().transpose(0, 2, 1))
+
+
 @pytest.mark.parametrize("case", ["jump entry 1e308", "drive 1e300 t^8"])
 def test_step_map_fails_at_the_first_non_finite_step(case, monkeypatch):
     if case == "jump entry 1e308":

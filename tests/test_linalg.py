@@ -28,6 +28,7 @@ from fluctuation_bounds.linalg import (
     sigma_plus,
     sigma_x,
     sigma_z,
+    traces,
 )
 from fluctuation_bounds.observables import constant, observable
 
@@ -174,6 +175,79 @@ def test_eigh_stack_raises_the_first_non_hermitian_message():
     with pytest.raises(ValueError) as first:
         hermitian_eigendecomposition(stack[1])
     assert str(err.value) == str(first.value) == "matrix is not Hermitian (defect 2.000e+00)"
+
+
+# ---------------------------------------------------------------------------
+# traces: numpy's trace, bit for bit
+
+SPECIALS = np.array([np.inf, -np.inf, np.nan, 1.5e308, -1.5e308, 1e300, -1e300, 1e-300, -1e-300,
+                     0.0, -0.0])
+
+
+def assert_same_traces(x):
+    got, want = traces(x), np.trace(x, axis1=-2, axis2=-1)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    for part in (np.real, np.imag):  # the sign of a zero sum too
+        g, w = part(got), part(want)
+        assert np.array_equal(np.signbit(g) & ~np.isnan(g), np.signbit(w) & ~np.isnan(w))
+
+
+def trace_layouts(rng, n, d):
+    """The stack of n random (d, d) matrices, wide in magnitude so that
+    the order of the sum shows, in each layout ``traces`` follows: C
+    order, a slice, a transposed view, a reversed stack, a submatrix
+    view, Fortran order and its reversal, and a stack whose stack axis is
+    innermost; then one matrix of it in C and Fortran order.  In half the
+    matrices about one diagonal entry in two is one of SPECIALS (+-inf,
+    nan, near +-1e308 where the order decides an overflow, +-1e+-300, +-0)."""
+    shape = (n, d, d)
+    x = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+         + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
+    special = (rng.random(shape) < 0.5 / d) & (rng.random((n, 1, 1)) < 0.5)
+    x.real[special] = rng.choice(SPECIALS, special.sum())
+    x.imag[special] = rng.choice(SPECIALS, special.sum())
+    wide = np.zeros((2 * n, d + 2, d + 2), dtype=complex)
+    wide[::2, 1:-1, 1:-1] = x
+    yield x
+    yield wide[::2, 1:-1, 1:-1]
+    yield x.transpose(0, 2, 1)
+    yield x[::-1]
+    yield np.asfortranarray(x)
+    yield np.asfortranarray(x)[::-1]
+    yield np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+    if n:
+        yield x[0]
+        yield np.asfortranarray(x[0])
+
+
+@pytest.mark.parametrize("dims", [range(1, 17), range(17, 67), range(67, 131)], ids=str)
+def test_traces_match_numpy_bit_for_bit(dims):
+    # Stacks of n >= 4d with d <= 64 take the column sums, the rest
+    # numpy's trace; n = 4d - 1 and 4d, d = 64 and 65 sit on either side.
+    # Long stacks at every d up to 16, and at each d mod 4 near 32 and 64.
+    rng = np.random.default_rng(dims.start)
+    for d in dims:
+        lengths = [0, 1, 2]
+        if d <= 16 or 29 <= d <= 32 or 61 <= d <= 66:
+            lengths += [64, 4 * d - 1, 4 * d] + ([479] if d <= 16 else [])
+        for n in lengths:
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, in both
+                for x in trace_layouts(rng, n, d):
+                    assert_same_traces(x)
+        zeros = np.full((max(lengths + [3]), d, d), complex(-0.0, -0.0))
+        zeros[1, 0, 0] = 0.0
+        for x in (zeros, np.asfortranarray(zeros), zeros[2]):
+            assert_same_traces(x)  # numpy's identity +0.0 turns a -0.0 sum positive
+
+
+def test_traces_shapes_and_types():
+    assert isinstance(traces(sigma_z), np.complex128) and traces(sigma_z) == 0.0
+    empty = traces(np.zeros((0, 3, 3), dtype=complex))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert traces(np.eye(2)) == 2.0 and traces(np.eye(2)).dtype == np.float64
+    with pytest.raises(ValueError):
+        traces(np.ones(3, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
