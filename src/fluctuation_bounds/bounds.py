@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import LindbladModel, Trajectory
 from .linalg import as_density_matrix
-from .observables import TimeDependentObservable
+from .observables import TimeDependentObservable, finite_times
 from .stats import EPS_SIGMA, StatPoint, _stat_point, variance, variance_rate
 
 TAU_BOUND = 1e-9  # absolute slack separating violations from round-off
@@ -122,8 +122,15 @@ def adjoint_heisenberg_rate(model: LindbladModel, a: TimeDependentObservable, t)
 
     The generator part is the Heisenberg adjoint of the model's operator
     sum, sum_m w_m(t) A_m^dag A B_m^dag.  A 1-D array of n times gives
-    the (n, d, d) stack.
+    the (n, d, d) stack.  For a static A under an undriven model the rate
+    does not depend on t: the stack is then the rate at the first time,
+    formed once and returned as a read-only broadcast view.
     """
+    n = None
+    if not model.drive and a.is_static:
+        times, stacked = finite_times(t)
+        if stacked:  # the same rate at every time: form it at the first
+            n, t = len(times), times[:1]
     a_t = a.evaluate(t)
     if a.dim != model.dim:
         raise ValueError(f"dimension mismatch: observable {a.dim} vs model {model.dim}")
@@ -133,7 +140,8 @@ def adjoint_heisenberg_rate(model: LindbladModel, a: TimeDependentObservable, t)
     w = model.weights(t)
     d = model.dim
     rate = w[..., None, :] @ terms.reshape(terms.shape[:-2] + (d * d,))
-    return da_t + rate.reshape(a_t.shape)
+    rate = da_t + rate.reshape(a_t.shape)
+    return rate if n is None else np.broadcast_to(rate, (n, d, d))
 
 
 def closed_bound(

@@ -43,6 +43,7 @@ import numpy as np
 
 from .linalg import (
     TAU_TRACE,
+    _products,
     _psd_screen,
     _state_verdict,
     _trace_drift,
@@ -197,8 +198,9 @@ def _weighted_left(model: LindbladModel, w: np.ndarray) -> np.ndarray:
 def _apply(left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_m A_m rho B_m for weighted ``left`` and ``right`` laid out as in
     LindbladModel, for one state or an (n, d, d) stack: one (d*M, d) block
-    per state."""
-    return left @ (rho @ right).reshape(rho.shape[:-2] + (-1, rho.shape[-1]))
+    per state.  ``rho @ right`` of a stack is one ``_products`` call; the
+    weighted ``left`` stays a per-matrix product."""
+    return left @ _products(rho, right).reshape(rho.shape[:-2] + (-1, rho.shape[-1]))
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t=0.0) -> np.ndarray:

@@ -25,10 +25,10 @@ numpy's dispatched loops run, in the order numpy's reduce adds them, so
 every result is numpy's bit for bit.  That order follows the layout:
 
 - stacks whose matrix axes are innermost in memory (C order, its
-  slices and transposed views): numpy's pairwise sum, a plain
-  left-to-right sum for d < 4, and for 4 <= d <= 64 four accumulators
-  over the entries j mod 4, combined as (r0 + r1) + (r2 + r3), then the
-  remaining entries in order;
+  slices and transposed views) and stacks of copies (stack stride 0):
+  numpy's pairwise sum, a plain left-to-right sum for d < 4, and for
+  4 <= d <= 64 four accumulators over the entries j mod 4, combined as
+  (r0 + r1) + (r2 + r3), then the remaining entries in order;
 - stacks whose stack axis is innermost in memory (Fortran order):
   left to right.
 
@@ -36,6 +36,19 @@ Both start from numpy's identity +0.0, which turns a -0.0 sum into
 +0.0.  Everything else goes to numpy's ``trace`` itself: one matrix and
 stacks shorter than 4d, where n reduce calls cost less than d column
 adds; d > 64, where numpy halves the sum recursively; other dtypes.
+
+``_products`` is the one stacked product of the grid pass.  numpy's
+``matmul`` of an (n, d, k) stack calls OpenBLAS once per matrix, even
+when the right factor is the same matrix at every time: a static
+observable, its Heisenberg rate, or the generator's ``right``.
+``_products`` runs a complex128 stack (d > 1) times one matrix, a 2-D
+array or a stack of copies (stack stride 0, as ``np.broadcast_to``
+makes; ``_fixed`` finds its one matrix), as one product of n*d rows, and
+two stacks of copies as one (d, m) product broadcast over the stack;
+every entry is numpy's bit for bit.  A fixed left factor times a varying
+stack keeps numpy's per-matrix product: run as one product, with the
+stack's matrices side by side as columns, its entries differ from
+numpy's at most d.
 """
 
 from __future__ import annotations
@@ -71,12 +84,42 @@ def traces(x) -> np.ndarray:
         return np.trace(x, axis1=-2, axis2=-1)
     diag = x.diagonal(axis1=1, axis2=2)
     cols = list(diag.T)
-    if d < 4 or abs(diag.strides[0]) < abs(diag.strides[1]):
+    if d < 4 or 0 < abs(diag.strides[0]) < abs(diag.strides[1]):
         return sum(cols, 0.0)  # left to right, from the identity
     # numpy's pairwise block: four accumulators, then the rest in order
     whole = d - d % 4
     r0, r1, r2, r3 = (sum(cols[j + 4:whole:4], cols[j]) for j in range(4))
     return 0.0 + sum(cols[whole:], (r0 + r1) + (r2 + r3))
+
+
+def _fixed(x: np.ndarray):
+    """The one matrix of a nonempty stack of copies (an (n, d, k) array
+    with stack stride 0), else None."""
+    return x[0] if x.ndim == 3 and len(x) and not x.strides[0] else None
+
+
+def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` bit for bit, with its shape.
+
+    An (n, d, k) complex128 stack x with d > 1 times one (k, m)
+    complex128 matrix y, 2-D or a stack of copies, is one (n*d, k) @
+    (k, m) product; if x is a stack of copies too, the one (d, m) product
+    comes back as a read-only broadcast over the stack.  Everything else
+    goes to numpy's ``@``: one matrix x at once, after its one ``ndim``
+    test, and a varying stack y after one more; d = 1 too, where numpy's
+    per-matrix call is a dot product whose nan results can differ in sign
+    from the one product's.
+    """
+    if x.ndim != 3 or y.ndim == 3 and y.strides[0]:
+        return x @ y  # one matrix, or a varying stack: numpy's per-matrix product
+    n, d, k = x.shape
+    one = y if y.ndim == 2 else _fixed(y)
+    if (one is None or (y.ndim == 3 and len(y) != n) or one.shape[0] != k or d < 2
+            or x.dtype != np.complex128 or one.dtype != np.complex128):
+        return x @ y
+    if _fixed(x) is not None:
+        return np.broadcast_to(x[0] @ one, (n, d, one.shape[1]))
+    return (x.reshape(n * d, k) @ one).reshape(n, d, one.shape[1])
 
 
 def _square(m, ndims=(2, 3)) -> np.ndarray:
@@ -124,10 +167,13 @@ def require_hermitian(m, what: str = "matrix") -> np.ndarray:
 
     Returns the complex array, same shape.  The first matrix with a
     non-finite entry, or a defect above TAU_HERM relative to its largest
-    entry (floored at 1), raises ``ValueError``.
+    entry (floored at 1), raises ``ValueError``.  A stack of copies is
+    checked on its one matrix, with the same verdict.
     """
     a = _square(m)
     stack = a.reshape(-1, a.shape[-1], a.shape[-1])
+    if len(stack) > 1 and not stack.strides[0]:
+        stack = stack[:1]  # a stack of copies: its one matrix decides
     _, failure = _first_non_hermitian(stack, f"{what} is not Hermitian")
     if failure is not None:
         raise ValueError(failure)

@@ -8,6 +8,7 @@ derivative error out of any quantity built on top of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,7 +137,8 @@ class TimeDependentObservable:
         """A(t); Hermitian because coefficients are real.
 
         ``t`` is one time, giving a (d, d) matrix, or a 1-D array of n
-        times, giving the (n, d, d) stack.
+        times, giving the (n, d, d) stack; of a static observable, that is
+        its one matrix as a read-only broadcast over the stack.
         """
         return self._combine(t, derivative=False)
 
@@ -151,9 +153,13 @@ class TimeDependentObservable:
         Each term's coefficients come from one ``values`` call over all the
         times, bit for bit the scalar formula; its error, if any, is raised
         for the first term that has one.  Each term is then added over the
-        whole stack at once, in the order of ``terms``.
+        whole stack at once, in the order of ``terms``.  A static
+        observable's stack is the matrix of its first time, broadcast.
         """
         times, stacked = finite_times(t)
+        n, static = len(times), stacked and self.is_static
+        if static:
+            times = times[:1]  # constant coefficients: one matrix serves every time
         out = np.zeros((len(times),) * stacked + (self.dim, self.dim), dtype=complex)
         for coeff, basis in self.terms:
             values, error = coeff.values(times, derivative)
@@ -161,9 +167,9 @@ class TimeDependentObservable:
                 raise error
             c = values.reshape(-1, 1, 1) if stacked else values[0]
             out = out + c * basis
-        return out
+        return np.broadcast_to(out, (n, self.dim, self.dim)) if static else out
 
-    @property
+    @functools.cached_property
     def is_static(self) -> bool:
         return all(coeff.kind == "constant" for coeff, _ in self.terms)
 

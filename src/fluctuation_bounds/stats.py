@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LindbladModel, Trajectory, lindblad_rhs
-from .linalg import require_hermitian, traces
+from .linalg import _fixed, _products, require_hermitian, traces
 from .observables import TimeDependentObservable
 
 EPS_SIGMA = 1e-6         # below this spread, bound ratios are not evaluated
@@ -46,9 +46,9 @@ def _real_part(value: np.ndarray) -> np.ndarray:
 
 def _mean_and_variance(rho: np.ndarray, m: np.ndarray):
     _check_dims(rho, m)
-    rho_m = rho @ m
+    rho_m = _products(rho, m)
     mean = _real_part(traces(rho_m))
-    second = traces(rho_m @ m).real
+    second = traces(_products(rho_m, m)).real
     var = second - mean * mean
     bad = var < VARIANCE_FLOOR * np.fmax(1.0, second)
     if bad.any():
@@ -59,8 +59,13 @@ def _mean_and_variance(rho: np.ndarray, m: np.ndarray):
 
 
 def _symmetrized(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(1/2) tr(rho {a, b})."""
-    return traces(rho @ (a @ b + b @ a)).real / 2.0
+    """(1/2) tr(rho {a, b}); of two stacks of copies, {a, b} is formed once."""
+    ab, ba = _products(a, b), _products(b, a)
+    if _fixed(ab) is None or _fixed(ba) is None:
+        anti = ab + ba
+    else:
+        anti = np.broadcast_to(ab[0] + ba[0], ab.shape)
+    return traces(_products(rho, anti)).real / 2.0
 
 
 def _rho_dot_term(rho_dot: np.ndarray, a: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -68,8 +73,8 @@ def _rho_dot_term(rho_dot: np.ndarray, a: np.ndarray, mean: np.ndarray) -> np.nd
     bad = np.abs(tr) > 1e-10 * np.fmax(1.0, np.abs(rho_dot).max(axis=(-2, -1)))
     if bad.any():
         raise ValueError(f"rho_dot must be traceless, got trace {complex(_first(tr, bad)):.3e}")
-    rho_dot_a = rho_dot @ a
-    return traces(rho_dot_a @ a).real - 2.0 * mean * traces(rho_dot_a).real
+    rho_dot_a = _products(rho_dot, a)
+    return traces(_products(rho_dot_a, a)).real - 2.0 * mean * traces(rho_dot_a).real
 
 
 def variance(rho: np.ndarray, m: np.ndarray):
@@ -150,9 +155,9 @@ def _stat_point(traj, a, t, rho_dot_mode) -> StatPoint:
     a_t = require_hermitian(a_t, "observable matrix")
     mean, var = _mean_and_variance(rho, a_t)
     da_t = require_hermitian(da_t, "second observable")
-    rho_da = rho @ da_t  # read by <partial_t A> and <(partial_t A)^2>
+    rho_da = _products(rho, da_t)  # read by <partial_t A> and <(partial_t A)^2>
     cov = _symmetrized(rho, a_t, da_t) - mean * _real_part(traces(rho_da))
-    partial_sq = traces(rho_da @ da_t).real
+    partial_sq = traces(_products(rho_da, da_t)).real
     rd_term = np.full(np.shape(mean), np.nan)
     if rho_dot_mode is not None:
         rho_dot = state_derivative(traj, k, t, rho_dot_mode)

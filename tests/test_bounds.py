@@ -21,7 +21,7 @@ from fluctuation_bounds.dynamics import (
     trajectory_from_states,
 )
 from fluctuation_bounds.linalg import sigma_minus, sigma_x, sigma_y, sigma_z
-from fluctuation_bounds.observables import cosine, observable, sine, static_observable
+from fluctuation_bounds.observables import constant, cosine, observable, sine, static_observable
 from fluctuation_bounds.stats import variance, variance_rate
 
 PROJ_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -104,6 +104,39 @@ def test_open_bound_generator_independence():
 
 # ---------------------------------------------------------------------------
 # Heisenberg rate and the closed bound
+
+def test_heisenberg_rate_of_static_a_undriven_is_formed_once():
+    # Static A under an undriven model: the rate is the same at every time,
+    # formed at the first and returned as a read-only broadcast, bit for
+    # bit the per-time rates stacked.
+    rng = np.random.default_rng(31)
+    times = np.linspace(0.0, 2.0, 41)
+    for d in (2, 3, 5):
+        model, a = random_model(rng, d), random_observable(rng, d)
+        stack = adjoint_heisenberg_rate(model, a, times)
+        assert stack.shape == (41, d, d) and not stack.flags.writeable and stack.strides[0] == 0
+        per_time = np.stack([adjoint_heisenberg_rate(model, a, float(t)) for t in times])
+        assert stack.tobytes() == per_time.tobytes()
+        assert adjoint_heisenberg_rate(model, a, times[:0]).shape == (0, d, d)
+        with pytest.raises(ValueError, match="^time must be finite, got nan$"):
+            adjoint_heisenberg_rate(model, a, np.array([0.0, np.nan]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            adjoint_heisenberg_rate(model, random_observable(rng, d + 1), times)
+
+
+def test_heisenberg_rate_of_driven_model_or_time_dependent_a_is_stacked():
+    rng = np.random.default_rng(32)
+    times = np.linspace(0.0, 2.0, 41)
+    for d in (2, 3):
+        h = observable([(constant(1.0), random_hermitian(rng, d)), (cosine(0.8, 2.0), random_hermitian(rng, d))])
+        driven = lindblad_model(h, [random_jump(rng, d)])
+        for model, a in ((driven, random_observable(rng, d)),
+                         (random_model(rng, d), random_observable(rng, d, time_dependent=True))):
+            stack = adjoint_heisenberg_rate(model, a, times)
+            assert stack.flags.writeable and stack.strides[0] != 0
+            per_time = np.stack([adjoint_heisenberg_rate(model, a, float(t)) for t in times])
+            assert stack.tobytes() == per_time.tobytes()
+
 
 def test_adjoint_rate_damping():
     model = damping_model(gamma_rate=1.3)

@@ -18,6 +18,8 @@ from fluctuation_bounds.linalg import (
     TAU_HERM,
     TAU_PSD,
     TAU_UNIT,
+    _fixed,
+    _products,
     as_density_matrix,
     as_matrix,
     hermitian_eigendecomposition,
@@ -248,6 +250,108 @@ def test_traces_shapes_and_types():
     assert traces(np.eye(2)) == 2.0 and traces(np.eye(2)).dtype == np.float64
     with pytest.raises(ValueError):
         traces(np.ones(3, dtype=complex))
+
+
+def test_traces_of_stacks_of_copies_match_numpy():
+    # A stack with stack stride 0 (np.broadcast_to) takes numpy's pairwise
+    # order, as C order does, not the left-to-right one of Fortran order.
+    rng = np.random.default_rng(7)
+    for d in (2, 4, 5, 8, 9, 16, 33, 64):
+        for x in itertools.islice(trace_layouts(rng, 1, d), 1):
+            for n in (4 * d, 479):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert_same_traces(np.broadcast_to(x[0], (n, d, d)))
+
+
+def test_require_hermitian_checks_a_stack_of_copies_on_its_one_matrix():
+    # The same verdict and message as for the stack written out in full.
+    for one in (sigma_z + 1e-6 * sigma_plus, sigma_x + 0j, np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        copies = np.broadcast_to(np.asarray(one, dtype=complex), (9, 2, 2))
+        try:
+            want = require_hermitian(np.array(copies), "observable matrix")
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                require_hermitian(copies, "observable matrix")
+        else:
+            got = require_hermitian(copies, "observable matrix")
+            assert got is copies and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# products: numpy's matmul, bit for bit
+
+def assert_same_products(got, want):
+    # The same bits, signs of zeros and nans included.
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def wide_complex(rng, shape):
+    """Random entries wide in magnitude, so the order of each dot product
+    shows, about one in five of them one of SPECIALS."""
+    x = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+         + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
+    special = rng.random(shape) < 0.2
+    x.real[special] = rng.choice(SPECIALS, special.sum())
+    x.imag[special] = rng.choice(SPECIALS, special.sum())
+    return x
+
+
+def product_layouts(rng, n, d):
+    """An (n, d, d) stack in C order, as a slice, as transposed and
+    conjugate-transposed views, and in Fortran order."""
+    x = wide_complex(rng, (n, d, d))
+    wide = np.zeros((2 * n, d + 1, d + 2), dtype=complex)
+    wide[::2, 1:, 1:-1] = x
+    yield x
+    yield wide[::2, 1:, 1:-1]
+    yield x.transpose(0, 2, 1)
+    yield x.conj().transpose(0, 2, 1)
+    yield np.asfortranarray(x)
+
+
+@pytest.mark.parametrize("dims", [range(1, 7), range(7, 12), range(12, 17)], ids=str)
+def test_products_match_numpy_bit_for_bit(dims):
+    # A stack times one (d, d*M) matrix, 2-D or a stack of copies, runs
+    # as one product of n*d rows; a stack of copies times one matrix as
+    # one (d, d*M) product. Each must give np.matmul's entries.
+    rng = np.random.default_rng(dims.start)
+    for d in dims:
+        for n in (0, 1, 2, 3, 4 * d, 64, 479, 2000):
+            m = d * (1 + n % 5)  # every column count d..5d over the lengths
+            y = wide_complex(rng, (d, m))
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, in both
+                for x in product_layouts(rng, n, d):
+                    for right in (y, np.broadcast_to(y, (n, d, m)), np.asfortranarray(y)):
+                        assert_same_products(_products(x, right), np.matmul(x, right))
+                copies = np.broadcast_to(wide_complex(rng, (d, d)), (n, d, d))
+                for right in (y, np.broadcast_to(y, (n, d, m))):
+                    assert_same_products(_products(copies, right), np.matmul(copies, right))
+
+
+def test_products_forms_one_product_of_stacks_of_copies():
+    rng = np.random.default_rng(8)
+    a, b = wide_complex(rng, (3, 3)), wide_complex(rng, (3, 6))
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = _products(np.broadcast_to(a, (50, 3, 3)), np.broadcast_to(b, (50, 3, 6)))
+        assert_same_products(_fixed(out), a @ b)
+    assert out.shape == (50, 3, 6) and not out.flags.writeable
+    assert _fixed(np.broadcast_to(a, (0, 3, 3))) is None and _fixed(a) is None
+    assert _fixed(np.zeros((4, 3, 3))) is None
+
+
+def test_products_pass_other_shapes_to_matmul():
+    # One matrix, two varying stacks, a fixed left factor times a varying
+    # stack, other dtypes and mismatched shapes: np.matmul's result or error.
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((2, 5, 3, 3)) + 1j * rng.standard_normal((2, 5, 3, 3))
+    copies = np.broadcast_to(x[0], (5, 3, 3))
+    for left, right in ((x[0], y[0]), (x[0], y), (x, y), (copies, y), (x.real, y[0].real),
+                        (x, y[0].real), (x, np.broadcast_to(y[0], (1, 3, 3)))):
+        assert_same_products(_products(left, right), np.matmul(left, right))
+    for left, right in ((x, y[0, :2]), (x, np.broadcast_to(y[0], (4, 3, 3)))):
+        with pytest.raises(ValueError):
+            _products(left, right)
 
 
 # ---------------------------------------------------------------------------

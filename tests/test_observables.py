@@ -46,6 +46,41 @@ def test_evaluate_static():
     assert a.is_static
 
 
+def test_static_stack_is_one_read_only_matrix():
+    # Over a 1-D array of times, a static observable's evaluate and
+    # partial_time give the matrix of its first time, broadcast read-only
+    # over the stack: bit for bit the one-time results, stacked.
+    a = observable([(constant(0.7), sigma_x), (constant(-1.3), sigma_z)])
+    times = np.linspace(-1.0, 2.0, 33)
+    for method in (a.evaluate, a.partial_time):
+        stack = method(times)
+        assert stack.shape == (33, 2, 2) and not stack.flags.writeable and stack.strides[0] == 0
+        assert stack.tobytes() == np.stack([method(float(t)) for t in times]).tobytes()
+        assert method(list(times[:3])).tobytes() == stack[:3].tobytes()
+        assert method(times[:0]).shape == (0, 2, 2)
+        assert method(times[:1]).tobytes() == method(float(times[0]))[None].tobytes()
+
+
+def test_static_stack_checks_every_time_first():
+    static, rotating = static_observable(sigma_z), rotating_observable()
+    for times, first in ((np.array([0.0, 1.0, np.nan, np.inf]), "nan"), ([2.0, -np.inf, np.nan], "-inf")):
+        for a in (static, rotating):
+            for method in (a.evaluate, a.partial_time):
+                with pytest.raises(ValueError, match=f"^time must be finite, got {first}$"):
+                    method(times)
+
+
+def test_time_dependent_stack_is_unchanged():
+    # A time-dependent observable still gives a writable stack of its own,
+    # one matrix per time.
+    a = rotating_observable()
+    times = np.linspace(0.0, 3.0, 17)
+    for method in (a.evaluate, a.partial_time):
+        stack = method(times)
+        assert stack.flags.writeable and stack.flags.c_contiguous and stack.shape == (17, 2, 2)
+        assert stack.tobytes() == np.stack([method(float(t)) for t in times]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # partial_time
 
