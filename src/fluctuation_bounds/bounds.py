@@ -175,21 +175,33 @@ def var_rate_residual(
 
     Cross-checks the algebraic variance-rate assembly against the grid.
     Interior points only; a 1-D array of times gives the n residuals.
+    The neighbours' variances are read off the StatPoint where it holds
+    them (on a grid of times, every point but the two ends).
     """
+    scalar = np.ndim(t) == 0
     k = traj.index_of(t)
     ks = np.atleast_1d(k)
     edge = ~((0 < ks) & (ks < len(traj) - 1))
     if edge.any():
         raise ValueError(f"grid index {ks[edge][0]} has no two-sided neighbors")
     sp = stat if stat is not None else variance_rate(traj, a, t)
-    # The variance of every neighbouring grid point, each computed once;
-    # highest index first, so one point checks k+1 before k-1.
-    need = np.unique(np.concatenate([ks - 1, ks + 1]))[::-1]
+    # The variance of every neighbouring grid point: read off a stat over
+    # an array of times where it holds it, the rest computed once, highest
+    # index first, so one point checks k+1 before k-1.
     var_at = np.empty(len(traj))
-    var_at[need] = np.atleast_1d(variance(traj.states[need], a.evaluate(traj.times[need])))
+    if scalar:
+        need = np.array([k + 1, k - 1])
+    else:
+        held = traj.index_of(sp.t)
+        var_at[held] = sp.variance
+        fresh = np.zeros(len(traj), dtype=bool)
+        fresh[ks - 1] = fresh[ks + 1] = True
+        fresh[held] = False
+        need = np.flatnonzero(fresh)[::-1]
+    var_at[need] = variance(traj.states[need], a.evaluate(traj.times[need]))
     fd = (var_at[k + 1] - var_at[k - 1]) / (2.0 * traj.dt)
     residual = np.abs(sp.var_rate - fd)
-    return float(residual) if np.ndim(t) == 0 else residual
+    return float(residual) if scalar else residual
 
 
 def cauchy_schwarz_margin(

@@ -4,11 +4,17 @@ Exit codes: 0 success, 1 bound violation (verify), 2 operational error
 (bad file, bad flags, failed run, unwritable output).  Every error is
 reported as one JSON line on stderr so callers can parse failures
 without scraping text.
+
+The argparse parser is built once per process and shared by every
+``cli_main`` call.  CSV is written by ``scenarios.rows_to_csv_text``,
+which formats a result table's column values as plain tuples, while
+iterating or indexing the table still gives ResultRows.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -220,6 +226,7 @@ def _cmd_sweep(args) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluctuation-bounds",

@@ -432,11 +432,14 @@ def figure1_curves(gamma_rate: float, t_max: float, dt: float) -> list:
 # CSV emission
 
 def rows_to_csv_text(rows, columns=RESULT_COLUMNS) -> str:
-    """CSV text of a sequence of equal-length tuples, such as a ResultTable.
+    """CSV text of a ResultTable or of a sequence of equal-length tuples.
 
-    Numbers are written as %.11e and strings as they are, which column is
-    which read off the first row.
+    A table's rows are zipped from its columns, one ``tolist`` each, so no
+    ResultRow is built.  Numbers are written as %.11e and strings as they
+    are, which column is which read off the first row.
     """
+    if isinstance(rows, ResultTable):
+        rows = list(zip(*(rows.columns[c].tolist() for c in columns)))
     lines = [",".join(columns)]
     if len(rows):
         fmt = ",".join("%s" if isinstance(v, str) else "%.11e" for v in rows[0])

@@ -7,7 +7,8 @@ stacked forms of the stats and bounds functions) to it, values and
 failures alike.  Model, observable, trajectory and report types and
 tolerances come from the package, but every report is built here;
 matrices and states are validated by the one-matrix checks in
-tests/reference_linalg.py.
+tests/reference_linalg.py.  ``reference_csv_text`` is the CSV writer
+that formatted a ResultTable one ResultRow at a time.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from reference_linalg import as_density_matrix, require_hermitian
 from fluctuation_bounds.bounds import TAU_BOUND, BoundReport
 from fluctuation_bounds.dynamics import LindbladModel, Trajectory, lindblad_rhs
 from fluctuation_bounds.observables import TimeDependentObservable
-from fluctuation_bounds.scenarios import ResultRow, build_trajectory
+from fluctuation_bounds.scenarios import RESULT_COLUMNS, ResultRow, build_trajectory
 from fluctuation_bounds.stats import EPS_SIGMA, RHO_DOT_MODES, VARIANCE_FLOOR, StatPoint
 
 _NAN = float("nan")
@@ -322,3 +323,14 @@ def _evaluate_point(spec, traj, model, t) -> PointRecord:
         skipped_flags=";".join(flags),
     )
     return PointRecord(row=row, open_report=open_report, closed_report=closed_report, cs_margin=cs_margin)
+
+
+def reference_csv_text(rows, columns=RESULT_COLUMNS) -> str:
+    """CSV text of a sequence of equal-length tuples, such as a ResultTable
+    iterated as ResultRows; each row formatted as %.11e numbers and bare
+    strings, which column is which read off the first row."""
+    lines = [",".join(columns)]
+    if len(rows):
+        fmt = ",".join("%s" if isinstance(v, str) else "%.11e" for v in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
+    return "\n".join(lines) + "\n"

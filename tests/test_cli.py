@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from reference_points import reference_evaluate_scenario
 
-from fluctuation_bounds import scenarios
+from fluctuation_bounds import cli, scenarios
 from fluctuation_bounds.bounds import TAU_BOUND
 from fluctuation_bounds.cli import cli_main
 from fluctuation_bounds.scenarios import (
@@ -176,8 +176,6 @@ def test_run_grid_too_long_to_allocate_exits_2(tmp_path, capsys):
 def test_trajectory_too_large_to_hold_is_run_failed(command, tmp_path, capsys, monkeypatch):
     # Stands in for numpy's _ArrayMemoryError; a real request of that size
     # may not fail cleanly under memory overcommit.
-    from fluctuation_bounds import cli
-
     def out_of_memory(spec):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
@@ -408,6 +406,35 @@ def test_console_script_entry_point():
     assert proc.stdout.splitlines()[0] == ",".join(FIGURE_COLUMNS)
 
 
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process, so no call may leave anything
+    # in it that changes what a later call prints or returns.  COLUMNS
+    # fixes the width of argparse's help and usage text.
+    monkeypatch.setenv("COLUMNS", "80")
+    scen = str(write_small_scenario(tmp_path, t_max=0.02))
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]", encoding="utf-8")
+    sequence = [
+        ["run", "--scenario", scen],
+        ["run"],
+        ["nosuch"],
+        ["builtin", "--name", "nope"],
+        ["--help"],
+        ["verify", "--builtin", "figure1"],
+        ["run", "--scenario", str(bad)],
+        ["builtin", "--name", "figure1", "--omega", "1"],
+        ["verify", "--builtin", "crossover"],
+        ["run", "--scenario", scen],
+    ]
+    for argv in sequence:
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "fluctuation_bounds.cli", *argv],
+                              capture_output=True, timeout=60)
+        assert (code, out.encode(), err.encode()) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
 def test_overflowing_input_prints_one_stderr_line_from_a_process(command, entry, tmp_path):
@@ -449,8 +476,6 @@ class SerialPool:
 
 
 def test_sweep_pool_is_capped_at_available_cpus(tmp_path, capsys, monkeypatch):
-    from fluctuation_bounds import cli
-
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
     SerialPool.workers.clear()
@@ -463,8 +488,6 @@ def test_sweep_pool_is_capped_at_available_cpus(tmp_path, capsys, monkeypatch):
 
 
 def test_available_cpus_prefers_the_affinity_mask(monkeypatch):
-    from fluctuation_bounds import cli
-
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     assert cli._available_cpus() == 3
@@ -475,8 +498,6 @@ def test_available_cpus_prefers_the_affinity_mask(monkeypatch):
 
 
 def test_sweep_rejects_repeated_values_before_forking(tmp_path, capsys, monkeypatch):
-    from fluctuation_bounds import cli
-
     def no_pool(*args, **kwargs):
         raise AssertionError("sweep started workers")
 
@@ -491,8 +512,6 @@ def test_sweep_rejects_repeated_values_before_forking(tmp_path, capsys, monkeypa
 
 
 def test_sweep_out_dir_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
-    from fluctuation_bounds import cli
-
     def no_pool(*args, **kwargs):
         raise AssertionError("sweep started workers")
 
@@ -528,8 +547,6 @@ def test_sweep_worker_write_failure_is_reported_in_band(tmp_path, capsys):
 @pytest.fixture
 def no_workers(monkeypatch):
     """Fails the test if sweep starts its process pool."""
-    from fluctuation_bounds import cli
-
     def no_pool(*args, **kwargs):
         raise AssertionError("sweep started workers")
 

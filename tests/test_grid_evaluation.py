@@ -15,11 +15,17 @@ import reference_linalg
 from conftest import random_hermitian, random_jump, random_observable, random_state
 from reference_points import adjoint_heisenberg_rate as ref_adjoint_rate
 from reference_points import reference_evaluate_scenario
+from reference_points import var_rate_residual as ref_var_rate_residual
 from reference_points import variance_rate as ref_variance_rate
 
 from fluctuation_bounds import scenarios as sc
 from fluctuation_bounds import stats
-from fluctuation_bounds.bounds import adjoint_heisenberg_rate, closed_bound, open_bound
+from fluctuation_bounds.bounds import (
+    adjoint_heisenberg_rate,
+    closed_bound,
+    open_bound,
+    var_rate_residual,
+)
 from fluctuation_bounds.dynamics import (
     analytic_amplitude_damping,
     lindblad_model,
@@ -398,6 +404,41 @@ def test_stacked_variance_rate_matches_reference_bitwise():
         assert got == want
         assert dataclasses.replace(want, t=times[k]) == stats.StatPoint(
             times[k], *(float(getattr(grid, f.name)[k]) for f in dataclasses.fields(grid)[1:]))
+
+
+def residual_case(case):
+    if case != "driven-d4":
+        return sc.load_builtin(case)
+    rng = np.random.default_rng(44)
+    hamiltonian = observable([
+        (constant(1.0), random_hermitian(rng, 4)),
+        (cosine(rng.uniform(0.2, 0.8), rng.uniform(0.5, 3.0), rng.uniform(0, 6)),
+         random_hermitian(rng, 4)),
+    ])
+    jumps = [random_jump(rng, 4, 0.5) for _ in range(2)]
+    obs = random_observable(rng, 4, time_dependent=True)
+    return spec_for((hamiltonian, jumps), random_state(rng, 4), obs, 0.3, 0.01)
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "driven-d4"])
+def test_residual_reads_neighbour_variances_off_the_stat_bitwise(case):
+    # On a grid, the residual takes every interior variance from the
+    # StatPoint and computes only the two grid ends; the reference
+    # computes both neighbours of each point itself.
+    spec = residual_case(case)
+    traj = sc.build_trajectory(spec)
+    a, mode, times = spec.observable, spec.rho_dot_mode, traj.times[1:-1]
+    sp = stats.variance_rate(traj, a, times, mode)
+    grid = var_rate_residual(traj, a, times, stat=sp)
+    for k, t in enumerate(times.tolist()):
+        point = stats.StatPoint(t, *(float(getattr(sp, f.name)[k]) for f in dataclasses.fields(sp)[1:]))
+        assert grid[k] == ref_var_rate_residual(traj, a, t, stat=point), f"t={t}"
+    # The replay path's one-point stat and a scalar t hold no neighbour.
+    for k in (0, 1, len(times) // 2, len(times) - 1):
+        one = times[k:k + 1]
+        assert var_rate_residual(traj, a, one, stat=stats.variance_rate(traj, a, one, mode)) == [grid[k]]
+        t = float(times[k])
+        assert var_rate_residual(traj, a, t, stat=stats.variance_rate(traj, a, t, mode)) == grid[k]
 
 
 def test_require_hermitian_stack_reports_the_first_bad_matrix():

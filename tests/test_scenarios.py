@@ -6,16 +6,17 @@ import math
 
 import numpy as np
 import pytest
-from conftest import sanity_check_figure_sigma
+from conftest import random_hermitian, random_jump, random_state, sanity_check_figure_sigma
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_points import reference_csv_text
 from scenario_writers import scenario_to_dict
 
 from fluctuation_bounds import scenarios as sc
 from fluctuation_bounds.cli import _emit
 from fluctuation_bounds.dynamics import IntegrationError, LindbladModel
-from fluctuation_bounds.linalg import sigma_plus, sigma_x
-from fluctuation_bounds.observables import cosine, observable, static_observable
+from fluctuation_bounds.linalg import sigma_minus, sigma_plus, sigma_x
+from fluctuation_bounds.observables import constant, cosine, observable, polynomial, static_observable
 from fluctuation_bounds.scenarios import (
     BUILTIN_NAMES,
     FIGURE_COLUMNS,
@@ -475,3 +476,48 @@ def test_csv_file_bytes(tmp_path):
     header = blob.decode("utf-8").splitlines()[0]
     assert header == ",".join(RESULT_COLUMNS)
     assert len(blob.decode("utf-8").splitlines()) == len(rows) + 1
+
+
+def driven_d4_spec():
+    """A seeded open model at d = 4 with a cosine drive: RK4 builds its trajectory."""
+    rng = np.random.default_rng(404)
+    herm = [random_hermitian(rng, 4) for _ in range(4)]
+    rho0 = random_state(rng, 4)
+    return sc.ScenarioSpec(
+        name="driven-d4", dimension=4, initial_state=rho0,
+        hamiltonian=observable([(constant(1.0), herm[0]), (cosine(0.6, 1.7, 0.4), herm[1])]),
+        jump_terms=tuple((random_jump(rng, 4, 0.4), None) for _ in range(2)),
+        observable=observable([(constant(1.0), herm[2]), (cosine(1.1, 0.9), herm[3])]),
+        t_max=0.3, dt=0.005, bounds=sc.BOUND_NAMES, rho_dot_mode="analytic",
+    )
+
+
+def skipped_points_spec():
+    """sigma vanishes at t = 0.5 (c(t) = t - 0.5), so that point's bounds are
+    skipped; the closed bound and the residual are not requested (nan columns)."""
+    return sc.ScenarioSpec(
+        name="skipped", dimension=2, initial_state=np.diag([0.3, 0.7]).astype(complex),
+        hamiltonian=None, jump_terms=((sigma_minus, None),),
+        observable=observable([(polynomial([-0.5, 1.0]), sigma_x)]),
+        t_max=1.25, dt=0.125, bounds=("open", "cauchy_schwarz"), rho_dot_mode="analytic",
+    )
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "crossover", "skipped", "driven-d4"])
+def test_csv_from_columns_matches_the_row_writer(case):
+    if case == "skipped":
+        spec = skipped_points_spec()
+    elif case == "driven-d4":
+        spec = driven_d4_spec()
+    else:
+        spec = dataclasses.replace(load_builtin(case), bounds=sc.BOUND_NAMES)
+    table = run_scenario(spec)
+    if case == "skipped":
+        assert table.columns["skipped_flags"][3].startswith("open:sigma")
+        assert np.isnan(table.columns["margin_closed"]).all()
+    assert rows_to_csv_text(table) == reference_csv_text(table)
+
+
+def test_csv_of_figure1_tuples_matches_the_row_writer():
+    rows = figure1_curves(1.0, 5.0, 0.01)
+    assert rows_to_csv_text(rows, FIGURE_COLUMNS) == reference_csv_text(rows, FIGURE_COLUMNS)
