@@ -9,7 +9,9 @@ holds for any trace-preserving state derivative.  The closed-system bound
     (d sigma_A/dt)^2  <=  sigma_{Adot}^2
 
 uses the Heisenberg-picture rate Adot and is allowed to fail for open
-dynamics; reports record violations instead of raising.
+dynamics; reports record violations instead of raising.  Every check
+reads its moments, times and grid indices off one StatPoint of
+stats.variance_rate, so a pass maps its times to the grid once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .dynamics import LindbladModel, Trajectory
 from .linalg import as_density_matrix
 from .observables import TimeDependentObservable, finite_times
-from .stats import EPS_SIGMA, StatPoint, _stat_point, variance, variance_rate
+from .stats import EPS_SIGMA, StatPoint, variance, variance_rate
 
 TAU_BOUND = 1e-9  # absolute slack separating violations from round-off
 
@@ -65,29 +67,30 @@ def _squared(x: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _bound(kind, traj, a, t, sp, rhs_at) -> BoundReport:
-    """Shared skeleton of the two bounds.
+def _bound(kind, traj, sp, rhs_at) -> BoundReport:
+    """Shared skeleton of the two bounds, at the times and grid indices
+    of the StatPoint sp.
 
     Points with sigma below EPS_SIGMA are skipped; at the others lhs =
     var_rate^2 / (4 sigma^2), and rhs_at(times, states, live) gives the
     right side at all of them (``live`` masks them) in one call.  For a
-    scalar t the report holds element 0 of each array.
+    scalar sp.t the report holds element 0 of each array.
     """
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+    times = np.atleast_1d(np.asarray(sp.t, dtype=float))
     sigma, var, var_rate = (np.atleast_1d(x) for x in (sp.sigma, sp.variance, sp.var_rate))
     live = ~(sigma < EPS_SIGMA)
     lhs = np.full(len(times), np.nan)
     rhs = np.full(len(times), np.nan)
     if live.any():
         lhs[live] = _squared(var_rate[live]) / (4.0 * var[live])
-        rho = traj.states[traj.index_of(times[live])]
+        rho = traj.states[np.atleast_1d(sp.k)[live]]
         rhs[live] = rhs_at(times[live], rho, live)
     reason = [""] * len(times)
     for j in np.flatnonzero(~live):
         reason[j] = f"sigma {float(sigma[j]):.3e} below {EPS_SIGMA:.0e}"
     margin = rhs - lhs
     fields = (times, lhs, rhs, margin, margin >= -TAU_BOUND, live)
-    if np.ndim(t) > 0:
+    if np.ndim(sp.t) > 0:
         return BoundReport(kind, *fields, tuple(reason))
     return BoundReport(kind, *(x[0].item() for x in fields), reason[0])
 
@@ -103,8 +106,9 @@ def open_bound(
     lhs = var_rate^2 / (4 sigma^2) is (d sigma_A/dt)^2; points with
     sigma below EPS_SIGMA are reported as skipped, not errors.  Pass a
     precomputed StatPoint for t as stat to skip recomputing it, or to
-    choose its rho_dot mode.  A 1-D array of times t is computed in one
-    batched pass (states checked only at the points not skipped).
+    choose its rho_dot mode; the bound reads its times and grid indices
+    there.  A 1-D array of times t is computed in one batched pass
+    (states checked only at the points not skipped).
     """
     sp = stat if stat is not None else variance_rate(traj, a, t)
 
@@ -114,7 +118,7 @@ def open_bound(
             np.atleast_1d(x)[live] for x in (sp.partial_sq, sp.rho_dot_term, sp.variance))
         return 2.0 * (partial_sq + _squared(rd_term) / (4.0 * var))
 
-    return _bound("open", traj, a, t, sp, rhs_at)
+    return _bound("open", traj, sp, rhs_at)
 
 
 def adjoint_heisenberg_rate(model: LindbladModel, a: TimeDependentObservable, t) -> np.ndarray:
@@ -162,7 +166,7 @@ def closed_bound(
     def rhs_at(times, rho, live):
         return variance(rho, adjoint_heisenberg_rate(model, a, times))
 
-    return _bound("closed", traj, a, t, sp, rhs_at)
+    return _bound("closed", traj, sp, rhs_at)
 
 
 def var_rate_residual(
@@ -174,34 +178,30 @@ def var_rate_residual(
     """|var_rate - central difference of sigma^2|; O(dt^2) on smooth runs.
 
     Cross-checks the algebraic variance-rate assembly against the grid.
-    Interior points only; a 1-D array of times gives the n residuals.
-    The neighbours' variances are read off the StatPoint where it holds
-    them (on a grid of times, every point but the two ends).
+    Interior points only, checked before anything is computed; a 1-D
+    array of times gives the n residuals.  The neighbours' variances are
+    read off the StatPoint where it holds them (on a grid of times,
+    every point but the two ends) and computed for the rest.
     """
-    scalar = np.ndim(t) == 0
-    k = traj.index_of(t)
+    k = stat.k if stat is not None else traj.index_of(t)
     ks = np.atleast_1d(k)
     edge = ~((0 < ks) & (ks < len(traj) - 1))
     if edge.any():
         raise ValueError(f"grid index {ks[edge][0]} has no two-sided neighbors")
     sp = stat if stat is not None else variance_rate(traj, a, t)
-    # The variance of every neighbouring grid point: read off a stat over
-    # an array of times where it holds it, the rest computed once, highest
-    # index first, so one point checks k+1 before k-1.
+    # The variance of every neighbouring grid point the stat does not
+    # hold is computed once, highest index first, so one point checks
+    # k+1 before k-1.
     var_at = np.empty(len(traj))
-    if scalar:
-        need = np.array([k + 1, k - 1])
-    else:
-        held = traj.index_of(sp.t)
-        var_at[held] = sp.variance
-        fresh = np.zeros(len(traj), dtype=bool)
-        fresh[ks - 1] = fresh[ks + 1] = True
-        fresh[held] = False
-        need = np.flatnonzero(fresh)[::-1]
+    var_at[k] = sp.variance
+    fresh = np.zeros(len(traj), dtype=bool)
+    fresh[ks - 1] = fresh[ks + 1] = True
+    fresh[ks] = False
+    need = np.flatnonzero(fresh)[::-1]
     var_at[need] = variance(traj.states[need], a.evaluate(traj.times[need]))
     fd = (var_at[k + 1] - var_at[k - 1]) / (2.0 * traj.dt)
     residual = np.abs(sp.var_rate - fd)
-    return float(residual) if scalar else residual
+    return float(residual) if np.ndim(t) == 0 else residual
 
 
 def cauchy_schwarz_margin(
@@ -216,8 +216,8 @@ def cauchy_schwarz_margin(
     stat, as the bounds do; without one no rho_dot is formed.  A 1-D
     array of times gives the n margins.
     """
-    sp = stat if stat is not None else _stat_point(traj, a, t, None)
+    sp = stat if stat is not None else variance_rate(traj, a, t, None)
     cov_sq = _squared(np.asarray(sp.cov))
-    as_density_matrix(traj.states[traj.index_of(t)])
+    as_density_matrix(traj.states[sp.k])
     margin = sp.variance * sp.partial_sq - cov_sq
     return float(margin) if np.ndim(t) == 0 else margin

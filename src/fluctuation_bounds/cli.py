@@ -7,8 +7,9 @@ without scraping text.
 
 The argparse parser is built once per process and shared by every
 ``cli_main`` call.  CSV is written by ``scenarios.rows_to_csv_text``,
-which formats a result table's column values as plain tuples, while
-iterating or indexing the table still gives ResultRows.
+which formats a result table's column values as plain tuples;
+``verify`` reads the table's bound reports, its Cauchy-Schwarz margins
+and its ``t`` column.
 """
 
 from __future__ import annotations

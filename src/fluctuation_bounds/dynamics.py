@@ -61,7 +61,6 @@ CHECK_BLOCK = 64     # integration steps per batched trace/positivity check
 STEP_MAP_MAX = 300_000  # largest step_map_size that integrate advances by step maps
 QUAD_POINTS = 16     # Gauss-Legendre nodes per Dyson propagator integral
 G_MIN = 1e-6         # smallest admissible eigenvalue gap for eigenvector pairing
-EXTERNAL_MODEL = "externally supplied"
 
 
 class IntegrationError(RuntimeError):
@@ -231,7 +230,7 @@ class Trajectory:
 
     times: np.ndarray  # (n,)
     states: np.ndarray  # (n, d, d)
-    model: object  # LindbladModel or EXTERNAL_MODEL
+    model: LindbladModel | None  # None when the states came from elsewhere
 
     @property
     def dt(self) -> float:
@@ -262,7 +261,7 @@ class Trajectory:
         return _stack_spectra(self.states)
 
 
-def trajectory_from_states(times, states, model=EXTERNAL_MODEL) -> Trajectory:
+def trajectory_from_states(times, states, model=None) -> Trajectory:
     """Wrap a read-only copy of externally produced states, enforcing grid
     and state invariants; the caller's array stays as it was."""
     times = np.asarray(times, dtype=float)

@@ -16,7 +16,6 @@ import importlib.resources
 import json
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +86,6 @@ class ScenarioSpec:
     rho_dot_mode: str
 
 
-ResultRow = namedtuple("ResultRow", RESULT_COLUMNS)
-ResultRow.__doc__ = "One grid point of a ResultTable, in RESULT_COLUMNS order."
-
-
 @dataclass(frozen=True)
 class ResultTable:
     """Every interior grid point of a run, one column per RESULT_COLUMNS name.
@@ -99,8 +94,7 @@ class ResultTable:
     (an object array of strings for ``skipped_flags``).  ``open`` and
     ``closed`` are the grid BoundReport objects of the requested bounds and
     ``cauchy_schwarz`` the array of Cauchy-Schwarz margins; each is None
-    when its check was not requested.  Indexing or iterating gives
-    ResultRows, built only when asked for.
+    when its check was not requested.  ``len`` gives the number of points.
     """
 
     columns: dict
@@ -110,19 +104,6 @@ class ResultTable:
 
     def __len__(self) -> int:
         return len(self.columns["t"])
-
-    def __iter__(self):
-        return self._rows(slice(None))
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(self._rows(k))
-        k = range(len(self))[k]
-        return next(self._rows(slice(k, k + 1)))
-
-    def _rows(self, part: slice):
-        values = (self.columns[c][part].tolist() for c in RESULT_COLUMNS)
-        return map(ResultRow._make, zip(*values))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +415,8 @@ def figure1_curves(gamma_rate: float, t_max: float, dt: float) -> list:
 def rows_to_csv_text(rows, columns=RESULT_COLUMNS) -> str:
     """CSV text of a ResultTable or of a sequence of equal-length tuples.
 
-    A table's rows are zipped from its columns, one ``tolist`` each, so no
-    ResultRow is built.  Numbers are written as %.11e and strings as they
+    A table's rows are plain tuples zipped from its columns, one
+    ``tolist`` each.  Numbers are written as %.11e and strings as they
     are, which column is which read off the first row.
     """
     if isinstance(rows, ResultTable):

@@ -3,9 +3,9 @@
 Every per-point moment of A the bounds read (mean, variance,
 Cov(A, partial_t A), <(partial_t A)^2>, tr(rho_dot DeltaA^2)) and the
 variance growth rate tr(rho_dot DeltaA^2) + 2 Cov(A, partial_t A) come
-out of one StatPoint.  The state derivative comes from the model's
-generator when one is attached to the trajectory and from central finite
-differences otherwise.
+out of one StatPoint, together with the grid indices of its times.  The
+state derivative comes from the model's generator when one is attached
+to the trajectory and from central finite differences otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LindbladModel, Trajectory, lindblad_rhs
+from .dynamics import Trajectory, lindblad_rhs
 from .linalg import _fixed, _products, require_hermitian, traces
 from .observables import TimeDependentObservable
 
@@ -90,8 +90,8 @@ def variance(rho: np.ndarray, m: np.ndarray):
 
 @dataclass(frozen=True)
 class StatPoint:
-    """Statistics of A at one grid time (floats), or at a 1-D array of n
-    grid times ((n,) arrays, ``t`` included)."""
+    """Statistics of A at one grid time (floats, ``k`` an int), or at a
+    1-D array of n grid times ((n,) arrays, ``t`` and ``k`` included)."""
 
     t: float
     mean: float
@@ -101,6 +101,7 @@ class StatPoint:
     partial_sq: float    # <(partial_t A)^2>
     rho_dot_term: float  # tr(rho_dot DeltaA^2)
     var_rate: float      # d(sigma^2)/dt = rho_dot_term + 2 cov
+    k: int               # grid index of t
 
 
 def state_derivative(traj: Trajectory, k, t, mode: str = "auto") -> np.ndarray:
@@ -111,7 +112,7 @@ def state_derivative(traj: Trajectory, k, t, mode: str = "auto") -> np.ndarray:
     """
     if mode not in RHO_DOT_MODES:
         raise ValueError(f"rho_dot mode must be one of {RHO_DOT_MODES}, got {mode!r}")
-    model_known = isinstance(traj.model, LindbladModel)
+    model_known = traj.model is not None
     if mode == "auto":
         mode = "analytic" if model_known else "finite_difference"
     if mode == "analytic":
@@ -139,15 +140,13 @@ def variance_rate(
     from one pass of stacked products over all of them, with A(t) and
     partial_t A(t) validated once per stack, and each per-point check
     (Hermiticity, imaginary parts, the variance floor, a traceless
-    rho_dot) raising the message of the first time that fails it.
+    rho_dot) raising the message of the first time that fails it.  This
+    is the one place a time becomes a grid index: the StatPoint's ``k``
+    holds it, and every check given the stat reads it there.  With
+    rho_dot_mode None no rho_dot is formed, so rho_dot_term and var_rate
+    are nan and a point without a model or grid neighbours does not fail
+    for want of one.
     """
-    return _stat_point(traj, a, t, rho_dot_mode)
-
-
-def _stat_point(traj, a, t, rho_dot_mode) -> StatPoint:
-    """variance_rate's StatPoint; with rho_dot_mode None no rho_dot is
-    formed, so rho_dot_term and var_rate are nan and a point without a
-    model or grid neighbours does not fail for want of one."""
     k = traj.index_of(t)
     rho = traj.states[k]
     a_t = a.evaluate(t)
@@ -164,5 +163,5 @@ def _stat_point(traj, a, t, rho_dot_mode) -> StatPoint:
         rd_term = _rho_dot_term(rho_dot, a_t, mean)
     out = (mean, var, np.sqrt(var), cov, partial_sq, rd_term, rd_term + 2.0 * cov)
     if np.ndim(t) == 0:
-        return StatPoint(t, *(float(x) for x in out))
-    return StatPoint(np.asarray(t, dtype=float), *out)
+        return StatPoint(t, *(float(x) for x in out), k)
+    return StatPoint(np.asarray(t, dtype=float), *out, k)

@@ -8,9 +8,10 @@ failures alike.  Model, observable, trajectory and report types and
 tolerances come from the package, but every report is built here;
 matrices and states are validated by the one-matrix checks in
 tests/reference_linalg.py.  ``reference_csv_text`` is the CSV writer
-that formatted a ResultTable one ResultRow at a time.
+that formatted a ResultTable one row tuple at a time.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +20,19 @@ from reference_linalg import as_density_matrix, require_hermitian
 from fluctuation_bounds.bounds import TAU_BOUND, BoundReport
 from fluctuation_bounds.dynamics import LindbladModel, Trajectory, lindblad_rhs
 from fluctuation_bounds.observables import TimeDependentObservable
-from fluctuation_bounds.scenarios import RESULT_COLUMNS, ResultRow, build_trajectory
+from fluctuation_bounds.scenarios import RESULT_COLUMNS, ResultTable, build_trajectory
 from fluctuation_bounds.stats import EPS_SIGMA, RHO_DOT_MODES, VARIANCE_FLOOR, StatPoint
 
 _NAN = float("nan")
+
+Row = namedtuple("Row", RESULT_COLUMNS)  # one grid point, in RESULT_COLUMNS order
 
 
 @dataclass(frozen=True)
 class PointRecord:
     """One grid point's full evaluation, including checks with no CSV column."""
 
-    row: ResultRow
+    row: Row
     open_report: BoundReport | None
     closed_report: BoundReport | None
     cs_margin: float | None
@@ -153,6 +156,7 @@ def variance_rate(
         partial_sq=partial_sq,
         rho_dot_term=rd_term,
         var_rate=rd_term + 2.0 * cov,
+        k=k,
     )
 
 
@@ -307,7 +311,7 @@ def _evaluate_point(spec, traj, model, t) -> PointRecord:
     if "cauchy_schwarz" in spec.bounds:
         cs_margin = cauchy_schwarz_margin(traj, spec.observable, t)
 
-    row = ResultRow(
+    row = Row(
         t=t,
         mean=sp.mean,
         sigma=sp.sigma,
@@ -326,9 +330,11 @@ def _evaluate_point(spec, traj, model, t) -> PointRecord:
 
 
 def reference_csv_text(rows, columns=RESULT_COLUMNS) -> str:
-    """CSV text of a sequence of equal-length tuples, such as a ResultTable
-    iterated as ResultRows; each row formatted as %.11e numbers and bare
+    """CSV text of a sequence of equal-length tuples, or of a ResultTable
+    read one point at a time; each row formatted as %.11e numbers and bare
     strings, which column is which read off the first row."""
+    if isinstance(rows, ResultTable):
+        rows = [tuple(rows.columns[c][j] for c in columns) for j in range(len(rows))]
     lines = [",".join(columns)]
     if len(rows):
         fmt = ",".join("%s" if isinstance(v, str) else "%.11e" for v in rows[0])

@@ -74,17 +74,17 @@ def criterion(num, summary):
 @criterion(1, "damping scenario reproduces its closed forms with rhs = 2*lhs")
 def test_criterion_01_damping_closed_forms():
     start = time.perf_counter()
-    rows = run_scenario(parse_scenario(builtin_scenario_dict("example1")))
+    cols = run_scenario(parse_scenario(builtin_scenario_dict("example1"))).columns
     elapsed = time.perf_counter() - start
     worst_rel = worst_double = 0.0
     checked = 0
-    for row in rows:
-        if row.t < 0.05:
+    for t, lhs, rhs in zip(*(cols[c].tolist() for c in ("t", "lhs_open", "rhs_open"))):
+        if t < 0.05:
             continue
-        u = math.exp(-row.t)
+        u = math.exp(-t)
         ref = u * (1.0 - 2.0 * u) ** 2 / (1.0 - u)  # rate 1 spread-growth lhs
-        worst_rel = max(worst_rel, abs(row.lhs_open - ref) / ref)
-        worst_double = max(worst_double, abs(row.rhs_open - 2.0 * row.lhs_open))
+        worst_rel = max(worst_rel, abs(lhs - ref) / ref)
+        worst_double = max(worst_double, abs(rhs - 2.0 * lhs))
         checked += 1
     assert checked > 4900
     assert worst_rel <= 1e-6, f"lhs off by {worst_rel:.3e} relative"
@@ -96,15 +96,16 @@ def test_criterion_01_damping_closed_forms():
 @criterion(2, "rotating observable collapses the bound to 0 <= 2")
 def test_criterion_02_rotating_observable():
     start = time.perf_counter()
-    rows = run_scenario(parse_scenario(builtin_scenario_dict("example2")))
+    table = run_scenario(parse_scenario(builtin_scenario_dict("example2")))
     elapsed = time.perf_counter() - start
-    worst_mean = max(abs(row.mean) for row in rows)
-    worst_lhs = max(abs(row.lhs_open) for row in rows)
-    worst_rhs = max(abs(row.rhs_open - 2.0) for row in rows)
+    cols = table.columns
+    worst_mean = max(abs(x) for x in cols["mean"].tolist())
+    worst_lhs = max(abs(x) for x in cols["lhs_open"].tolist())
+    worst_rhs = max(abs(x - 2.0) for x in cols["rhs_open"].tolist())
     assert worst_mean <= 1e-10, f"mean drifts to {worst_mean:.3e}"
     assert worst_lhs <= 1e-8 and worst_rhs <= 1e-8
     assert elapsed < 5.0, f"run took {elapsed:.2f}s"
-    return f"{len(rows)} rows, |mean| <= {worst_mean:.1e}, runtime {elapsed:.2f}s"
+    return f"{len(table)} rows, |mean| <= {worst_mean:.1e}, runtime {elapsed:.2f}s"
 
 
 @criterion(3, "closed-bound verdict flips at the damping threshold")
@@ -113,19 +114,20 @@ def test_criterion_03_crossover_threshold():
     for gamma in (0.5, 1.0, 2.0):
         data = builtin_scenario_dict("crossover")
         data["jump_operators"][0]["rate"] = gamma
-        rows = run_scenario(parse_scenario(data))
+        table = run_scenario(parse_scenario(data))
+        times = table.columns["t"].tolist()
         t_star = math.log(4.0 / 3.0) / gamma
-        flags = rows.closed.satisfied.tolist()
+        flags = table.closed.satisfied.tolist()
         flips = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
         assert len(flips) == 1, f"gamma={gamma}: {len(flips)} verdict flips"
-        lo, hi = rows[flips[0]].t, rows[flips[0] + 1].t
+        lo, hi = times[flips[0]], times[flips[0] + 1]
         assert not flags[0] and flags[-1]
         assert lo < t_star <= hi + 1e-12, f"gamma={gamma}: flip at ({lo}, {hi}], t*={t_star}"
         worst = 0.0
-        for row in rows:
-            g = 1.0 - math.exp(-gamma * row.t)
+        for t, rhs in zip(times, table.columns["rhs_closed"].tolist()):
+            g = 1.0 - math.exp(-gamma * t)
             ref = 2.0 * gamma * math.sqrt(g * (1.0 - g))
-            worst = max(worst, abs(math.sqrt(row.rhs_closed) - ref))
+            worst = max(worst, abs(math.sqrt(rhs) - ref))
         assert worst <= 1e-8, f"gamma={gamma}: rate spread off by {worst:.3e}"
         details.append(f"gamma={gamma} flip in ({lo:.3f},{hi:.3f}]")
     return "; ".join(details)

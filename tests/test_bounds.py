@@ -251,9 +251,13 @@ def test_var_rate_residual_rotating():
 
 
 def test_var_rate_residual_boundary_error():
+    # The edge is checked before any rho_dot is formed, so a trajectory
+    # without a model fails with the same message, not the finite
+    # difference's.
     traj = damping_trajectory(t_max=0.01)
-    with pytest.raises(ValueError, match="neighbors"):
-        var_rate_residual(traj, static_observable(sigma_z), 0.0)
+    for traj in (traj, trajectory_from_states(traj.times, traj.states, None)):
+        with pytest.raises(ValueError, match=r"^grid index 0 has no two-sided neighbors$"):
+            var_rate_residual(traj, static_observable(sigma_z), 0.0)
 
 
 def test_cauchy_schwarz_everywhere():

@@ -639,7 +639,7 @@ def test_trajectory_from_states_wraps_grid():
     times = np.arange(5) * 0.1
     states = [np.diag([0.6, 0.4]).astype(complex)] * 5
     traj = trajectory_from_states(times, states)
-    assert traj.model == "externally supplied"
+    assert traj.model is None
     assert traj.dim == 2
 
 

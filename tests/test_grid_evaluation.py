@@ -27,6 +27,7 @@ from fluctuation_bounds.bounds import (
     var_rate_residual,
 )
 from fluctuation_bounds.dynamics import (
+    Trajectory,
     analytic_amplitude_damping,
     lindblad_model,
     lindblad_rhs,
@@ -158,8 +159,8 @@ def test_zero_spread_points_match_reference():
     one_zero = observable([(polynomial([-0.5, 1.0]), sigma_x)])
     spec = spec_for((None, [DAMPING]), rho0, one_zero, 1.25, DT)
     got = run_scenario(spec)
-    flags = [row.skipped_flags for row in got]
-    assert [f != "" for f in flags] == [row.t == 0.5 for row in got]
+    flags = got.columns["skipped_flags"].tolist()
+    assert [f != "" for f in flags] == (got.columns["t"] == 0.5).tolist()
     assert flags[3].startswith("open:sigma") and ";closed:sigma" in flags[3]
     assert_same_records(got, reference_evaluate_scenario(spec))
 
@@ -234,6 +235,17 @@ def test_variance_floor_at_a_neighbour_matches_reference(monkeypatch):
     spec, traj = crafted(states, bounds=("var_rate_residual",))
     with_trajectory(monkeypatch, traj)
     assert_both_fail_at(spec, traj, 4 * DT, "below the round-off floor")
+    # Both neighbours of t = 0.75 invalid, with different variances: a
+    # scalar and a one-point call check k+1 first, as the reference does.
+    states[7] = np.diag([1.0 + 2e-9, -2e-9]).astype(complex)
+    spec, traj = crafted(states, bounds=("var_rate_residual",))
+    a, t = spec.observable, 6 * DT
+    with pytest.raises(ValueError, match="variance -8.000e-09 below") as ref:
+        ref_var_rate_residual(traj, a, t)
+    for times in (t, np.array([t])):
+        with pytest.raises(ValueError) as got:
+            var_rate_residual(traj, a, times, stat=stats.variance_rate(traj, a, times))
+        assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("skipped", [False, True])
@@ -403,7 +415,8 @@ def test_stacked_variance_rate_matches_reference_bitwise():
         got = stats.variance_rate(traj, spec.observable, t)
         assert got == want
         assert dataclasses.replace(want, t=times[k]) == stats.StatPoint(
-            times[k], *(float(getattr(grid, f.name)[k]) for f in dataclasses.fields(grid)[1:]))
+            times[k], *(float(getattr(grid, f.name)[k]) for f in dataclasses.fields(grid)[1:-1]),
+            int(grid.k[k]))
 
 
 def residual_case(case):
@@ -424,21 +437,66 @@ def residual_case(case):
 def test_residual_reads_neighbour_variances_off_the_stat_bitwise(case):
     # On a grid, the residual takes every interior variance from the
     # StatPoint and computes only the two grid ends; the reference
-    # computes both neighbours of each point itself.
+    # computes both neighbours of each point itself.  A grid, a one-point
+    # and a scalar call go through the same code, in either rho_dot mode.
     spec = residual_case(case)
     traj = sc.build_trajectory(spec)
-    a, mode, times = spec.observable, spec.rho_dot_mode, traj.times[1:-1]
-    sp = stats.variance_rate(traj, a, times, mode)
-    grid = var_rate_residual(traj, a, times, stat=sp)
-    for k, t in enumerate(times.tolist()):
-        point = stats.StatPoint(t, *(float(getattr(sp, f.name)[k]) for f in dataclasses.fields(sp)[1:]))
-        assert grid[k] == ref_var_rate_residual(traj, a, t, stat=point), f"t={t}"
-    # The replay path's one-point stat and a scalar t hold no neighbour.
-    for k in (0, 1, len(times) // 2, len(times) - 1):
-        one = times[k:k + 1]
-        assert var_rate_residual(traj, a, one, stat=stats.variance_rate(traj, a, one, mode)) == [grid[k]]
-        t = float(times[k])
-        assert var_rate_residual(traj, a, t, stat=stats.variance_rate(traj, a, t, mode)) == grid[k]
+    a, times = spec.observable, traj.times[1:-1]
+    for mode in ("analytic", "finite_difference"):
+        sp = stats.variance_rate(traj, a, times, mode)
+        grid = var_rate_residual(traj, a, times, stat=sp)
+        for k, t in enumerate(times.tolist()):
+            point = stats.StatPoint(
+                t, *(float(getattr(sp, f.name)[k]) for f in dataclasses.fields(sp)[1:-1]), int(sp.k[k]))
+            assert grid[k] == ref_var_rate_residual(traj, a, t, stat=point), f"{mode} t={t}"
+        # The replay path's one-point stat and a scalar t hold no neighbour.
+        for k in (0, 1, len(times) // 2, len(times) - 1):
+            one = times[k:k + 1]
+            got = var_rate_residual(traj, a, one, stat=stats.variance_rate(traj, a, one, mode))
+            assert got.tobytes() == grid[k:k + 1].tobytes(), f"{mode} k={k}"
+            t = float(times[k])
+            got = var_rate_residual(traj, a, t, stat=stats.variance_rate(traj, a, t, mode))
+            assert type(got) is float and got == grid[k], f"{mode} k={k}"
+
+
+def counting_index_maps(monkeypatch):
+    """The list to which every Trajectory.index_of call appends the
+    number of dimensions of its times."""
+    calls = []
+    real = Trajectory.index_of
+
+    def counting(self, t):
+        calls.append(np.ndim(t))
+        return real(self, t)
+
+    monkeypatch.setattr(Trajectory, "index_of", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "crossover"])
+def test_grid_pass_maps_times_to_indices_once(monkeypatch, name):
+    # variance_rate maps the grid times once; every check reads StatPoint.k.
+    data = builtin_scenario_dict(name)
+    data["bounds"] = list(ALL_CHECKS)
+    spec = parse_scenario(data)
+    calls = counting_index_maps(monkeypatch)
+    table = run_scenario(spec)
+    assert len(table) == int(round(spec.t_max / spec.dt)) - 1
+    assert calls == [1]
+
+
+def test_scalar_probe_maps_its_time_once(monkeypatch):
+    # One probe time through the stat and the three checks that take it.
+    spec = residual_case("driven-d4")
+    traj = sc.build_trajectory(spec)
+    a, t = spec.observable, float(traj.times[17])
+    calls = counting_index_maps(monkeypatch)
+    sp = stats.variance_rate(traj, a, t)
+    open_bound(traj, a, t, stat=sp)
+    closed_bound(traj, traj.model, a, t, stat=sp)
+    var_rate_residual(traj, a, t, stat=sp)
+    assert calls == [0]
+    assert sp.k == 17 and type(sp.k) is int
 
 
 def test_require_hermitian_stack_reports_the_first_bad_matrix():

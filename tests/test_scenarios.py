@@ -21,7 +21,6 @@ from fluctuation_bounds.scenarios import (
     BUILTIN_NAMES,
     FIGURE_COLUMNS,
     RESULT_COLUMNS,
-    ResultRow,
     ScenarioError,
     builtin_scenario_dict,
     build_trajectory,
@@ -278,47 +277,47 @@ def test_integrator_path_matches_analytic_path():
 # builtin runs
 
 def test_example1_rows_match_closed_forms():
-    rows = run_scenario(small_example1(t_max=1.0))
-    assert len(rows) == 999  # interior points only
-    assert rows[0].t == pytest.approx(0.001)
-    assert rows[-1].t == pytest.approx(0.999)
-    for row in rows[::97]:
-        u = math.exp(-row.t)
+    table = run_scenario(small_example1(t_max=1.0))
+    cols = table.columns
+    assert len(table) == 999  # interior points only
+    assert cols["t"][0] == pytest.approx(0.001)
+    assert cols["t"][-1] == pytest.approx(0.999)
+    for k in range(0, len(table), 97):
+        u = math.exp(-cols["t"][k])
         lhs = u * (1.0 - 2.0 * u) ** 2 / (1.0 - u)
-        assert row.lhs_open == pytest.approx(lhs, rel=1e-6)
-        assert abs(row.rhs_open - 2.0 * row.lhs_open) <= 1e-12
-        assert row.sigma_sq == pytest.approx(4.0 * u * (1.0 - u), rel=1e-12)
-        assert row.skipped_flags == ""
+        assert cols["lhs_open"][k] == pytest.approx(lhs, rel=1e-6)
+        assert abs(cols["rhs_open"][k] - 2.0 * cols["lhs_open"][k]) <= 1e-12
+        assert cols["sigma_sq"][k] == pytest.approx(4.0 * u * (1.0 - u), rel=1e-12)
+        assert cols["skipped_flags"][k] == ""
 
 
 def test_example2_rows_reduce_to_zero_le_two():
     data = builtin_scenario_dict("example2")
     data["t_max"] = 0.5
-    rows = run_scenario(parse_scenario(data))
-    for row in rows[::53]:
-        assert abs(row.mean) <= 1e-10
-        assert abs(row.lhs_open) <= 1e-10
-        assert abs(row.rhs_open - 2.0) <= 1e-12
-        assert row.var_rate_residual <= 1e-10
+    cols = run_scenario(parse_scenario(data)).columns
+    for k in range(0, len(cols["t"]), 53):
+        assert abs(cols["mean"][k]) <= 1e-10
+        assert abs(cols["lhs_open"][k]) <= 1e-10
+        assert abs(cols["rhs_open"][k] - 2.0) <= 1e-12
+        assert cols["var_rate_residual"][k] <= 1e-10
 
 
 def test_crossover_margin_flips_once_near_threshold():
     data = builtin_scenario_dict("crossover")
     data["t_max"] = 0.6
-    rows = run_scenario(parse_scenario(data))
-    signs = [row.margin_closed >= 0 for row in rows]
+    cols = run_scenario(parse_scenario(data)).columns
+    signs = (cols["margin_closed"] >= 0).tolist()
     flips = [i for i in range(len(signs) - 1) if signs[i] != signs[i + 1]]
     assert len(flips) == 1
     t_star = math.log(4.0 / 3.0)
-    assert rows[flips[0]].t < t_star <= rows[flips[0] + 1].t + 1e-12
+    assert cols["t"][flips[0]] < t_star <= cols["t"][flips[0] + 1] + 1e-12
     assert not signs[0] and signs[-1]
 
 
 def test_unrequested_bounds_stay_nan():
-    rows = run_scenario(small_example1(bounds=["closed"]))
-    row = rows[100]
-    assert math.isnan(row.lhs_open) and math.isnan(row.var_rate_residual)
-    assert math.isfinite(row.lhs_closed)
+    cols = run_scenario(small_example1(bounds=["closed"])).columns
+    assert math.isnan(cols["lhs_open"][100]) and math.isnan(cols["var_rate_residual"][100])
+    assert math.isfinite(cols["lhs_closed"][100])
 
 
 def test_zero_spread_points_are_flagged_not_fatal():
@@ -329,12 +328,13 @@ def test_zero_spread_points_are_flagged_not_fatal():
         ]
     }
     spec = small_example1(t_max=0.1, observable=identity_obs, bounds=["open"])
-    rows = run_scenario(spec)
-    assert rows
-    for row in rows:
-        assert row.skipped_flags.startswith("open:sigma")
-        assert math.isnan(row.margin_open)
-        assert row.mean == pytest.approx(1.0)
+    table = run_scenario(spec)
+    assert len(table)
+    cols = table.columns
+    for k in range(len(table)):
+        assert cols["skipped_flags"][k].startswith("open:sigma")
+        assert math.isnan(cols["margin_open"][k])
+        assert cols["mean"][k] == pytest.approx(1.0)
 
 
 def test_unstable_grid_aborts_with_time_stamp():
@@ -455,7 +455,6 @@ def test_figure1_rejects_overflowing_step_count():
 # CSV emission
 
 def test_result_columns_match_row_fields():
-    assert ResultRow._fields == RESULT_COLUMNS
     assert FIGURE_COLUMNS == ("t", "mu_A", "sigma_A", "v_A", "margin_closed")
 
 

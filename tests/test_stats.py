@@ -32,7 +32,7 @@ def damping_trajectory(gamma_rate=1.0, omega=0.0, t_max=2.0, dt=1e-3, with_model
     times = np.arange(int(round(t_max / dt)) + 1) * dt
     states = [damped_state(t, gamma_rate, omega) for t in times]
     model = damping_model(gamma_rate, omega if omega != 0.0 else None)
-    return trajectory_from_states(times, states, model if with_model else "externally supplied")
+    return trajectory_from_states(times, states, model if with_model else None)
 
 
 ROTATING = observable([(cosine(1.0, 1.0), sigma_x), (sine(1.0, 1.0), sigma_y)])
