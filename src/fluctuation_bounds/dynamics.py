@@ -199,7 +199,7 @@ def _apply(left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarray:
     LindbladModel, for one state or an (n, d, d) stack: one (d*M, d) block
     per state.  ``rho @ right`` of a stack is one ``_products`` call; the
     weighted ``left`` stays a per-matrix product."""
-    return left @ _products(rho, right).reshape(rho.shape[:-2] + (-1, rho.shape[-1]))
+    return left @ _products(rho, right).reshape(rho.shape[:-2] + (right.shape[-1], rho.shape[-1]))
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t=0.0) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,15 @@ class CoefficientFunction:
         return out, None
 
 
+def _is_number(x) -> bool:
+    """A real number that is not a bool: a JSON int or float, or numpy's."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _finite_params(params, kind: str) -> tuple:
+    for p in params:
+        if not _is_number(p):
+            raise TypeError(f"{kind} coefficient parameters must be numbers, got {p!r}")
     out = tuple(float(p) for p in params)
     if not all(math.isfinite(p) for p in out):
         raise ValueError(f"{kind} coefficient has non-finite parameters")

@@ -36,7 +36,7 @@ from .dynamics import (
     trajectory_from_states,
 )
 from .linalg import as_density_matrix, matrix_from_dict
-from .observables import TimeDependentObservable, observable_from_dict
+from .observables import TimeDependentObservable, _is_number, observable_from_dict
 from .stats import EPS_SIGMA, variance_rate
 
 BOUND_NAMES = ("open", "closed", "var_rate_residual", "cauchy_schwarz")
@@ -114,8 +114,8 @@ _FIELD_ERRORS = (ValueError, TypeError, KeyError, OverflowError)
 
 
 def _finite_number(x) -> bool:
-    """A JSON int or float (not a bool) that is a finite float."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+    """A number (not a bool) that is a finite float."""
+    return _is_number(x) and abs(x) <= sys.float_info.max
 
 
 def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
@@ -166,8 +166,9 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
             m = matrix_from_dict(entry["matrix"])
             rate = entry.get("rate")
             if rate is not None:
-                if isinstance(rate, bool):
-                    raise TypeError(f"rate must be nonnegative, got {rate}")
+                if not _is_number(rate):
+                    kind = "nonnegative" if isinstance(rate, bool) else "a number"
+                    raise TypeError(f"rate must be {kind}, got {rate!r}")
                 rate = float(rate)
                 if not (rate >= 0.0 and math.isfinite(rate)):
                     violations.append(f"jump_operators[{i}]: rate must be nonnegative, got {rate}")

@@ -3,9 +3,11 @@
 Every per-point moment of A the bounds read (mean, variance,
 Cov(A, partial_t A), <(partial_t A)^2>, tr(rho_dot DeltaA^2)) and the
 variance growth rate tr(rho_dot DeltaA^2) + 2 Cov(A, partial_t A) come
-out of one StatPoint, together with the grid indices of its times.  The
-state derivative comes from the model's generator when one is attached
-to the trajectory and from central finite differences otherwise.
+out of one StatPoint, together with the grid indices of its times.
+variance_rate is the only place that assembles them and maps a time to
+a grid index; every check in bounds requires its StatPoint.  The state
+derivative comes from the model's generator when one is attached to the
+trajectory and from central finite differences otherwise.
 """
 
 from __future__ import annotations
@@ -142,10 +144,7 @@ def variance_rate(
     (Hermiticity, imaginary parts, the variance floor, a traceless
     rho_dot) raising the message of the first time that fails it.  This
     is the one place a time becomes a grid index: the StatPoint's ``k``
-    holds it, and every check given the stat reads it there.  With
-    rho_dot_mode None no rho_dot is formed, so rho_dot_term and var_rate
-    are nan and a point without a model or grid neighbours does not fail
-    for want of one.
+    holds it, and every check reads it there.
     """
     k = traj.index_of(t)
     rho = traj.states[k]
@@ -157,11 +156,8 @@ def variance_rate(
     rho_da = _products(rho, da_t)  # read by <partial_t A> and <(partial_t A)^2>
     cov = _symmetrized(rho, a_t, da_t) - mean * _real_part(traces(rho_da))
     partial_sq = traces(_products(rho_da, da_t)).real
-    rd_term = np.full(np.shape(mean), np.nan)
-    if rho_dot_mode is not None:
-        rho_dot = state_derivative(traj, k, t, rho_dot_mode)
-        rd_term = _rho_dot_term(rho_dot, a_t, mean)
+    rd_term = _rho_dot_term(state_derivative(traj, k, t, rho_dot_mode), a_t, mean)
     out = (mean, var, np.sqrt(var), cov, partial_sq, rd_term, rd_term + 2.0 * cov)
     if np.ndim(t) == 0:
-        return StatPoint(t, *(float(x) for x in out), k)
+        return StatPoint(float(t), *(float(x) for x in out), k)
     return StatPoint(np.asarray(t, dtype=float), *out, k)

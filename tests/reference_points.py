@@ -173,22 +173,21 @@ def open_bound(
     traj: Trajectory,
     a: TimeDependentObservable,
     t: float,
-    stat: StatPoint | None = None,
+    stat: StatPoint,
 ) -> BoundReport:
     """Generator-independent bound on the spread growth rate.
 
     lhs = var_rate^2 / (4 sigma^2) is (d sigma_A/dt)^2; points with
-    sigma below EPS_SIGMA are reported as skipped, not errors.  Pass a
-    precomputed StatPoint for t as stat to skip recomputing it.
+    sigma below EPS_SIGMA are reported as skipped, not errors.  The
+    moments come from the StatPoint stat of A at t.
     """
-    sp = stat if stat is not None else variance_rate(traj, a, t)
-    if sp.sigma < EPS_SIGMA:
-        return _skipped("open", t, sp.sigma)
-    lhs = sp.var_rate**2 / (4.0 * sp.variance)
+    if stat.sigma < EPS_SIGMA:
+        return _skipped("open", t, stat.sigma)
+    lhs = stat.var_rate**2 / (4.0 * stat.variance)
     rho = traj.states[traj.index_of(t)]
     rhs = 2.0 * (
         squared_partial_expectation(a, t, rho)
-        + sp.rho_dot_term**2 / (4.0 * sp.variance)
+        + stat.rho_dot_term**2 / (4.0 * stat.variance)
     )
     return _report("open", t, lhs, rhs)
 
@@ -214,17 +213,16 @@ def closed_bound(
     model: LindbladModel,
     a: TimeDependentObservable,
     t: float,
-    stat: StatPoint | None = None,
+    stat: StatPoint,
 ) -> BoundReport:
     """Heisenberg-rate bound; guaranteed only without jump operators.
 
     Evaluating it on open dynamics is deliberate (that is how the
     crossover time shows up); violations set satisfied=False.
     """
-    sp = stat if stat is not None else variance_rate(traj, a, t)
-    if sp.sigma < EPS_SIGMA:
-        return _skipped("closed", t, sp.sigma)
-    lhs = sp.var_rate**2 / (4.0 * sp.variance)
+    if stat.sigma < EPS_SIGMA:
+        return _skipped("closed", t, stat.sigma)
+    lhs = stat.var_rate**2 / (4.0 * stat.variance)
     rho = traj.states[traj.index_of(t)]
     rhs = variance(rho, adjoint_heisenberg_rate(model, a, t))
     return _report("closed", t, lhs, rhs)
@@ -250,21 +248,20 @@ def var_rate_residual(
     traj: Trajectory,
     a: TimeDependentObservable,
     t: float,
-    stat: StatPoint | None = None,
+    stat: StatPoint,
 ) -> float:
     """|var_rate - central difference of sigma^2|; O(dt^2) on smooth runs.
 
-    Cross-checks the algebraic variance-rate assembly against the grid.
-    Interior points only.
+    Cross-checks the algebraic variance-rate assembly of stat against
+    the grid.  Interior points only.
     """
     k = traj.index_of(t)
     if not 0 < k < len(traj) - 1:
         raise ValueError(f"grid index {k} has no two-sided neighbors")
-    sp = stat if stat is not None else variance_rate(traj, a, t)
     var_up = variance(traj.states[k + 1], a.evaluate(traj.times[k + 1]))
     var_dn = variance(traj.states[k - 1], a.evaluate(traj.times[k - 1]))
     fd = (var_up - var_dn) / (2.0 * traj.dt)
-    return abs(sp.var_rate - fd)
+    return abs(stat.var_rate - fd)
 
 
 def cauchy_schwarz_margin(

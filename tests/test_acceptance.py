@@ -203,8 +203,8 @@ def test_criterion_06_open_bound_universality():
         if idx < 40:
             # same model on a halved grid; probe time lies on both grids
             fine = integrate(model, rho0, t_max, dt / 2)
-            r_coarse = var_rate_residual(traj, a, 0.05)
-            r_fine = var_rate_residual(fine, a, 0.05)
+            r_coarse = var_rate_residual(traj, a, 0.05, stat=variance_rate(traj, a, 0.05))
+            r_fine = var_rate_residual(fine, a, 0.05, stat=variance_rate(fine, a, 0.05))
             if r_coarse >= 1e-8:  # below that, round-off owns the ratio
                 ratios.append(r_coarse / r_fine)
     assert checked > 15000

@@ -53,7 +53,7 @@ def test_open_bound_damped_population():
     traj = damping_trajectory()
     a = static_observable(sigma_z)
     for t in (0.1, 0.4, 1.0, 2.5):
-        rep = open_bound(traj, a, t)
+        rep = open_bound(traj, a, t, stat=variance_rate(traj, a, t))
         assert not rep.skipped
         assert rep.lhs == pytest.approx(example1_lhs(t), rel=1e-10)
         # with no explicit time dependence the two sides sit in a fixed 2:1 ratio
@@ -64,7 +64,8 @@ def test_open_bound_damped_population():
 def test_open_bound_zero_lhs_at_sign_change():
     traj = damping_trajectory()
     t = traj.times[traj.index_of(round(np.log(2) / traj.dt) * traj.dt)]
-    rep = open_bound(traj, static_observable(sigma_z), t)
+    a = static_observable(sigma_z)
+    rep = open_bound(traj, a, t, stat=variance_rate(traj, a, t))
     assert rep.lhs < 1e-5  # the mean crosses zero here, so the rate vanishes
     assert rep.satisfied
 
@@ -72,7 +73,7 @@ def test_open_bound_zero_lhs_at_sign_change():
 def test_open_bound_rotating_observable():
     traj = damping_trajectory(omega=1.0)
     for t in (0.2, 0.9, 2.0):
-        rep = open_bound(traj, ROTATING, t)
+        rep = open_bound(traj, ROTATING, t, stat=variance_rate(traj, ROTATING, t))
         assert rep.lhs == pytest.approx(0.0, abs=1e-10)
         assert rep.rhs == pytest.approx(2.0, abs=1e-10)
         assert rep.satisfied
@@ -82,7 +83,8 @@ def test_open_bound_skips_zero_spread():
     ground = np.diag([1.0, 0.0]).astype(complex)
     times = np.arange(11) * 0.1
     traj = trajectory_from_states(times, [ground] * 11, damping_model())
-    rep = open_bound(traj, static_observable(sigma_z), 0.5)
+    a = static_observable(sigma_z)
+    rep = open_bound(traj, a, 0.5, stat=variance_rate(traj, a, 0.5))
     assert rep.skipped
     assert "sigma" in rep.reason
     assert not rep.satisfied
@@ -188,12 +190,12 @@ def test_closed_bound_on_damping_crossover():
     model = traj.model
 
     t_half = round(np.log(2) / traj.dt) * traj.dt  # damping probability 1/2
-    rep = closed_bound(traj, model, a, t_half)
+    rep = closed_bound(traj, model, a, t_half, stat=variance_rate(traj, a, t_half))
     assert rep.satisfied
     assert rep.rhs == pytest.approx(4 * gamma_of(t_half, 1) * (1 - gamma_of(t_half, 1)), rel=1e-9)
 
     t_eighth = round(np.log(8 / 7) / traj.dt) * traj.dt  # damping probability ~ 1/8
-    rep = closed_bound(traj, model, a, t_eighth)
+    rep = closed_bound(traj, model, a, t_eighth, stat=variance_rate(traj, a, t_eighth))
     assert not rep.satisfied and not rep.skipped
     assert rep.margin < -TAU_BOUND
 
@@ -204,7 +206,7 @@ def test_closed_bound_rhs_is_adjoint_rate_spread():
         traj = damping_trajectory(gamma_rate, t_max=2.0)
         a = static_observable(sigma_z)
         for t in (0.2, 0.7, 1.5):
-            rep = closed_bound(traj, traj.model, a, t)
+            rep = closed_bound(traj, traj.model, a, t, stat=variance_rate(traj, a, t))
             g = gamma_of(t, gamma_rate)
             assert np.sqrt(rep.rhs) == pytest.approx(2 * gamma_rate * np.sqrt(g * (1 - g)), abs=1e-8)
 
@@ -216,7 +218,8 @@ def test_closed_bound_flip_time():
         a = static_observable(sigma_z)
         flags = []
         for k in range(1, len(traj) - 1):
-            flags.append(closed_bound(traj, traj.model, a, float(traj.times[k])).satisfied)
+            t = float(traj.times[k])
+            flags.append(closed_bound(traj, traj.model, a, t, stat=variance_rate(traj, a, t)).satisfied)
         flips = [i for i in range(1, len(flags)) if flags[i] != flags[i - 1]]
         assert len(flips) == 1
         t_flip = traj.times[flips[0] + 1]
@@ -231,14 +234,15 @@ def test_var_rate_residual_damping():
     traj = damping_trajectory(t_max=2.0)
     a = static_observable(sigma_z)
     for t in (0.1, 0.7, 1.5):
-        assert var_rate_residual(traj, a, t) <= 1e-5
+        assert var_rate_residual(traj, a, t, stat=variance_rate(traj, a, t)) <= 1e-5
 
 
 def test_var_rate_residual_static_scenario():
     ground = np.diag([1.0, 0.0]).astype(complex)
     times = np.arange(11) * 0.1
     traj = trajectory_from_states(times, [ground] * 11, damping_model())
-    assert var_rate_residual(traj, static_observable(sigma_z), 0.5) == 0.0
+    a = static_observable(sigma_z)
+    assert var_rate_residual(traj, a, 0.5, stat=variance_rate(traj, a, 0.5)) == 0.0
 
 
 def test_var_rate_residual_rotating():
@@ -247,17 +251,15 @@ def test_var_rate_residual_rotating():
         sp = variance_rate(traj, ROTATING, t)
         assert abs(sp.rho_dot_term) < 1e-12
         assert abs(sp.cov) < 1e-12
-        assert var_rate_residual(traj, ROTATING, t) <= 1e-5
+        assert var_rate_residual(traj, ROTATING, t, stat=sp) <= 1e-5
 
 
 def test_var_rate_residual_boundary_error():
-    # The edge is checked before any rho_dot is formed, so a trajectory
-    # without a model fails with the same message, not the finite
-    # difference's.
+    # The edge is checked before the neighbours' variances are formed.
     traj = damping_trajectory(t_max=0.01)
-    for traj in (traj, trajectory_from_states(traj.times, traj.states, None)):
-        with pytest.raises(ValueError, match=r"^grid index 0 has no two-sided neighbors$"):
-            var_rate_residual(traj, static_observable(sigma_z), 0.0)
+    a = static_observable(sigma_z)
+    with pytest.raises(ValueError, match=r"^grid index 0 has no two-sided neighbors$"):
+        var_rate_residual(traj, a, 0.0, stat=variance_rate(traj, a, 0.0))
 
 
 def test_cauchy_schwarz_everywhere():
@@ -268,33 +270,20 @@ def test_cauchy_schwarz_everywhere():
         traj = integrate(model, random_state(rng, dim), t_max=0.1, dt=1e-3)
         a = random_observable(rng, dim, time_dependent=True)
         for t in (0.02, 0.05, 0.08):
-            assert cauchy_schwarz_margin(traj, a, t) >= -1e-10
+            assert cauchy_schwarz_margin(traj, a, t, stat=variance_rate(traj, a, t)) >= -1e-10
 
 
 def test_cauchy_schwarz_margin_from_the_stat_point_is_bitwise_the_same():
+    # A scalar margin is element k of the grid margin, bit for bit.
     rng = np.random.default_rng(109)
     model = random_model(rng, 3)
     traj = integrate(model, random_state(rng, 3), t_max=0.05, dt=1e-3)
     a = random_observable(rng, 3, time_dependent=True)
     times = traj.times[1:-1]
     grid = cauchy_schwarz_margin(traj, a, times, stat=variance_rate(traj, a, times))
-    assert grid.tobytes() == cauchy_schwarz_margin(traj, a, times).tobytes()
-    for t in times[::10].tolist():
+    for k, t in enumerate(times[::10].tolist()):
         one = cauchy_schwarz_margin(traj, a, t, stat=variance_rate(traj, a, t))
-        assert type(one) is float and one == cauchy_schwarz_margin(traj, a, t)
-
-
-def test_cauchy_schwarz_margin_without_stat_forms_no_rho_dot():
-    # At t = 0 a trajectory without a model has neither a generator nor a
-    # left neighbour, so no rho_dot exists there; the margin needs none.
-    times = np.arange(5) * 0.1
-    states = [analytic_amplitude_damping(PROJ_1, 1.0, 0.0, t) for t in times]
-    traj = trajectory_from_states(times, states, None)
-    with pytest.raises(ValueError, match="neighbors"):
-        variance_rate(traj, ROTATING, 0.0)
-    want = variance(states[0], sigma_x) * 1.0  # (partial_t A)^2 = I; Cov = 0 here
-    assert cauchy_schwarz_margin(traj, ROTATING, 0.0) == pytest.approx(want, abs=1e-15)
-    assert cauchy_schwarz_margin(traj, ROTATING, times[:2]).shape == (2,)
+        assert type(one) is float and one == grid[10 * k]
 
 
 def test_square_sum_inequality_on_encountered_pairs():
@@ -355,6 +344,6 @@ def test_closed_bound_holds_for_closed_models():
         traj = integrate(model, random_state(rng, dim), t_max=0.1, dt=1e-3)
         a = random_observable(rng, dim, time_dependent=bool(rng.integers(2)))
         for t in (0.02, 0.05, 0.08):
-            rep = closed_bound(traj, model, a, t)
+            rep = closed_bound(traj, model, a, t, stat=variance_rate(traj, a, t))
             if not rep.skipped:
                 assert rep.margin >= -1e-9

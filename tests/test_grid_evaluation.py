@@ -22,6 +22,7 @@ from fluctuation_bounds import scenarios as sc
 from fluctuation_bounds import stats
 from fluctuation_bounds.bounds import (
     adjoint_heisenberg_rate,
+    cauchy_schwarz_margin,
     closed_bound,
     open_bound,
     var_rate_residual,
@@ -165,7 +166,8 @@ def test_zero_spread_points_match_reference():
     assert_same_records(got, reference_evaluate_scenario(spec))
 
     traj = sc.build_trajectory(spec)
-    reports = open_bound(traj, one_zero, traj.times[1:-1])
+    times = traj.times[1:-1]
+    reports = open_bound(traj, one_zero, times, stat=stats.variance_rate(traj, one_zero, times))
     assert len(reports) == 9 and reports.skipped == 1 and not reports.live[3]
 
     flat = spec_for((None, [DAMPING]), rho0, static_observable(np.eye(2)), 1.25, DT)
@@ -241,7 +243,7 @@ def test_variance_floor_at_a_neighbour_matches_reference(monkeypatch):
     spec, traj = crafted(states, bounds=("var_rate_residual",))
     a, t = spec.observable, 6 * DT
     with pytest.raises(ValueError, match="variance -8.000e-09 below") as ref:
-        ref_var_rate_residual(traj, a, t)
+        ref_var_rate_residual(traj, a, t, stat=ref_variance_rate(traj, a, t))
     for times in (t, np.array([t])):
         with pytest.raises(ValueError) as got:
             var_rate_residual(traj, a, times, stat=stats.variance_rate(traj, a, times))
@@ -353,8 +355,9 @@ def test_one_time_report_is_element_k_of_the_grid_report(kind):
     one_zero = observable([(polynomial([-0.5, 1.0]), sigma_x)])
     spec = spec_for((None, [DAMPING]), np.diag([0.3, 0.7]).astype(complex), one_zero, 1.25, DT)
     traj = sc.build_trajectory(spec)
-    check = {"open": lambda t: open_bound(traj, one_zero, t),
-             "closed": lambda t: closed_bound(traj, traj.model, one_zero, t)}[kind]
+    check = {"open": lambda t: open_bound(traj, one_zero, t, stats.variance_rate(traj, one_zero, t)),
+             "closed": lambda t: closed_bound(
+                 traj, traj.model, one_zero, t, stats.variance_rate(traj, one_zero, t))}[kind]
     times = traj.times[1:-1]
     grid = check(times)
     assert grid.kind == kind and len(grid) == len(times) and grid.skipped == 1
@@ -457,6 +460,20 @@ def test_residual_reads_neighbour_variances_off_the_stat_bitwise(case):
             t = float(times[k])
             got = var_rate_residual(traj, a, t, stat=stats.variance_rate(traj, a, t, mode))
             assert type(got) is float and got == grid[k], f"{mode} k={k}"
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+def test_empty_times_give_empty_results(mode):
+    # No times, no rows: the stat and all four checks return empty arrays.
+    spec = residual_case("driven-d4")
+    traj = sc.build_trajectory(spec)
+    a, none = spec.observable, np.array([])
+    sp = stats.variance_rate(traj, a, none, mode)
+    assert all(np.shape(getattr(sp, f.name)) == (0,) for f in dataclasses.fields(sp))
+    for report in (open_bound(traj, a, none, sp), closed_bound(traj, traj.model, a, none, sp)):
+        assert len(report) == 0 and report.reason == () and report.margin.shape == (0,)
+    assert var_rate_residual(traj, a, none, sp).shape == (0,)
+    assert cauchy_schwarz_margin(traj, a, none, sp).shape == (0,)
 
 
 def counting_index_maps(monkeypatch):

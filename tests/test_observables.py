@@ -284,6 +284,13 @@ def test_observable_rejects_bad_input():
         cosine(np.inf, 1.0)
     with pytest.raises(ValueError, match="finite"):
         rotating_observable().evaluate(np.nan)
+    with pytest.raises(TypeError, match="must be numbers, got '1'"):
+        polynomial("12")
+    with pytest.raises(TypeError, match="must be numbers, got True"):
+        cosine(True, 1.0)
+    # numpy's numbers are numbers
+    assert polynomial(np.arange(3)).params == (0.0, 1.0, 2.0)
+    assert constant(np.float32(0.5)).params == (0.5,)
 
 
 def test_observable_dict_round_trip():

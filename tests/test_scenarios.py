@@ -120,12 +120,21 @@ def test_list_fields_must_be_lists(field, value):
 
 def set_field(data: dict, field: str, value) -> dict:
     """data with field set; "rate" is the first jump operator's rate, "term
-    value" the first observable term's constant and "state entry" the first
-    real entry of the initial state."""
+    value" the first observable term's constant, "amplitude" and
+    "coefficients" those of the first observable term made a cosine or a
+    polynomial, and "state entry" the first real entry of the initial
+    state."""
+    term = data["observable"]["terms"][0]
     if field == "rate":
         data["jump_operators"][0]["rate"] = value
     elif field == "term value":
-        data["observable"]["terms"][0]["value"] = value
+        term["value"] = value
+    elif field == "amplitude":
+        data["observable"]["terms"][0] = {"kind": "cosine", "amplitude": value, "omega": 1.0,
+                                          "matrix": term["matrix"]}
+    elif field == "coefficients":
+        data["observable"]["terms"][0] = {"kind": "polynomial", "coefficients": value,
+                                          "matrix": term["matrix"]}
     elif field == "state entry":
         data["initial_state"]["re"][0][0] = value
     else:
@@ -144,9 +153,26 @@ def parse_violations(data: dict) -> tuple:
     ("dt", "dt: must be positive, got True"),
     ("t_max", "t_max: must be at least 10*dt, got True"),
     ("rate", "jump_operators[0]: rate must be nonnegative, got True"),
+    ("term value", "observable: constant coefficient parameters must be numbers, got True"),
+    ("amplitude", "observable: cosine coefficient parameters must be numbers, got True"),
 ])
 def test_json_booleans_are_not_numbers(field, violation):
     violations = parse_violations(set_field(builtin_scenario_dict("example1"), field, True))
+    assert violations == (violation,)
+
+
+@pytest.mark.parametrize("field, value, violation", [
+    ("rate", "1.0", "jump_operators[0]: rate must be a number, got '1.0'"),
+    ("rate", [1.0], "jump_operators[0]: rate must be a number, got [1.0]"),
+    ("term value", "1.0", "observable: constant coefficient parameters must be numbers, got '1.0'"),
+    ("amplitude", "1", "observable: cosine coefficient parameters must be numbers, got '1'"),
+    # tuple("12") is ("1", "2") and a dict iterates its keys
+    ("coefficients", "12", "observable: polynomial coefficient parameters must be numbers, got '1'"),
+    ("coefficients", {"1": 2}, "observable: polynomial coefficient parameters must be numbers, got '1'"),
+    ("coefficients", [1, None], "observable: polynomial coefficient parameters must be numbers, got None"),
+])
+def test_json_values_that_are_not_numbers_are_one_violation(field, value, violation):
+    violations = parse_violations(set_field(builtin_scenario_dict("example1"), field, value))
     assert violations == (violation,)
 
 

@@ -185,9 +185,11 @@ def test_variance_rate_stationary_state():
     ground = np.diag([1.0, 0.0]).astype(complex)
     times = np.arange(11) * 0.1
     traj = trajectory_from_states(times, [ground] * 11, damping_model())
-    sp = variance_rate(traj, static_observable(sigma_z), 0.5)
-    assert sp.var_rate == 0.0
-    assert sp.sigma == 0.0
+    for t in (0.5, np.float64(0.5), np.array(0.5), 1):  # a one-time t is stored as a float
+        sp = variance_rate(traj, static_observable(sigma_z), t)
+        assert type(sp.t) is float and sp.t == t
+        assert sp.var_rate == 0.0
+        assert sp.sigma == 0.0
 
 
 def test_variance_rate_rotating_observable_is_zero():
