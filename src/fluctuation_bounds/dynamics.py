@@ -25,8 +25,11 @@ matrices are expanded from the operator sum once per ``integrate`` call.
 The size rule ``step_map_size(model) <= STEP_MAP_MAX`` (K d^4 doubles)
 picks this path; larger models run the operator-sum stage loop.
 
-Both paths read one drive table per CHECK_BLOCK steps: the drive
-coefficients at every stage time of the block, one array per coefficient.
+Both paths read one drive table per run: the drive coefficients at
+every stage time of the grid, one array per coefficient, which each
+block of CHECK_BLOCK steps slices.  The step-map path also forms the
+start, midpoint and end factors of its monomials once per run, and
+carries a block's last coordinates over as the next block's first.
 Integration never repairs its state: ``integrate`` checks trace and
 positivity of every step taken, one batch per block, and the first
 violation aborts with the failing time in the message; only then is a
@@ -394,6 +397,26 @@ def _hermitian_basis(d: int):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _state_index(d: int) -> np.ndarray:
+    """Read-only (2 d^2,): for each double of a (d, d) complex state (real
+    then imaginary part of each entry, row-major), its column in the
+    extended coordinates (x, -Im rho_upper, 0) of a d^2 + p + 1 wide
+    ``_StepMapRun`` buffer, p = d(d-1)/2.  One gather through it writes a
+    state whose lower entries are the conjugates of its upper ones."""
+    _, diag, iu, ju = _hermitian_basis(d)
+    p = len(iu)
+    pair = np.arange(p)
+    index = np.full((d, d, 2), d * d + p)  # imaginary diagonal: the zero column
+    index[diag, diag, 0] = diag
+    index[iu, ju, 0] = index[ju, iu, 0] = d + pair
+    index[iu, ju, 1] = d + p + pair
+    index[ju, iu, 1] = d * d + pair
+    index = index.reshape(-1)
+    index.setflags(write=False)
+    return index
+
+
 def _coordinates(m: np.ndarray) -> np.ndarray:
     """The d^2 coordinates of the Hermitian part of a (..., d, d) matrix or stack."""
     _, diag, iu, ju = _hermitian_basis(m.shape[-1])
@@ -401,32 +424,22 @@ def _coordinates(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m[..., diag, diag].real, off.real, off.imag], axis=-1)
 
 
-def _set_from_coordinates(out: np.ndarray, x: np.ndarray) -> None:
-    """Write the matrices with coordinates x (n, d^2) into out (n, d, d);
-    each lower entry is the conjugate of its upper one, so every matrix
-    is exactly Hermitian."""
-    d = out.shape[-1]
-    _, diag, iu, ju = _hermitian_basis(d)
-    p = len(iu)
-    re, im = out.real, out.imag
-    re[:, diag, diag] = x[:, :d]
-    im[:, diag, diag] = 0.0
-    re[:, iu, ju] = re[:, ju, iu] = x[:, d:d + p]
-    im[:, iu, ju] = x[:, d + p:]
-    im[:, ju, iu] = -x[:, d + p:]
-
-
 def _generator_parts(model: LindbladModel) -> np.ndarray:
     """(D+1, d^2, d^2): G_0, the weight-1 terms of the operator sum, then
     one G_k per drive coefficient, from its pair of terms; column a of
-    each is that part applied to basis matrix E_a, in coordinates."""
+    each is that part applied to basis matrix E_a, in coordinates.
+
+    The images A_m E_a B_m of all d^2 basis matrices take two 2-D
+    products per term, A_m @ [E_1 | ... | E_{d^2}] and then, its rows
+    regrouped, @ B_m: 2M products in two stacked calls."""
     a, b = model.terms()
-    basis = _hermitian_basis(model.dim)[0]
-    images = a[:, None] @ basis @ b[:, None]  # (M, d^2, d, d)
-    split = len(a) - 2 * len(model.drive)
+    d, m = model.dim, len(a)
+    row = _hermitian_basis(d)[0].transpose(1, 0, 2).reshape(d, d ** 3)  # [E_1 | ... | E_{d^2}]
+    images = ((a @ row).reshape(m, d ** 3, d) @ b).reshape(m, d, d * d, d)  # [m, i, a, j]
+    split = m - 2 * len(model.drive)
     parts = [images[:split].sum(axis=0)]
-    parts += [images[m:m + 2].sum(axis=0) for m in range(split, len(a), 2)]
-    return _coordinates(np.stack(parts)).transpose(0, 2, 1)
+    parts += [images[k:k + 2].sum(axis=0) for k in range(split, m, 2)]
+    return _coordinates(np.stack(parts).transpose(0, 2, 1, 3)).transpose(0, 2, 1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -438,16 +451,15 @@ def _pair_indices(n: int):
     return out
 
 
-def _step_monomials(model: LindbladModel, dt: float) -> np.ndarray:
+def _step_monomials(parts: np.ndarray, dt: float) -> np.ndarray:
     """(K, d^4): the flattened C_m of P = sum_m monomial_m * C_m, with the
-    K monomials ordered as by ``_monomial_values``.
+    K monomials ordered as by ``_step_factors``, for the D+1 generator
+    ``parts`` of ``_generator_parts``.
 
-    Every word G_k1 ... G_kj (j <= 4) over the D+1 generator parts is
-    formed once, each from its prefix of length j-1, and added to the
-    monomial its stage coefficients make in each RK4 product of that
-    length.
+    Every word G_k1 ... G_kj (j <= 4) over the parts is formed once, each
+    from its prefix of length j-1, and added to the monomial its stage
+    coefficients make in each RK4 product of that length.
     """
-    parts = _generator_parts(model)
     n, dim = parts.shape[0], parts.shape[1]
     ku, lu = _pair_indices(n)
     pairs = np.empty((n, n), dtype=int)  # position of the pair {k, l} in triu order
@@ -470,62 +482,97 @@ def _step_monomials(model: LindbladModel, dt: float) -> np.ndarray:
     return monomials.reshape(-1, dim * dim)
 
 
-def _monomial_values(start: np.ndarray, mid: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """(n, K): the monomials of ``_step_monomials`` for n steps, from the
-    (n, D) drive coefficients at their start, midpoint and end."""
-    one = np.ones((len(start), 1))
-    u1, b, u3 = np.hstack([one, start]), np.hstack([one, mid]), np.hstack([one, end])
+def _step_factors(table):
+    """(u1, u2, u3): the factors of the monomials of ``_step_monomials`` for
+    the n steps of the drive table ``(start, mid, end)``, formed once per
+    run: u1 = [1, c] at the start, u2 the products b_k b_l (k <= l) of
+    b = [1, c] at the midpoint, and u3 = [1, c] at the end.  A step's K
+    monomials are the outer product u1 x u2 x u3 of its rows."""
+    start, mid, end = table
+    one = np.ones((len(mid), 1))
+    b = np.hstack([one, mid])
     ku, lu = _pair_indices(b.shape[1])
-    u2 = b[:, ku] * b[:, lu]
-    k = u1.shape[1] * u2.shape[1] * u3.shape[1]
-    return (u1[:, :, None, None] * u2[:, None, :, None] * u3[:, None, None, :]).reshape(len(start), k)
+    return np.hstack([one, start]), b[:, ku] * b[:, lu], np.hstack([one, end])
 
 
-def _map_block(model: LindbladModel, monomials: np.ndarray, states: np.ndarray,
-               start: int, table) -> bool:
-    """Step-map RK4 from states[start - 1] over the steps of the drive
-    table ``(start, mid, end)``, one matvec per step, with the flat
-    (K, d^4) ``_step_monomials``.
+class _StepMapRun:
+    """The step-map path of one ``integrate`` run.
 
-    Returns False, writing nothing, if a state comes out non-finite: the
-    caller then takes the steps by the operator sum, which fails where
-    it fails.
+    Holds what the run's blocks share, formed once: the flat (K, d^4)
+    ``_step_monomials``, the ``_step_factors`` of the run's drive table
+    (None undriven), and one (CHECK_BLOCK + 1, d^2 + p + 1) coordinate
+    buffer laid out as ``_state_index`` reads it, whose last column is
+    zero, with the list of its rows' coordinate views.  Row 0 holds the
+    coordinates of the state before the next block: carried over from
+    the last row of a block this path took, or read from the states
+    after one it did not.
     """
-    dim = model.dim * model.dim
-    steps = len(table[1])
-    if model.drive:
-        maps = _monomial_values(*table) @ monomials
-    else:
-        maps = np.broadcast_to(monomials, (steps, dim * dim))
-    maps = maps.reshape(steps, dim, dim)
-    x = np.empty((steps + 1, dim))
-    x[0] = _coordinates(states[start - 1])
-    rows = list(x)
-    for step, here, there in zip(maps, rows, rows[1:]):
-        step.dot(here, out=there)
-    if not np.isfinite(x).all():
-        return False
-    _set_from_coordinates(states[start:start + steps], x[1:])
-    return True
+
+    def __init__(self, model: LindbladModel, dt: float, table):
+        d = model.dim
+        self.monomials = _step_monomials(_generator_parts(model), dt)
+        self.factors = _step_factors(table) if model.drive else None
+        self.x = np.zeros((CHECK_BLOCK + 1, d * d + d * (d - 1) // 2 + 1))
+        self.rows = list(self.x[:, :d * d])
+        self.carried = False
+
+    def map_block(self, states: np.ndarray, start: int, stop: int) -> bool:
+        """Step-map RK4 for the states start..stop-1, one matvec per step.
+
+        The block forms its P_n with one (steps, K) @ (K, d^4) product of
+        its rows of the factors and the monomials; undriven it reuses the
+        one P.  States are written from the buffer by one gather.
+
+        Returns False, writing no state, if a state comes out non-finite:
+        the caller then takes the steps by the operator sum, which fails
+        where it fails, and the next block reads its first coordinates
+        from the states.
+        """
+        x, d = self.x, states.shape[-1]
+        dim, steps = d * d, stop - start
+        if not self.carried:
+            x[0, :dim] = _coordinates(states[start - 1])
+        if self.factors is None:
+            maps = np.broadcast_to(self.monomials, (steps, dim * dim))
+        else:
+            u1, u2, u3 = (f[start - 1:stop - 1] for f in self.factors)
+            maps = (u1[:, :, None, None] * u2[:, None, :, None] * u3[:, None, None, :]).reshape(steps, -1)
+            maps = maps @ self.monomials
+        for step, here, there in zip(maps.reshape(steps, dim, dim), self.rows, self.rows[1:]):
+            step.dot(here, out=there)
+        taken = x[1:steps + 1]
+        self.carried = bool(np.isfinite(taken[:, :dim]).all())
+        if not self.carried:
+            return False
+        p = (dim - d) // 2
+        np.negative(taken[:, d + p:dim], out=taken[:, dim:dim + p])
+        # mode "clip" writes to out unbuffered; every index is in range
+        np.take(taken, _state_index(d), axis=1, mode="clip",
+                out=states[start:stop].view(float).reshape(steps, 2 * dim))
+        x[0] = x[steps]
+        return True
 
 
 def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 from t = 0 to t_max.
 
-    Each CHECK_BLOCK of steps starts from one drive table: the drive
-    coefficients at the start, midpoint and end of every step, one array
-    per coefficient (``_drive_table``).  Models with
-    ``step_map_size(model) <= STEP_MAP_MAX`` take each step as one real
-    matvec ``x -> P_n x`` on the d^2 Hermitian coordinates of the state.
-    The K monomial maps of P are expanded once per call; each block forms
-    its P_n from the table with one (steps, K) @ (K, d^4) product, or,
-    undriven (K = 1), reuses the one constant P.  States are rebuilt from
-    their coordinates, so they are exactly Hermitian by construction.  A
-    block with a non-finite state is taken again by the operator-sum
-    stage loop, which every larger model uses: each stage applies the
-    cached operator sum (O(M d^3) for M terms), with the weighted left
-    blocks formed from the table once per stage time, and states are
-    re-symmetrized every step.
+    One drive table per run holds the drive coefficients at the start,
+    midpoint and end of every step, one array per coefficient
+    (``_drive_table``); each CHECK_BLOCK of steps reads its slice.  Models
+    with ``step_map_size(model) <= STEP_MAP_MAX`` take each step as one
+    real matvec ``x -> P_n x`` on the d^2 Hermitian coordinates of the
+    state.  The K monomial maps of P and, from the table, the factors of
+    their monomials are formed once per call; each block forms its P_n
+    with one (steps, K) @ (K, d^4) product, or, undriven (K = 1), reuses
+    the one constant P.  The coordinates live in one buffer across
+    blocks, each block starting from the last row of the one before.
+    States are gathered from the coordinates, so they are exactly
+    Hermitian by construction.  A block with a non-finite state is taken
+    again by the operator-sum stage loop, which every larger model uses:
+    each stage applies the cached operator sum (O(M d^3) for M terms),
+    with the weighted left blocks formed from the table once per stage
+    time, and states are re-symmetrized every step; the block after it
+    reads its coordinates from the states again.
 
     This function is the one place that checks and raises.  Trace drift
     and negative eigenvalues of every step taken are checked, never
@@ -551,16 +598,16 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     states[0] = rho
     # A blown-up state surfaces as an IntegrationError below, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        monomials = _step_monomials(model, dt) if step_map_size(model) <= STEP_MAP_MAX else None
-        for start in range(1, n_steps + 1, CHECK_BLOCK):
-            stop = min(start + CHECK_BLOCK, n_steps + 1)
-            *table, error = _drive_table(model.drive, times[start - 1:stop], dt)
-            if monomials is None or not _map_block(model, monomials, states, start, table):
-                _stage_block(model, states, dt, start, table)
-            stop = start + len(table[1])  # short of the block if a drive coefficient raised
+        *table, error = _drive_table(model.drive, times, dt)
+        taken = len(table[1])  # short of n_steps if a drive coefficient raised
+        step_maps = _StepMapRun(model, dt, table) if step_map_size(model) <= STEP_MAP_MAX else None
+        for start in range(1, taken + 1, CHECK_BLOCK):
+            stop = min(start + CHECK_BLOCK, taken + 1)
+            if step_maps is None or not step_maps.map_block(states, start, stop):
+                _stage_block(model, states, dt, start, [c[start - 1:stop - 1] for c in table])
             _check_steps(states[start:stop], times[start:stop])
-            if error is not None:
-                raise error
+        if error is not None:
+            raise error
     states.setflags(write=False)
     return Trajectory(times=times, states=states, model=model)
 

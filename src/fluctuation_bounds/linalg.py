@@ -297,10 +297,18 @@ def matrix_exponential_antihermitian(g: np.ndarray, s: float) -> np.ndarray:
     return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
 
 
+def json_object(value, name: str = "") -> dict:
+    """``value`` if it is a JSON object (a dict), else TypeError
+    "<name>: must be an object, got <repr>" (no name: from "must")."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name}{': ' if name else ''}must be an object, got {value!r}")
+    return value
+
+
 def matrix_from_dict(d: dict) -> np.ndarray:
     """A matrix from paired real/imaginary row-major grids; "im" may be
     omitted for real input."""
-    re = np.asarray(d["re"], dtype=float)
+    re = np.asarray(json_object(d)["re"], dtype=float)
     im = np.asarray(d.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape:
         raise ValueError("re/im grids must have identical shapes")

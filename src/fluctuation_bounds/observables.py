@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, matrix_from_dict, require_hermitian
+from .linalg import as_matrix, json_object, matrix_from_dict, require_hermitian
 
 MAX_POLY_DEGREE = 8
 
@@ -219,12 +219,12 @@ def static_observable(matrix: np.ndarray) -> TimeDependentObservable:
 
 
 def observable_from_dict(d: dict) -> TimeDependentObservable:
-    entries = d["terms"]
+    entries = json_object(d)["terms"]
     if not isinstance(entries, list):
         raise TypeError(f"terms must be a list, got {entries!r}")
     terms = []
     for i, term in enumerate(entries):
         if not isinstance(term, dict):
             raise TypeError(f"terms[{i}] must be an object, got {term!r}")
-        terms.append((coefficient_from_dict(term), matrix_from_dict(term["matrix"])))
+        terms.append((coefficient_from_dict(term), matrix_from_dict(json_object(term["matrix"], "matrix"))))
     return observable(terms)

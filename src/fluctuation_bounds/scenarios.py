@@ -35,7 +35,7 @@ from .dynamics import (
     lindblad_model,
     trajectory_from_states,
 )
-from .linalg import as_density_matrix, matrix_from_dict
+from .linalg import as_density_matrix, json_object, matrix_from_dict
 from .observables import TimeDependentObservable, _is_number, observable_from_dict
 from .stats import EPS_SIGMA, variance_rate
 
@@ -163,7 +163,8 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
         jump_entries = []
     for i, entry in enumerate(jump_entries):
         try:
-            m = matrix_from_dict(entry["matrix"])
+            entry = json_object(entry)
+            m = matrix_from_dict(json_object(entry["matrix"], "matrix"))
             rate = entry.get("rate")
             if rate is not None:
                 if not _is_number(rate):

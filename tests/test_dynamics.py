@@ -15,8 +15,8 @@ from conftest import (
     random_state,
 )
 from numpy.testing import assert_allclose
+from reference_rk4 import block_integrate, generator_parts, reference_integrate, reference_rhs
 from reference_rk4 import check_steps as reference_check_steps
-from reference_rk4 import reference_integrate, reference_rhs
 
 from fluctuation_bounds import dynamics
 from fluctuation_bounds.dynamics import (
@@ -457,13 +457,15 @@ def test_both_paths_fail_as_the_reference(path, case, monkeypatch):
     assert _failure(lambda: integrate(model, rho0, t_max=t_max, dt=dt)) == expected
 
 
-def test_each_block_evaluates_its_drive_table_once(monkeypatch):
+def test_each_run_evaluates_its_drive_table_once(monkeypatch):
     # Every block of this run falls back from the step map to the stage
-    # loop (see the c = 1e85 test above); both read the one table: one
-    # kernel call per coefficient per block, over its 2 * steps + 1 stage
-    # times.
+    # loop (see the c = 1e85 test above); both read the one table of the
+    # run: one kernel call per coefficient, over its 2 * steps + 1 stage
+    # times, however many blocks there are.
     dt, steps = 1e-90, 100
-    model = lindblad_model(observable([(constant(0.5), sigma_z), (polynomial([1e85]), sigma_x)]),
+    assert steps > CHECK_BLOCK
+    model = lindblad_model(observable([(constant(0.5), sigma_z), (polynomial([1e85]), sigma_x),
+                                       (cosine(0.1, 1.0), sigma_z)]),
                            [0.5 * sigma_minus])
     calls = []
     values = CoefficientFunction.values
@@ -474,7 +476,113 @@ def test_each_block_evaluates_its_drive_table_once(monkeypatch):
 
     monkeypatch.setattr(CoefficientFunction, "values", counted)
     integrate(model, np.diag([0.3, 0.7]).astype(complex), t_max=steps * dt, dt=dt)
-    assert calls == [2 * CHECK_BLOCK + 1, 2 * (steps - CHECK_BLOCK) + 1]
+    assert calls == [2 * steps + 1] * len(model.drive)
+
+
+# ---------------------------------------------------------------------------
+# per-run tables against the per-block reference, bit for bit
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("path", ["step map", "stage loop"])
+def test_integrate_matches_the_block_reference_bit_for_bit(path, monkeypatch):
+    # d = 2..8 with 0..3 drives (kinds cycling with d), over one step, one
+    # block short of, at and past CHECK_BLOCK, and three blocks and one step.
+    if path == "stage loop":
+        monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
+    rng = np.random.default_rng(2121)
+    paths = set()
+    for dim in range(2, 9):
+        for n_drives in range(4):
+            model = model_with_drives(rng, dim, n_drives, n_jumps=1 + dim % 3, first_kind=dim + n_drives)
+            paths.add(step_map_size(model) <= dynamics.STEP_MAP_MAX)
+            rho0 = random_state(rng, dim)
+            for steps in (1, CHECK_BLOCK - 1, CHECK_BLOCK, CHECK_BLOCK + 1, 3 * CHECK_BLOCK + 1):
+                traj = integrate(model, rho0, t_max=steps * 2e-3, dt=2e-3)
+                times, states = block_integrate(model, rho0, steps * 2e-3, 2e-3)
+                assert np.array_equal(bits(traj.times), bits(times))
+                assert np.array_equal(bits(traj.states), bits(states)), (dim, n_drives, steps)
+    assert paths == ({True, False} if path == "step map" else {False})
+
+
+@pytest.mark.parametrize("path", ["step map", "stage loop"])
+def test_negative_zero_coordinates_match_the_block_reference(path, monkeypatch):
+    # A diagonal state whose coherences are -0.0 under a diagonal
+    # Hamiltonian and decay: the coherences stay zero, signed as each
+    # path's arithmetic leaves them, over three blocks and one step.
+    if path == "stage loop":
+        monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
+    d = 3
+    rho0 = np.diag([0.2, 0.3, 0.5]).astype(complex)
+    rho0[~np.eye(d, dtype=bool)] = complex(-0.0, 0.0)
+    lower = np.diag([1.0, 1.0], 1).astype(complex)
+    for drive in (constant(1.0), sine(0.7, 1.3, 0.2)):
+        h = observable([(constant(0.5), np.diag([1.0, 0.0, -1.0])), (drive, np.diag([0.0, 1.0, 0.0]))])
+        model = lindblad_model(h, [0.4 * lower])
+        traj = integrate(model, rho0, t_max=(3 * CHECK_BLOCK + 1) * 0.01, dt=0.01)
+        _, states = block_integrate(model, rho0, (3 * CHECK_BLOCK + 1) * 0.01, 0.01)
+        x = dynamics._coordinates(traj.states[0])
+        assert np.signbit(x[x == 0]).any()
+        assert np.array_equal(bits(traj.states), bits(states))
+
+
+def test_a_block_after_a_stage_loop_block_reads_its_coordinates_again(monkeypatch):
+    # c(t) = 1e85 exp(-1e90 t): the degree-4 monomial overflows in the
+    # first block only, so that block falls back to the stage loop and the
+    # blocks after it take step maps again from the states it wrote.
+    dt = 1e-90
+    model = lindblad_model(observable([(constant(0.5), sigma_z), (exponential_decay(1e85, 1e90), sigma_x)]),
+                           [0.5 * sigma_minus])
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    assert step_map_size(model) <= STEP_MAP_MAX
+    blocks = []
+    stage_block = dynamics._stage_block
+
+    def counted(model, states, dt, start, table):
+        blocks.append(start)
+        stage_block(model, states, dt, start, table)
+
+    monkeypatch.setattr(dynamics, "_stage_block", counted)
+    traj = integrate(model, rho0, t_max=200 * dt, dt=dt)
+    assert blocks == [1]
+    _, states = block_integrate(model, rho0, 200 * dt, dt)
+    assert np.array_equal(bits(traj.states), bits(states))
+
+
+@pytest.mark.parametrize("path", ["step map", "stage loop"])
+@pytest.mark.parametrize("case", ["drive overflow mid-block", "drive overflow at block 2",
+                                  "non-finite step map", "positivity, then drive overflow"])
+def test_failures_match_the_block_reference(path, case, monkeypatch):
+    if case == "drive overflow mid-block":
+        # exp(1000 t) overflows once t passes 0.71: step 143, in the third block.
+        h = observable([(constant(0.5), sigma_z), (exponential_decay(1e-300, -1000.0), sigma_x)])
+        model, rho0, t_max, dt = lindblad_model(h, [0.3 * sigma_minus]), PROJ_1, 1.0, 0.005
+    elif case == "drive overflow at block 2":
+        h = observable([(constant(0.5), sigma_z), (exponential_decay(0.0, -110.56), sigma_x)])
+        model, rho0, t_max, dt = lindblad_model(h, [0.1 * sigma_minus]), PROJ_1, 10.0, 0.1
+    elif case == "non-finite step map":
+        # The step map of step 1 is not finite; the stage loop takes the
+        # block again and its state fails the check.
+        model = lindblad_model(observable([(polynomial([0.0] * 8 + [1e300]), sigma_x)]), [0.5 * sigma_minus])
+        rho0, t_max, dt = PROJ_1, 30.0, 0.05
+    else:
+        model = lindblad_model(observable([(exponential_decay(0.0, -6.0), sigma_x)]), [sigma_minus])
+        rho0, t_max, dt = np.eye(2, dtype=complex) / 2, 300 * 2.8, 2.8
+    assert step_map_size(model) <= STEP_MAP_MAX
+    if path == "stage loop":
+        monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
+    expected = _failure(lambda: block_integrate(model, rho0, t_max, dt))
+    assert _failure(lambda: integrate(model, rho0, t_max=t_max, dt=dt)) == expected
+
+
+def test_generator_parts_match_the_stacked_product():
+    rng = np.random.default_rng(2122)
+    for dim in range(2, 13):
+        for n_drives in range(4):
+            model = model_with_drives(rng, dim, n_drives, n_jumps=dim % 3, first_kind=n_drives)
+            assert np.array_equal(bits(dynamics._generator_parts(model)), bits(generator_parts(model)))
 
 
 # Two drives that fail at different stage times (the second first), and

@@ -122,11 +122,16 @@ def set_field(data: dict, field: str, value) -> dict:
     """data with field set; "rate" is the first jump operator's rate, "term
     value" the first observable term's constant, "amplitude" and
     "coefficients" those of the first observable term made a cosine or a
-    polynomial, and "state entry" the first real entry of the initial
-    state."""
+    polynomial, "state entry" the first real entry of the initial state,
+    and "jump matrix" and "term matrix" the matrix of the first jump
+    operator and of the first observable term."""
     term = data["observable"]["terms"][0]
     if field == "rate":
         data["jump_operators"][0]["rate"] = value
+    elif field == "jump matrix":
+        data["jump_operators"][0]["matrix"] = value
+    elif field == "term matrix":
+        term["matrix"] = value
     elif field == "term value":
         term["value"] = value
     elif field == "amplitude":
@@ -172,6 +177,24 @@ def test_json_booleans_are_not_numbers(field, violation):
     ("coefficients", [1, None], "observable: polynomial coefficient parameters must be numbers, got None"),
 ])
 def test_json_values_that_are_not_numbers_are_one_violation(field, value, violation):
+    violations = parse_violations(set_field(builtin_scenario_dict("example1"), field, value))
+    assert violations == (violation,)
+
+
+@pytest.mark.parametrize("field, value, violation", [
+    ("hamiltonian", [], "hamiltonian: must be an object, got []"),
+    ("hamiltonian", 5, "hamiltonian: must be an object, got 5"),
+    ("observable", [], "observable: must be an object, got []"),
+    ("observable", "A", "observable: must be an object, got 'A'"),
+    ("initial_state", [], "initial_state: must be an object, got []"),
+    ("initial_state", [[1, 0], [0, 0]], "initial_state: must be an object, got [[1, 0], [0, 0]]"),
+    ("jump_operators", [5], "jump_operators[0]: must be an object, got 5"),
+    ("jump_operators", [[]], "jump_operators[0]: must be an object, got []"),
+    ("jump matrix", 5, "jump_operators[0]: matrix: must be an object, got 5"),
+    ("term matrix", 5, "observable: matrix: must be an object, got 5"),
+    ("term matrix", [[1, 0], [0, -1]], "observable: matrix: must be an object, got [[1, 0], [0, -1]]"),
+])
+def test_fields_that_are_not_objects_are_one_violation(field, value, violation):
     violations = parse_violations(set_field(builtin_scenario_dict("example1"), field, value))
     assert violations == (violation,)
 
