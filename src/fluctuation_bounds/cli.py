@@ -1,15 +1,16 @@
 """Command-line front end: run scenarios, emit CSV, verify bounds, sweep.
 
 Exit codes: 0 success, 1 bound violation (verify), 2 operational error
-(bad file, bad flags, failed run, unwritable output).  Every error is
-reported as one JSON line on stderr so callers can parse failures
-without scraping text.
+(bad file, bad flags, failed run, out of memory, unwritable output).
+Every error is reported as one JSON line on stderr so callers can parse
+failures without scraping text.
 
 The argparse parser is built once per process and shared by every
 ``cli_main`` call.  CSV is written by ``scenarios.rows_to_csv_text``,
-which formats a result table's column values as plain tuples;
-``verify`` reads the table's bound reports, its Cauchy-Schwarz margins
-and its ``t`` column.
+which formats a result table's column values as plain tuples; for
+figure1, ``builtin`` writes the FIGURE_COLUMNS view of its table
+instead.  ``verify`` reads the table's bound reports, its Cauchy-Schwarz
+margins and its ``t`` column, and counts the points that fail a check.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .scenarios import (
     FIGURE_COLUMNS,
     ScenarioError,
     builtin_scenario_dict,
-    figure1_curves,
     load_builtin,
     load_scenario,
     parse_scenario,
@@ -40,17 +40,20 @@ from .scenarios import (
 
 SWEEP_PARAMS = ("dt", "t_max", "gamma")
 
-_FIGURE_DEFAULTS = {"gamma": 1.0, "t_max": 5.0, "dt": 0.01}
-
 
 class OverrideError(ValueError):
-    """A command-line value the scenario or curve family cannot take."""
+    """A command-line value the scenario cannot take."""
 
 
 def _error(slug: str, detail: str, **extra) -> None:
     payload = {"error": slug, "detail": detail}
     payload.update(extra)
     print(json.dumps(payload), file=sys.stderr)
+
+
+def _detail(err: Exception) -> str:
+    """An error's message; a MemoryError may carry none."""
+    return str(err) or "out of memory"
 
 
 def _emit(text: str, out_path) -> None:
@@ -79,7 +82,7 @@ def _apply_overrides(data: dict, dt=None, t_max=None, gamma=None, omega=None) ->
 
     gamma rewrites the rate of every jump operator, so it only applies to
     entries that carry an explicit rate; omega swaps the hamiltonian for a
-    diagonal level splitting and needs a 2-level scenario.
+    diagonal splitting of the two levels of a qubit (every builtin is one).
     """
     out = json.loads(json.dumps(data))  # deep copy, JSON types only
     if dt is not None:
@@ -97,16 +100,15 @@ def _apply_overrides(data: dict, dt=None, t_max=None, gamma=None, omega=None) ->
                 )
             entry["rate"] = gamma
     if omega is not None:
-        if out.get("dimension") != 2:
-            raise OverrideError("--omega: needs a 2-level scenario")
         out["hamiltonian"] = _omega_hamiltonian(omega)
     return out
 
 
 def _verify_failures(table):
-    """How many non-skipped checks came out negative, and the first of
-    them as (kind, t, margin): earliest time first, then open, closed,
-    cauchy_schwarz at one time.  (0, None) when none did."""
+    """How many points have a non-skipped check that came out negative,
+    and the first such check as (kind, t, margin): earliest time first,
+    then open, closed, cauchy_schwarz at one time.  (0, None) when no
+    point has one."""
     checks = [(r.kind, ~r.satisfied & r.live, r.margin) for r in (table.open, table.closed)
               if r is not None]
     if table.cauchy_schwarz is not None:
@@ -114,9 +116,10 @@ def _verify_failures(table):
     failed = np.array([mask for _, mask, _ in checks])  # (check, point)
     if not failed.any():
         return 0, None
-    j = int(np.flatnonzero(failed.any(axis=0))[0])
+    points = np.flatnonzero(failed.any(axis=0))
+    j = int(points[0])
     kind, _, margin = checks[int(np.flatnonzero(failed[:, j])[0])]
-    return int(failed.sum()), (kind, float(table.columns["t"][j]), float(margin[j]))
+    return len(points), (kind, float(table.columns["t"][j]), float(margin[j]))
 
 
 def _cmd_run(args) -> int:
@@ -125,31 +128,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_builtin(args) -> int:
-    if args.name == "figure1":
-        if args.omega is not None:
-            raise OverrideError("--omega: figure1 has no hamiltonian to replace")
-        gamma = _FIGURE_DEFAULTS["gamma"] if args.gamma is None else args.gamma
-        t_max = _FIGURE_DEFAULTS["t_max"] if args.t_max is None else args.t_max
-        dt = _FIGURE_DEFAULTS["dt"] if args.dt is None else args.dt
-        try:
-            rows = figure1_curves(gamma, t_max, dt)
-        except ValueError as err:
-            raise OverrideError(str(err)) from err
-        _emit(rows_to_csv_text(rows, FIGURE_COLUMNS), args.out)
-        return 0
     data = _apply_overrides(
         builtin_scenario_dict(args.name),
         dt=args.dt, t_max=args.t_max, gamma=args.gamma, omega=args.omega,
     )
-    rows = run_scenario(parse_scenario(data, default_name=args.name))
-    _emit(rows_to_csv_text(rows), args.out)
+    table = run_scenario(parse_scenario(data, default_name=args.name))
+    if args.name == "figure1":
+        # its decay curves, v_A = <Adot^2>^(1/2) from Var(Adot) + <Adot>^2
+        c = table.columns
+        v_a = np.sqrt(c["rhs_closed"] + c["mean_rate"] ** 2)
+        curves = (c["t"], c["mean"], c["sigma"], v_a, c["margin_closed"])
+        text = rows_to_csv_text(list(zip(*(x.tolist() for x in curves))), FIGURE_COLUMNS)
+    else:
+        text = rows_to_csv_text(table)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.builtin == "figure1":
-        _error("invalid-scenario", "figure1 has no bound checks to verify")
-        return 2
     if args.builtin is not None:
         spec = load_builtin(args.builtin)
     else:
@@ -188,8 +184,8 @@ def _sweep_job(job) -> dict:
             spec = parse_scenario(overridden, default_name=data.get("name", "sweep"))
             rows = run_scenario(spec)
             _emit(rows_to_csv_text(rows), out_path)
-    except (ValueError, RuntimeError, OSError) as err:
-        return {"ok": False, "param": param, "value": value_text, "detail": str(err)}
+    except (ValueError, RuntimeError, OSError, MemoryError) as err:
+        return {"ok": False, "param": param, "value": value_text, "detail": _detail(err)}
     return {"ok": True, "param": param, "value": value_text, "rows": len(rows), "out": out_path}
 
 
@@ -283,8 +279,8 @@ def cli_main(argv=None) -> int:
         _error("invalid-scenario", str(err), violations=list(err.violations))
     except OverrideError as err:
         _error("override", str(err))
-    except RuntimeError as err:
-        _error("run-failed", str(err))
+    except (RuntimeError, MemoryError) as err:
+        _error("run-failed", _detail(err))
     except OSError as err:
         _error("write-failed", str(err))
     return 2

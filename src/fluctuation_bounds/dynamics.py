@@ -100,10 +100,6 @@ class LindbladModel:
     drive: tuple  # CoefficientFunction per time-dependent Hamiltonian term
 
     @property
-    def is_closed(self) -> bool:
-        return len(self.jump_operators) == 0
-
-    @property
     def n_terms(self) -> int:
         return self.right.shape[1] // self.dim
 
@@ -238,10 +234,6 @@ class Trajectory:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
     def __len__(self) -> int:
         return self.times.shape[0]

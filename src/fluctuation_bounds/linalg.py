@@ -61,7 +61,6 @@ import numpy as np
 TAU_HERM = 1e-10   # Hermiticity defect, scaled by the largest entry magnitude
 TAU_TRACE = 1e-8   # unit-trace deviation of density matrices
 TAU_PSD = 1e-10    # most negative admissible density-matrix eigenvalue
-TAU_UNIT = 1e-10   # unitarity defect of matrix exponentials
 
 # Single-qubit operator basis (|0> first).
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -261,10 +260,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray   # (d,) or (n, d) real, descending
     eigenvectors: np.ndarray  # (d, d) or (n, d, d) complex, columns
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
 
 
 def hermitian_eigendecomposition(m) -> SpectralDecomposition:

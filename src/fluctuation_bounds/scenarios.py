@@ -3,7 +3,9 @@
 A scenario is a JSON description of one model + observable pair together
 with a time grid and the set of checks to evaluate.  Execution produces
 one row per interior grid point with a fixed column order, formatted for
-byte-stable regression files.
+byte-stable regression files.  Every builtin, figure1 included, is a
+packaged scenario file run through the same pipeline; FIGURE_COLUMNS
+names the columns of the view the CLI writes of a figure1 run.
 
 Validation is all-at-once: every violated invariant is collected and
 reported in a single structured error, so a bad file shows all of its
@@ -37,7 +39,7 @@ from .dynamics import (
 )
 from .linalg import as_density_matrix, json_object, matrix_from_dict
 from .observables import TimeDependentObservable, _is_number, observable_from_dict
-from .stats import EPS_SIGMA, variance_rate
+from .stats import variance_rate
 
 BOUND_NAMES = ("open", "closed", "var_rate_residual", "cauchy_schwarz")
 BUILTIN_NAMES = ("example1", "example2", "crossover", "figure1")
@@ -59,9 +61,6 @@ RESULT_COLUMNS = (
 )
 
 FIGURE_COLUMNS = ("t", "mu_A", "sigma_A", "v_A", "margin_closed")
-FIGURE_MAX_ROWS = 10**6  # figure1_curves builds its rows in a Python loop
-
-_NAN = float("nan")
 
 
 class ScenarioError(ValueError):
@@ -91,10 +90,12 @@ class ResultTable:
     """Every interior grid point of a run, one column per RESULT_COLUMNS name.
 
     ``columns`` maps each name to a 1-D array of its values in grid order
-    (an object array of strings for ``skipped_flags``).  ``open`` and
-    ``closed`` are the grid BoundReport objects of the requested bounds and
-    ``cauchy_schwarz`` the array of Cauchy-Schwarz margins; each is None
-    when its check was not requested.  ``len`` gives the number of points.
+    (an object array of strings for ``skipped_flags``), and ``mean_rate``,
+    which no CSV of RESULT_COLUMNS writes, to the StatPoint's d<A>/dt.
+    ``open`` and ``closed`` are the grid BoundReport objects of the
+    requested bounds and ``cauchy_schwarz`` the array of Cauchy-Schwarz
+    margins; each is None when its check was not requested.  ``len``
+    gives the number of points.
     """
 
     columns: dict
@@ -255,7 +256,7 @@ def load_scenario(path) -> ScenarioSpec:
 
 
 def builtin_scenario_dict(name: str) -> dict:
-    if name not in BUILTIN_NAMES or name == "figure1":
+    if name not in BUILTIN_NAMES:
         raise ValueError(f"no builtin scenario file named {name!r}")
     ref = importlib.resources.files("fluctuation_bounds") / "builtin_scenarios" / f"{name}.json"
     return json.loads(ref.read_text(encoding="utf-8"))
@@ -317,7 +318,8 @@ def run_scenario(spec: ScenarioSpec) -> ResultTable:
     time.  A coefficient that overflows (math.exp past the float range
     raises OverflowError) fails the run like any other invalid point, and
     so does a grid too long for numpy to size (ValueError) or to hold
-    (MemoryError).
+    (MemoryError).  A MemoryError in the batched pass is raised as it
+    is: replaying the points would not free what the pass could not get.
     """
     try:
         traj = build_trajectory(spec)
@@ -366,49 +368,11 @@ def _evaluate_points(spec, traj, times) -> ResultTable:
         for j in np.flatnonzero(~reports.live):
             flags[j] += f"{';' if flags[j] else ''}{reports.kind}:{reports.reason[j]}"
     values = (sp.t, sp.mean, sp.sigma, sp.variance, sp.var_rate, *bound_columns, residuals)
+    columns = dict(zip(RESULT_COLUMNS, values + (np.array(flags, dtype=object),)))
+    columns["mean_rate"] = sp.mean_rate
     return ResultTable(
-        columns=dict(zip(RESULT_COLUMNS, values + (np.array(flags, dtype=object),))),
-        open=open_reports, closed=closed_reports, cauchy_schwarz=cs_margins,
+        columns=columns, open=open_reports, closed=closed_reports, cauchy_schwarz=cs_margins,
     )
-
-
-# ---------------------------------------------------------------------------
-# closed-form curve family
-
-def figure1_curves(gamma_rate: float, t_max: float, dt: float) -> list:
-    """Sampled decay curves (t, mean, spread, speed, closed-bound margin).
-
-    mu = 1 - 2e^{-Gt}, sigma = 2e^{-Gt/2} sqrt(1-e^{-Gt}), v = 2G e^{-Gt/2};
-    the margin column is v^2 - (dmu/dt)^2 - (dsigma/dt)^2, undefined (nan)
-    where sigma vanishes.
-    """
-    for field, value in (("gamma", gamma_rate), ("t_max", t_max), ("dt", dt)):
-        if not math.isfinite(value):
-            raise ValueError(f"{field} must be finite, got {value}")
-    if gamma_rate <= 0:
-        raise ValueError(f"decay rate must be positive, got {gamma_rate}")
-    if dt <= 0 or t_max < dt:
-        raise ValueError("need dt > 0 and t_max >= dt")
-    if not math.isfinite(t_max / dt):
-        raise ValueError(f"t_max / dt overflows: t_max = {t_max}, dt = {dt}")
-    n = int(round(t_max / dt))
-    if n + 1 > FIGURE_MAX_ROWS:
-        raise ValueError(f"t_max / dt = {t_max / dt:.6g} gives more than {FIGURE_MAX_ROWS} rows")
-    out = []
-    for k in range(n + 1):
-        t = k * dt
-        u = math.exp(-gamma_rate * t)
-        mu = 1.0 - 2.0 * u
-        sigma = 2.0 * math.sqrt(u) * math.sqrt(max(1.0 - u, 0.0))
-        v = 2.0 * gamma_rate * math.sqrt(u)
-        if sigma < EPS_SIGMA:
-            margin = _NAN
-        else:
-            mu_dot_sq = (2.0 * gamma_rate * u) ** 2
-            sigma_dot_sq = gamma_rate**2 * u * (2.0 * u - 1.0) ** 2 / (1.0 - u)
-            margin = v * v - mu_dot_sq - sigma_dot_sq
-        out.append((t, mu, sigma, v, margin))
-    return out
 
 
 # ---------------------------------------------------------------------------

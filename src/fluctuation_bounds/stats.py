@@ -1,9 +1,12 @@
 """Observable statistics along trajectories.
 
 Every per-point moment of A the bounds read (mean, variance,
-Cov(A, partial_t A), <(partial_t A)^2>, tr(rho_dot DeltaA^2)) and the
-variance growth rate tr(rho_dot DeltaA^2) + 2 Cov(A, partial_t A) come
-out of one StatPoint, together with the grid indices of its times.
+Cov(A, partial_t A), <(partial_t A)^2>, tr(rho_dot DeltaA^2)), the
+variance growth rate tr(rho_dot DeltaA^2) + 2 Cov(A, partial_t A) and
+the mean's rate tr(rho_dot A) + <partial_t A> come out of one
+StatPoint, together with the grid indices of its times.  Each of them,
+and every variance this module returns, is finite: a point where one
+is not fails with a message that names it.
 variance_rate is the only place that assembles them and maps a time to
 a grid index; every check in bounds requires its StatPoint.  The state
 derivative comes from the model's generator when one is attached to the
@@ -29,6 +32,17 @@ RHO_DOT_MODES = ("auto", "analytic", "finite_difference")
 def _first(values: np.ndarray, bad: np.ndarray):
     """The entry of values at the first True of bad (0-d or 1-d)."""
     return values.flat[int(np.argmax(bad))]
+
+
+def _require_finite(names: tuple, values: tuple) -> None:
+    """Raise naming the first of the equal-shape values that is not
+    finite everywhere; one test covers them all when every one is."""
+    if np.isfinite(values).all():
+        return
+    for name, value in zip(names, values):
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise ValueError(f"{name} is not finite, got {_first(value, bad):.3e}")
 
 
 def _check_dims(rho: np.ndarray, m: np.ndarray) -> None:
@@ -70,23 +84,27 @@ def _symmetrized(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return traces(_products(rho, anti)).real / 2.0
 
 
-def _rho_dot_term(rho_dot: np.ndarray, a: np.ndarray, mean: np.ndarray) -> np.ndarray:
+def _rho_dot_terms(rho_dot: np.ndarray, a: np.ndarray, mean: np.ndarray):
+    """(tr(rho_dot DeltaA^2), tr(rho_dot A)) of a traceless rho_dot."""
     tr = traces(rho_dot)
     bad = np.abs(tr) > 1e-10 * np.fmax(1.0, np.abs(rho_dot).max(axis=(-2, -1)))
     if bad.any():
         raise ValueError(f"rho_dot must be traceless, got trace {complex(_first(tr, bad)):.3e}")
     rho_dot_a = _products(rho_dot, a)
-    return traces(_products(rho_dot_a, a)).real - 2.0 * mean * traces(rho_dot_a).real
+    linear = traces(rho_dot_a).real
+    return traces(_products(rho_dot_a, a)).real - 2.0 * mean * linear, linear
 
 
 def variance(rho: np.ndarray, m: np.ndarray):
-    """tr(rho m^2) - tr(rho m)^2, clamped to 0 over round-off negatives.
+    """tr(rho m^2) - tr(rho m)^2, clamped to 0 over round-off negatives;
+    a value that is not finite raises.
 
     One (d, d) state and matrix give a float; (n, d, d) stacks give the n
     values, m checked once as a stack.
     """
     m = require_hermitian(m, "observable matrix")
     var = _mean_and_variance(rho, m)[1]
+    _require_finite(("variance",), (var,))
     return float(var) if var.ndim == 0 else var
 
 
@@ -103,7 +121,14 @@ class StatPoint:
     partial_sq: float    # <(partial_t A)^2>
     rho_dot_term: float  # tr(rho_dot DeltaA^2)
     var_rate: float      # d(sigma^2)/dt = rho_dot_term + 2 cov
+    mean_rate: float     # d<A>/dt = tr(rho_dot A) + <partial_t A>
     k: int               # grid index of t
+
+
+# What a failing finiteness check calls the StatPoint fields it tests, in
+# field order; mean and sigma are finite where the variance is.
+_MOMENT_NAMES = ("variance", "Cov(A, partial_t A)", "<(partial_t A)^2>",
+                 "tr(rho_dot DeltaA^2)", "d(sigma^2)/dt", "d<A>/dt")
 
 
 def state_derivative(traj: Trajectory, k, t, mode: str = "auto") -> np.ndarray:
@@ -142,7 +167,9 @@ def variance_rate(
     from one pass of stacked products over all of them, with A(t) and
     partial_t A(t) validated once per stack, and each per-point check
     (Hermiticity, imaginary parts, the variance floor, a traceless
-    rho_dot) raising the message of the first time that fails it.  This
+    rho_dot, finite moments) raising the message of the first time that
+    fails it.  ``mean_rate`` is d<A>/dt; under an analytic rho_dot it
+    is <Adot>, the mean of the Heisenberg rate.  This
     is the one place a time becomes a grid index: the StatPoint's ``k``
     holds it, and every check reads it there.
     """
@@ -154,10 +181,13 @@ def variance_rate(
     mean, var = _mean_and_variance(rho, a_t)
     da_t = require_hermitian(da_t, "second observable")
     rho_da = _products(rho, da_t)  # read by <partial_t A> and <(partial_t A)^2>
-    cov = _symmetrized(rho, a_t, da_t) - mean * _real_part(traces(rho_da))
+    mean_da = _real_part(traces(rho_da))
+    cov = _symmetrized(rho, a_t, da_t) - mean * mean_da
     partial_sq = traces(_products(rho_da, da_t)).real
-    rd_term = _rho_dot_term(state_derivative(traj, k, t, rho_dot_mode), a_t, mean)
-    out = (mean, var, np.sqrt(var), cov, partial_sq, rd_term, rd_term + 2.0 * cov)
+    rd_term, rd_linear = _rho_dot_terms(state_derivative(traj, k, t, rho_dot_mode), a_t, mean)
+    rates = (cov, partial_sq, rd_term, rd_term + 2.0 * cov, rd_linear + mean_da)
+    _require_finite(_MOMENT_NAMES, (var, *rates))
+    out = (mean, var, np.sqrt(var), *rates)
     if np.ndim(t) == 0:
         return StatPoint(float(t), *(float(x) for x in out), k)
     return StatPoint(np.asarray(t, dtype=float), *out, k)

@@ -1,6 +1,9 @@
 """Shared random-model builders, the figure-1 spread from the statistics
-pipeline, and the acceptance verdict summary."""
+pipeline, the figure-1 curves as the CLI writes them, and the acceptance
+verdict summary."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -14,6 +17,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from fluctuation_bounds.cli import cli_main
 from fluctuation_bounds.linalg import matrix_exponential_antihermitian, sigma_z
 from fluctuation_bounds.dynamics import analytic_amplitude_damping, lindblad_model
 from fluctuation_bounds.observables import (
@@ -23,6 +27,7 @@ from fluctuation_bounds.observables import (
     sine,
     static_observable,
 )
+from fluctuation_bounds.scenarios import FIGURE_COLUMNS
 from fluctuation_bounds.stats import variance
 
 
@@ -72,6 +77,17 @@ def sanity_check_figure_sigma(gamma_rate: float, t: float) -> float:
     rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     rho = analytic_amplitude_damping(rho0, gamma_rate, 0.0, t)
     return float(math.sqrt(variance(rho, sigma_z)))
+
+
+def figure1_view(*flags) -> list:
+    """The rows ``builtin --name figure1`` writes with the given flags, as
+    tuples of floats in FIGURE_COLUMNS order."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["builtin", "--name", "figure1", *flags]) == 0
+    header, *lines = out.getvalue().splitlines()
+    assert header == ",".join(FIGURE_COLUMNS)
+    return [tuple(float(x) for x in line.split(",")) for line in lines]
 
 
 def placed_state(rng, dim, lowest):

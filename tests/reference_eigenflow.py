@@ -20,7 +20,7 @@ from fluctuation_bounds.observables import TimeDependentObservable
 def _nondegenerate_decomposition(rho, what: str):
     dec = hermitian_eigendecomposition(as_density_matrix(rho, tau_psd=TAU_PSD_RUN))
     gaps = -np.diff(dec.eigenvalues)
-    if dec.dim > 1 and float(np.min(gaps)) < G_MIN:
+    if dec.eigenvalues.shape[-1] > 1 and float(np.min(gaps)) < G_MIN:
         raise ValueError(
             f"{what} spectrum is degenerate (min gap {float(np.min(gaps)):.3e} < {G_MIN})"
         )

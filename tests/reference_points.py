@@ -11,6 +11,7 @@ tests/reference_linalg.py.  ``reference_csv_text`` is the CSV writer
 that formatted a ResultTable one row tuple at a time.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -64,6 +65,11 @@ def reference_evaluate_scenario(spec, traj=None):
     return records
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite, got {value:.3e}")
+
+
 def expectation(rho: np.ndarray, m: np.ndarray) -> float:
     """tr(rho m) for Hermitian m; the imaginary part must be round-off."""
     m = require_hermitian(m, "observable matrix")
@@ -75,8 +81,9 @@ def expectation(rho: np.ndarray, m: np.ndarray) -> float:
     return value.real
 
 
-def variance(rho: np.ndarray, m: np.ndarray) -> float:
-    """tr(rho m^2) - tr(rho m)^2, clamped to 0 over round-off negatives."""
+def floored_variance(rho: np.ndarray, m: np.ndarray) -> float:
+    """tr(rho m^2) - tr(rho m)^2, clamped to 0 over round-off negatives;
+    possibly not finite."""
     m = require_hermitian(m, "observable matrix")
     mean = expectation(rho, m)
     second = float(np.trace(rho @ m @ m).real)
@@ -84,6 +91,13 @@ def variance(rho: np.ndarray, m: np.ndarray) -> float:
     if var < VARIANCE_FLOOR * max(1.0, second):
         raise ValueError(f"variance {var:.3e} below the round-off floor; state is invalid")
     return max(var, 0.0)
+
+
+def variance(rho: np.ndarray, m: np.ndarray) -> float:
+    """The floored variance, which must be finite."""
+    var = floored_variance(rho, m)
+    _require_finite("variance", var)
+    return var
 
 
 def covariance_sym(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -142,11 +156,17 @@ def variance_rate(
     a_t = a.evaluate(t)
     da_t = a.partial_time(t)
     mean = expectation(rho, a_t)
-    var = variance(rho, a_t)
+    var = floored_variance(rho, a_t)  # checked finite with the other moments
     cov = covariance_sym(rho, a_t, da_t)
     partial_sq = float(np.trace(rho @ da_t @ da_t).real)
     rho_dot = state_derivative(traj, k, t, rho_dot_mode)
     rd_term = rho_dot_delta_sq(rho_dot, rho, a_t)
+    var_rate = rd_term + 2.0 * cov
+    mean_rate = float(np.trace(rho_dot @ a_t).real) + expectation(rho, da_t)
+    for name, value in (("variance", var), ("Cov(A, partial_t A)", cov), ("<(partial_t A)^2>", partial_sq),
+                        ("tr(rho_dot DeltaA^2)", rd_term), ("d(sigma^2)/dt", var_rate),
+                        ("d<A>/dt", mean_rate)):
+        _require_finite(name, value)
     return StatPoint(
         t=t,
         mean=mean,
@@ -155,7 +175,8 @@ def variance_rate(
         cov=cov,
         partial_sq=partial_sq,
         rho_dot_term=rd_term,
-        var_rate=rd_term + 2.0 * cov,
+        var_rate=var_rate,
+        mean_rate=mean_rate,
         k=k,
     )
 
@@ -235,7 +256,7 @@ def closed_system_anticommutator_rate(
     t: float,
 ) -> float:
     """<{DeltaA, Adot}>, which equals d(sigma^2)/dt for closed dynamics."""
-    if not model.is_closed:
+    if model.jump_operators:
         raise ValueError("anticommutator rate is a closed-system identity; jump operators present")
     rho = traj.states[traj.index_of(t)]
     a_t = a.evaluate(t)

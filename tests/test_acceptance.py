@@ -18,8 +18,9 @@ from conftest import (
     random_model,
     random_observable,
     random_state,
-    sanity_check_figure_sigma,
 )
+from conftest import figure1_view
+from reference_figure1 import figure1_curves
 from reference_points import closed_system_anticommutator_rate, expectation
 from fluctuation_bounds.bounds import (
     closed_bound,
@@ -41,7 +42,6 @@ from fluctuation_bounds.linalg import matrix_exponential_antihermitian, sigma_mi
 from fluctuation_bounds.observables import observable, polynomial, static_observable
 from fluctuation_bounds.scenarios import (
     builtin_scenario_dict,
-    figure1_curves,
     parse_scenario,
     run_scenario,
 )
@@ -133,24 +133,27 @@ def test_criterion_03_crossover_threshold():
     return "; ".join(details)
 
 
-@criterion(4, "decay curve family matches closed forms and the statistics pipeline")
+FIGURE1_GRIDS = ((1.0, 5.0, 0.01), (2.0, 5.0, 0.01), (0.5, 20.0, 0.05), (3.0, 5.0, 0.001))
+
+
+@criterion(4, "figure1's decay curves, read off a checked run, match their closed forms")
 def test_criterion_04_curve_family():
-    gamma = 1.0
-    rows = figure1_curves(gamma, 5.0, 0.01)
-    assert len(rows) >= 500
-    worst_curve = worst_pipeline = 0.0
-    for t, mu, sig, v, _ in rows:
-        u = math.exp(-gamma * t)
-        worst_curve = max(
-            worst_curve,
-            abs(mu - (1.0 - 2.0 * u)),
-            abs(sig - 2.0 * math.sqrt(u) * math.sqrt(1.0 - u)),
-            abs(v - 2.0 * gamma * math.sqrt(u)),
-        )
-        worst_pipeline = max(worst_pipeline, abs(sig - sanity_check_figure_sigma(gamma, t)))
-    assert worst_curve <= 1e-10
-    assert worst_pipeline <= 1e-12
-    return f"{len(rows)} points, curve err {worst_curve:.1e}, pipeline err {worst_pipeline:.1e}"
+    # Every interior point of each grid: time, mean, spread, <Adot^2>^(1/2)
+    # and the closed-bound margin against the closed form, to 1e-10 relative.
+    points = 0
+    worst = 0.0
+    for gamma, t_max, dt in FIGURE1_GRIDS:
+        rows = figure1_view("--gamma", str(gamma), "--t-max", str(t_max), "--dt", str(dt))
+        want = figure1_curves(gamma, t_max, dt)[1:-1]
+        assert len(rows) == len(want) == round(t_max / dt) - 1
+        for got_row, want_row in zip(rows, want):
+            for got, ref in zip(got_row, want_row):
+                assert math.isnan(got) == math.isnan(ref), (got_row, want_row)
+                if not math.isnan(ref):
+                    worst = max(worst, abs(got - ref) / abs(ref))
+        points += len(rows)
+    assert worst <= 1e-10
+    return f"{len(FIGURE1_GRIDS)} grids, {points} points, worst relative error {worst:.1e}"
 
 
 @criterion(5, "integrator tracks the analytic damping solution")

@@ -15,6 +15,7 @@ import pytest
 import reference_points
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from conftest import figure1_view
 from reference_points import reference_evaluate_scenario
 
 from fluctuation_bounds import cli, scenarios
@@ -106,7 +107,7 @@ def test_out_in_missing_directory_exits_2(command, tmp_path, capsys):
     argv = {
         "run": ["run", "--scenario", str(write_small_scenario(tmp_path, t_max=0.05))],
         "builtin": ["builtin", "--name", "example1", "--t-max", "0.05"],
-        "figure1": ["builtin", "--name", "figure1", "--dt", "0.5", "--t-max", "1.0"],
+        "figure1": ["builtin", "--name", "figure1", "--dt", "0.1", "--t-max", "1.0"],
     }[command]
     out = tmp_path / "missing" / "rows.csv"
     assert cli_main(argv + ["--out", str(out)]) == 2
@@ -202,11 +203,11 @@ def test_builtin_smoke(name, capsys):
 
 
 def test_builtin_figure1(capsys):
-    assert cli_main(["builtin", "--name", "figure1", "--dt", "0.25", "--t-max", "1.0"]) == 0
+    assert cli_main(["builtin", "--name", "figure1", "--dt", "0.1", "--t-max", "1.0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ",".join(FIGURE_COLUMNS)
-    assert len(lines) == 6  # header + t=0..1 inclusive
-    assert lines[1].split(",")[1] == "-1.00000000000e+00"
+    assert len(lines) == 10  # header + the interior points t = 0.1..0.9
+    assert lines[1].split(",")[:2] == ["1.00000000000e-01", f"{1.0 - 2.0 * math.exp(-0.1):.11e}"]
 
 
 def test_builtin_bad_name_exits_2(capsys):
@@ -231,10 +232,14 @@ def test_builtin_omega_override(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 50
 
 
-def test_builtin_omega_rejected_for_figure1(capsys):
-    assert cli_main(["builtin", "--name", "figure1", "--omega", "1.0"]) == 2
-    payload, _ = last_stderr_json(capsys)
-    assert payload["error"] == "override"
+def test_builtin_omega_applies_to_figure1(capsys):
+    # A splitting along sigma_z leaves a sigma_z decay from the excited
+    # state as it is: the curves agree with the undriven ones.
+    driven = figure1_view("--omega", "1.0")
+    plain = figure1_view()
+    assert len(driven) == len(plain) == 499
+    for got, want in zip(driven, plain):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -243,15 +248,22 @@ def test_builtin_omega_rejected_for_figure1(capsys):
     (["--gamma", "nan"], "gamma"),
     (["--gamma", "inf"], "gamma"),
     (["--t-max", "1e308", "--dt", "1e-300"], "t_max / dt"),
-    (["--t-max", "1e12", "--dt", "1"], "t_max / dt"),
-    (["--t-max", "1e6", "--dt", "1"], "t_max / dt"),  # one row over the cap
+    (["--t-max", "1e20", "--dt", "1"], "t_max / dt"),  # more points than numpy sizes
+    (["--t-max", "1e300", "--dt", "1"], "t_max / dt"),
 ])
 def test_builtin_figure1_rejects_non_finite_parameters(flags, field, capsys):
+    # A value the scenario cannot take is invalid-scenario, as for every
+    # builtin; a grid too long to build fails the run.
     assert cli_main(["builtin", "--name", "figure1", *flags]) == 2
     payload, captured = last_stderr_json(capsys)
-    assert payload["error"] == "override"
-    assert payload["detail"].startswith(field)
     assert captured.out == ""
+    if field == "t_max / dt":
+        assert payload["error"] == "run-failed"
+        assert payload["detail"].startswith("scenario 'figure1' failed building its trajectory")
+        return
+    assert payload["error"] == "invalid-scenario"
+    prefix = {"gamma": "jump_operators[0]: rate", "t_max": "t_max:", "dt": "dt:"}[field]
+    assert [v for v in payload["violations"] if v.startswith(prefix)]
 
 
 def test_builtin_negative_gamma_exits_2(capsys):
@@ -327,15 +339,25 @@ def test_verify_verdict_matches_the_reference(tmp_path, capsys, monkeypatch):
 
     assert cli_main(["verify", "--scenario", str(path)]) == 1
     payload, _ = last_stderr_json(capsys)
-    assert payload["detail"] == f"{len(failures)} of {len(records)} points violate a requested bound"
+    # The count is of points: t = 0.001 fails two checks and counts once.
+    points = len({t for _, t, _ in failures})
+    assert points == len(failures) - 1
+    assert payload["detail"] == f"{points} of {len(records)} points violate a requested bound"
     kind, t, margin = failures[0]
     assert (payload["first"]["kind"], payload["first"]["t"]) == (kind, t) == ("closed", 0.001)
     assert payload["first"]["margin"] == pytest.approx(margin, rel=1e-12)
 
 
-def test_verify_figure1_rejected(capsys):
-    assert cli_main(["verify", "--builtin", "figure1"]) == 2
-    capsys.readouterr()
+def test_verify_figure1_reports_the_closed_bound_violation(capsys):
+    # figure1 checks the closed bound on open dynamics, which fails early
+    # in the decay (example1's margin is negative until ln(4/3)/gamma).
+    assert cli_main(["verify", "--builtin", "figure1"]) == 1
+    payload, captured = last_stderr_json(capsys)
+    assert len(captured.err.splitlines()) == 1
+    assert payload["error"] == "bound-violation" and payload["scenario"] == "figure1"
+    assert payload["detail"] == "28 of 499 points violate a requested bound"
+    assert (payload["first"]["kind"], payload["first"]["t"]) == ("closed", 0.01)
+    assert payload["first"]["margin"] < 0
 
 
 def test_verify_needs_exactly_one_source(tmp_path, capsys):
@@ -399,7 +421,7 @@ def test_sweep_bad_value_fails_in_band(tmp_path, capsys):
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fluctuation_bounds.cli",
-         "builtin", "--name", "figure1", "--dt", "0.5", "--t-max", "1.0"],
+         "builtin", "--name", "figure1", "--dt", "0.1", "--t-max", "1.0"],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
@@ -631,7 +653,7 @@ def test_unwritable_output_is_write_failed(command, tmp_path, capsys, no_workers
     argv = {
         "run": ["run", "--scenario", scen, "--out", out],
         "builtin": ["builtin", "--name", "example2", "--t-max", "0.05", "--out", out],
-        "figure1": ["builtin", "--name", "figure1", "--dt", "0.5", "--t-max", "1.0",
+        "figure1": ["builtin", "--name", "figure1", "--dt", "0.1", "--t-max", "1.0",
                     "--out", out],
         "sweep": ["sweep", "--scenario", scen, "--param", "gamma", "--values", "1.0",
                   "--out-dir", out],
@@ -641,6 +663,74 @@ def test_unwritable_output_is_write_failed(command, tmp_path, capsys, no_workers
     assert payload["error"] == "write-failed"
     assert out in payload["detail"]
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def memory_argv(command, tmp_path):
+    path = write_small_scenario(tmp_path, t_max=0.2)
+    if command == "builtin":
+        return ["builtin", "--name", "example2", "--t-max", "0.05"]
+    return scenario_argv(command, path, tmp_path)
+
+
+@pytest.mark.parametrize("command, stage", [
+    *((c, "grid pass") for c in ("run", "builtin", "verify", "sweep")),
+    *((c, "csv") for c in ("run", "builtin", "sweep")),  # verify writes no CSV
+])
+def test_out_of_memory_is_run_failed_without_a_replay(command, stage, tmp_path, capsys,
+                                                      monkeypatch):
+    # numpy raises a MemoryError subclass when a stacked product cannot
+    # be allocated; formatting the CSV can raise a bare one.  Either ends
+    # the run with one run-failed line, and the grid pass is not replayed
+    # point by point.
+    calls = []
+
+    def no_memory(*args, **kwargs):
+        calls.append(args)
+        raise MemoryError("Unable to allocate 1.00 GiB" if stage == "grid pass" else "")
+
+    if stage == "grid pass":
+        monkeypatch.setattr(scenarios, "variance_rate", no_memory)
+    else:
+        monkeypatch.setattr(cli, "rows_to_csv_text", no_memory)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    assert cli_main(memory_argv(command, tmp_path)) == 2
+    payload, captured = last_stderr_json(capsys)
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert payload["error"] == "run-failed"
+    assert payload["detail"] == ("Unable to allocate 1.00 GiB" if stage == "grid pass"
+                                 else "out of memory")
+    assert len(calls) == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+HUGE_SIGMA_Z = {"terms": [{"kind": "constant", "value": 1e200,
+                           "matrix": {"re": [[1.0, 0.0], [0.0, -1.0]]}}]}
+SIGMA_Z_PLUS_HUGE_T_SIGMA_X = {"terms": [
+    {"kind": "constant", "value": 1.0, "matrix": {"re": [[1.0, 0.0], [0.0, -1.0]]}},
+    {"kind": "polynomial", "coefficients": [0.0, 1e200], "matrix": SIGMA_X},
+]}
+
+
+@pytest.mark.parametrize("observable, bounds, moment", [
+    (HUGE_SIGMA_Z, None, "variance is not finite, got nan"),
+    (HUGE_SIGMA_Z, ["cauchy_schwarz"], "variance is not finite, got nan"),
+    (SIGMA_Z_PLUS_HUGE_T_SIGMA_X, None, "variance is not finite, got inf"),
+])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_non_finite_moments_fail_the_run(observable, bounds, moment, command, tmp_path,
+                                         capsys):
+    # A moment past the float range used to pass every per-point check:
+    # run wrote a CSV of nan and verify printed a NaN margin, or nothing
+    # at all when only Cauchy-Schwarz was requested.
+    extra = {"observable": observable} if bounds is None else {
+        "observable": observable, "bounds": bounds}
+    path = write_small_scenario(tmp_path, t_max=0.05, **extra)
+    assert cli_main(scenario_argv(command, path, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    payload = json.loads(captured.err, parse_constant=reject_constant)
+    assert payload["error"] == "run-failed"
+    assert payload["detail"] == f"scenario 'small' failed at t = 0.001: {moment}"
 
 
 NON_OBJECT_TERMS = {
@@ -692,6 +782,11 @@ def json_paths(node, path=()):
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, child in items:
         yield from json_paths(child, path + (key,))
+
+
+def reject_constant(name):
+    """json.loads hook: NaN and Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"{name} in an error line")
 
 
 MATRIX_3X3 = {"re": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
@@ -754,5 +849,5 @@ def test_any_scenario_file_ends_in_an_exit_code_and_at_most_one_json_line(
         return
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    payload = json.loads(lines[0])
+    payload = json.loads(lines[0], parse_constant=reject_constant)
     assert slugs[payload["error"]] == code

@@ -748,7 +748,7 @@ def test_trajectory_from_states_wraps_grid():
     states = [np.diag([0.6, 0.4]).astype(complex)] * 5
     traj = trajectory_from_states(times, states)
     assert traj.model is None
-    assert traj.dim == 2
+    assert traj.states.shape[1] == 2
 
 
 def test_trajectory_from_states_rejects_bad_input():

@@ -334,16 +334,39 @@ def test_earlier_failure_wins_over_later_overflow(monkeypatch):
 @pytest.mark.parametrize("bounds", [[b] for b in ALL_CHECKS])
 def test_float_overflow_of_a_square_matches_reference(bounds):
     # A = e^{1000 t} sigma_x: the squares of var_rate and Cov pass the float
-    # range at t = 0.18, long before math.exp itself overflows at 0.71.
+    # range at t = 0.18.  The residual squares neither; it fails where the
+    # moment <(partial_t A)^2> = 10^6 e^{2000 t} is no longer finite, at
+    # 0.35, long before math.exp itself overflows at 0.71.
     data = builtin_scenario_dict("example1")
     data.update(t_max=1.0, dt=0.01, bounds=bounds, observable={"terms": [
         {"kind": "exponential-decay", "amplitude": 1.0, "rate": -1000.0,
          "matrix": {"re": [[0.0, 1.0], [1.0, 0.0]]}}]})
     spec = parse_scenario(data)
     traj = sc.build_trajectory(spec)
-    t = 0.7 if bounds == ["var_rate_residual"] else 0.18
+    t, match = (0.35, "<(partial_t A)^2> is not finite") if bounds == ["var_rate_residual"] \
+        else (0.18, "range")
     with np.errstate(all="ignore"):
-        assert_both_fail_at(spec, traj, t, "range")
+        assert_both_fail_at(spec, traj, t, match)
+
+
+@pytest.mark.parametrize("bounds", [["open"], ["cauchy_schwarz"], list(ALL_CHECKS)])
+@pytest.mark.parametrize("terms, match", [
+    ([{"kind": "constant", "value": 1e200, "matrix": {"re": [[1.0, 0.0], [0.0, -1.0]]}}],
+     "variance is not finite, got nan"),
+    ([{"kind": "constant", "value": 1.0, "matrix": {"re": [[1.0, 0.0], [0.0, -1.0]]}},
+      {"kind": "polynomial", "coefficients": [0.0, 1e200], "matrix": {"re": [[0.0, 1.0], [1.0, 0.0]]}}],
+     "variance is not finite, got inf"),
+])
+def test_non_finite_moment_matches_reference(terms, match, bounds):
+    # <A^2> passes the float range at the first interior point: the
+    # variance is inf - inf or inf, which no comparison with the floor
+    # catches, so it fails as a moment that is not finite.
+    data = builtin_scenario_dict("example1")
+    data.update(t_max=0.2, dt=0.01, bounds=bounds, observable={"terms": terms})
+    spec = parse_scenario(data)
+    traj = sc.build_trajectory(spec)
+    with np.errstate(all="ignore"):
+        assert_both_fail_at(spec, traj, 0.01, match)
 
 
 # ---------------------------------------------------------------------------

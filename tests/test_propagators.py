@@ -16,7 +16,7 @@ from fluctuation_bounds.dynamics import (
     exact_propagator,
     taylor_propagator,
 )
-from fluctuation_bounds.linalg import TAU_UNIT, sigma_x, sigma_y, sigma_z
+from fluctuation_bounds.linalg import sigma_x, sigma_y, sigma_z
 from fluctuation_bounds.observables import (
     constant,
     cosine,
@@ -27,6 +27,7 @@ from fluctuation_bounds.observables import (
 )
 
 H_CONST = static_observable(0.8 * sigma_x + 0.5 * sigma_z)
+TAU_UNIT = 1e-10  # unitarity defect of a propagator
 
 
 def h_linear(t0_shift=0.0):

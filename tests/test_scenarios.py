@@ -1,4 +1,4 @@
-"""Scenario parsing, builtin runs, closed-form curve family, CSV emission."""
+"""Scenario parsing, builtin runs, the figure1 curves, CSV emission."""
 
 import dataclasses
 import json
@@ -6,17 +6,25 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_jump, random_state, sanity_check_figure_sigma
+from conftest import (
+    figure1_view,
+    random_hermitian,
+    random_jump,
+    random_state,
+    sanity_check_figure_sigma,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_figure1 import figure1_curves
 from reference_points import reference_csv_text
 from scenario_writers import scenario_to_dict
 
 from fluctuation_bounds import scenarios as sc
-from fluctuation_bounds.cli import _emit
+from fluctuation_bounds.cli import _emit, cli_main
 from fluctuation_bounds.dynamics import IntegrationError, LindbladModel
 from fluctuation_bounds.linalg import sigma_minus, sigma_plus, sigma_x
 from fluctuation_bounds.observables import constant, cosine, observable, polynomial, static_observable
+from fluctuation_bounds.stats import EPS_SIGMA
 from fluctuation_bounds.scenarios import (
     BUILTIN_NAMES,
     FIGURE_COLUMNS,
@@ -24,7 +32,6 @@ from fluctuation_bounds.scenarios import (
     ScenarioError,
     builtin_scenario_dict,
     build_trajectory,
-    figure1_curves,
     load_builtin,
     load_scenario,
     parse_scenario,
@@ -45,16 +52,20 @@ def small_example1(t_max=0.5, dt=0.001, **extra):
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
-@pytest.mark.parametrize("name", ["example1", "example2", "crossover"])
+@pytest.mark.parametrize("name", ["example1", "example2", "crossover", "figure1"])
 def test_builtin_round_trips_unchanged(name):
     data = builtin_scenario_dict(name)
     assert scenario_to_dict(parse_scenario(data)) == data
 
 
-def test_builtin_names_cover_files_plus_curves():
+def test_builtin_names_are_the_packaged_scenarios():
+    # figure1 is a scenario file too: example1's model on its own grid,
+    # checking the closed bound only.
     assert BUILTIN_NAMES == ("example1", "example2", "crossover", "figure1")
-    with pytest.raises(ValueError, match="figure1"):
-        builtin_scenario_dict("figure1")
+    figure1, example1 = builtin_scenario_dict("figure1"), builtin_scenario_dict("example1")
+    assert (figure1["t_max"], figure1["dt"], figure1["bounds"]) == (5.0, 0.01, ["closed"])
+    for field in ("dimension", "initial_state", "jump_operators", "observable", "rho_dot_mode"):
+        assert figure1[field] == example1[field]
     with pytest.raises(ValueError):
         builtin_scenario_dict("nosuch")
 
@@ -433,27 +444,29 @@ def test_runs_are_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# closed-form curve family
+# the figure1 curves: a column view of a checked run
 
 def test_figure1_start_and_tail():
+    # Interior points only; at the tail the spread is below EPS_SIGMA, so
+    # the closed bound is skipped and v_A and the margin are nan.
     gamma = 1.0
-    rows = figure1_curves(gamma, 50.0, 0.5)
-    t0, mu0, s0, v0, m0 = rows[0]
-    assert (t0, mu0, s0) == (0.0, -1.0, 0.0)
-    assert v0 == pytest.approx(2.0 * gamma)
-    assert math.isnan(m0)  # spread vanishes at t=0
+    rows = figure1_view("--t-max", "50", "--dt", "0.5")
+    want = figure1_curves(gamma, 50.0, 0.5)[1:-1]
+    assert [r[0] for r in rows] == [w[0] for w in want]
+    for got, ref in zip(rows[0], want[0]):
+        assert got == pytest.approx(ref, rel=1e-10)
     t_end, mu_end, s_end, v_end, m_end = rows[-1]
-    assert t_end == pytest.approx(50.0 / gamma)
+    assert t_end == 49.5
     assert abs(mu_end - 1.0) <= 1e-10
-    assert abs(s_end) <= 1e-10
-    assert abs(v_end) <= 1e-9
+    assert s_end < EPS_SIGMA
+    assert math.isnan(v_end) and math.isnan(m_end)
 
 
 def test_figure1_margin_matches_closed_form_and_flips_at_quarter():
     gamma = 2.0
-    rows = figure1_curves(gamma, 2.0, 0.001)
+    rows = figure1_view("--gamma", "2", "--t-max", "2", "--dt", "0.001")
     t_star = math.log(4.0 / 3.0) / gamma
-    for t, _, _, _, margin in rows[1::173]:
+    for t, _, _, _, margin in rows[::173]:
         u = math.exp(-gamma * t)
         expected = gamma**2 * u * (3.0 - 4.0 * u) / (1.0 - u)
         assert margin == pytest.approx(expected, rel=1e-10)
@@ -473,13 +486,24 @@ def test_figure1_sigma_agrees_with_statistics_pipeline(gamma, t):
     assert abs(curve - sanity_check_figure_sigma(gamma, t)) <= 1e-12
 
 
-def test_figure1_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="decay rate"):
-        figure1_curves(0.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        figure1_curves(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        figure1_curves(1.0, 0.05, 0.1)
+def figure1_error(capsys, *flags):
+    """The error JSON of a figure1 run that must exit 2 and write nothing."""
+    assert cli_main(["builtin", "--name", "figure1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    return json.loads(captured.err)
+
+
+def test_figure1_rejects_bad_arguments(capsys):
+    # figure1's overrides follow the scenario rules of every builtin.
+    for flags, violation in (
+        (["--gamma", "-1"], "jump_operators[0]: rate must be nonnegative"),
+        (["--dt", "0"], "dt: must be positive"),
+        (["--t-max", "0.05", "--dt", "0.1"], "t_max: must be at least 10*dt"),
+    ):
+        payload = figure1_error(capsys, *flags)
+        assert payload["error"] == "invalid-scenario"
+        assert any(v.startswith(violation) for v in payload["violations"]), flags
 
 
 @pytest.mark.parametrize("gamma, t_max, dt, field", [
@@ -490,14 +514,17 @@ def test_figure1_rejects_bad_arguments():
     (1.0, 1.0, math.nan, "dt"),
     (1.0, 1.0, math.inf, "dt"),
 ])
-def test_figure1_rejects_non_finite_arguments(gamma, t_max, dt, field):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
-        figure1_curves(gamma, t_max, dt)
+def test_figure1_rejects_non_finite_arguments(gamma, t_max, dt, field, capsys):
+    payload = figure1_error(capsys, "--gamma", str(gamma), "--t-max", str(t_max), "--dt", str(dt))
+    assert payload["error"] == "invalid-scenario"
+    prefix = {"gamma": "jump_operators[0]: rate", "t_max": "t_max:", "dt": "dt:"}[field]
+    assert [v.split(" ")[0] for v in payload["violations"]] == [prefix.split(" ")[0]]
 
 
-def test_figure1_rejects_overflowing_step_count():
-    with pytest.raises(ValueError, match="t_max / dt overflows"):
-        figure1_curves(1.0, 1e308, 1e-300)
+def test_figure1_rejects_overflowing_step_count(capsys):
+    payload = figure1_error(capsys, "--t-max", "1e308", "--dt", "1e-300")
+    assert payload["error"] == "run-failed"
+    assert "failed building its trajectory" in payload["detail"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_model, random_state
+from conftest import random_hermitian, random_model, random_observable, random_state
 from reference_points import covariance_sym, expectation, rho_dot_delta_sq
 
+from fluctuation_bounds.bounds import adjoint_heisenberg_rate
 from fluctuation_bounds.dynamics import (
     analytic_amplitude_damping,
     integrate,
@@ -223,3 +224,52 @@ def test_state_derivative_modes_and_errors():
     bare = damping_trajectory(t_max=0.5, with_model=False)
     with pytest.raises(ValueError, match="no model"):
         state_derivative(bare, k, 0.25, "analytic")
+
+
+# ---------------------------------------------------------------------------
+# mean_rate
+
+def random_run(seed, dim, dt, time_dependent):
+    """A seeded open model at dimension dim, integrated to t = 0.4, and an observable."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim)
+    traj = integrate(model, random_state(rng, dim), t_max=0.4, dt=dt)
+    return traj, random_observable(rng, dim, time_dependent=time_dependent)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_mean_rate_is_the_heisenberg_mean_under_analytic_rho_dot(dim, time_dependent):
+    # tr(rho_dot A) + <partial_t A> against <Adot>, the Heisenberg picture.
+    traj, a = random_run(500 + dim, dim, 1e-3, time_dependent)
+    times = traj.times[1:-1]
+    sp = variance_rate(traj, a, times, "analytic")
+    rho_adot = traj.states[1:-1] @ adjoint_heisenberg_rate(traj.model, a, times)
+    want = np.trace(rho_adot, axis1=1, axis2=2).real
+    assert np.max(np.abs(sp.mean_rate - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    one = variance_rate(traj, a, float(times[7]), "analytic")
+    assert type(one.mean_rate) is float and one.mean_rate == sp.mean_rate[7]
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_mean_rate_is_the_central_difference_of_the_mean(mode, dim):
+    # The gap to (mean[k+1] - mean[k-1]) / 2dt falls as dt^2: by 4 when
+    # dt halves, within a margin for the next order.
+    gaps = []
+    for dt in (2e-3, 1e-3):
+        traj, a = random_run(600 + dim, dim, dt, time_dependent=True)
+        sp = variance_rate(traj, a, traj.times[1:-1], mode)
+        central = (sp.mean[2:] - sp.mean[:-2]) / (2.0 * dt)
+        gaps.append(np.max(np.abs(sp.mean_rate[1:-1] - central)))
+    assert gaps[0] < 1e-3
+    assert 3.5 < gaps[0] / gaps[1] < 4.5
+
+
+def test_finite_difference_mean_rate_of_a_static_observable_is_the_central_difference():
+    # With rho_dot the central difference of the states and A static,
+    # tr(rho_dot A) is the central difference of the mean itself.
+    traj, a = random_run(603, 3, 2e-3, time_dependent=False)
+    sp = variance_rate(traj, a, traj.times[1:-1], "finite_difference")
+    central = (sp.mean[2:] - sp.mean[:-2]) / (2.0 * 2e-3)
+    assert np.max(np.abs(sp.mean_rate[1:-1] - central)) <= 1e-12 * np.max(np.abs(central))
