@@ -30,15 +30,21 @@ every stage time of the grid, one array per coefficient, which each
 block of CHECK_BLOCK steps slices.  The step-map path also forms the
 start, midpoint and end factors of its monomials once per run, and
 carries a block's last coordinates over as the next block's first.
+Blocks stay at 64 steps because their arithmetic depends on the size:
+OpenBLAS rounds a block's (steps, K) @ (K, d^4) product differently at
+other row counts.
 Integration never repairs its state: ``integrate`` checks trace and
-positivity of every step taken, one batch per block, and the first
-violation aborts with the failing time in the message; only then is a
-drive coefficient's deferred error raised.
+positivity of every step taken, one batch per CHECK_SPAN of four blocks
+(the last span holds the steps left over), and the first violation
+aborts with the failing time in the message, at most one span after
+that step was taken; only then is a drive coefficient's deferred error
+raised.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +66,8 @@ from .linalg import (
 from .observables import TimeDependentObservable, finite_times
 
 TAU_PSD_RUN = 1e-8   # positivity floor while integrating
-CHECK_BLOCK = 64     # integration steps per batched trace/positivity check
+CHECK_BLOCK = 64     # RK4 steps per step-map product, drive-table slice and stage-loop fallback
+CHECK_SPAN = 4 * CHECK_BLOCK  # RK4 steps per batched trace/positivity check
 STEP_MAP_MAX = 300_000  # largest step_map_size that integrate advances by step maps
 QUAD_POINTS = 16     # Gauss-Legendre nodes per Dyson propagator integral
 G_MIN = 1e-6         # smallest admissible eigenvalue gap for eigenvector pairing
@@ -275,9 +282,9 @@ def trajectory_from_states(times, states, model=None) -> Trajectory:
 
 
 def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
-    """Trace and positivity of a block of integrated states, at TAU_PSD_RUN.
+    """Trace and positivity of a span of integrated states, at TAU_PSD_RUN.
 
-    Both RK4 paths build exactly Hermitian states, so a finite block is
+    Both RK4 paths build exactly Hermitian states, so a finite span is
     accepted by the state verdict's trace test and ``_psd_screen`` alone,
     without its Hermiticity scan.  Otherwise the full ``_state_verdict``
     decides, and its first failing state raises with its time, trace
@@ -443,34 +450,53 @@ def _pair_indices(n: int):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _word_slots(n: int) -> tuple:
+    """Per word length j = 1..4, the (weight, word, slot) terms of the RK4
+    products of length j over n generator parts, in ``_RK4_PRODUCTS``
+    order and, within a product, in word order: ``word`` indexes the n^j
+    words G_k1 ... G_kj in lexicographic order of (k1, ..., kj), and
+    ``slot`` is the flat position of the monomial that the product's stage
+    coefficients make of it, as ``_step_factors`` orders them."""
+    n_pairs = n * (n + 1) // 2
+    pairs = np.empty((n, n), dtype=int)  # position of the pair {k, l} in triu order
+    ku, lu = _pair_indices(n)
+    pairs[ku, lu] = pairs[lu, ku] = np.arange(n_pairs)
+    out = []
+    for length in range(1, 5):
+        terms = []
+        for weight, stages in _RK4_PRODUCTS:
+            if len(stages) != length:
+                continue
+            for word, ks in enumerate(itertools.product(range(n), repeat=length)):
+                # the factor index per stage; 0 (the static part) where a stage is absent
+                at = {1: [], 2: [], 3: []}
+                for stage, k in zip(stages, ks):
+                    at[stage].append(k)
+                start, mid, end = at[1] + [0], at[2] + [0, 0], at[3] + [0]
+                terms.append((weight, word, (start[0] * n_pairs + int(pairs[mid[0], mid[1]])) * n + end[0]))
+        out.append(tuple(terms))
+    return tuple(out)
+
+
 def _step_monomials(parts: np.ndarray, dt: float) -> np.ndarray:
     """(K, d^4): the flattened C_m of P = sum_m monomial_m * C_m, with the
     K monomials ordered as by ``_step_factors``, for the D+1 generator
     ``parts`` of ``_generator_parts``.
 
     Every word G_k1 ... G_kj (j <= 4) over the parts is formed once, each
-    from its prefix of length j-1, and added to the monomial its stage
-    coefficients make in each RK4 product of that length.
+    from its prefix of length j-1, and added to the monomials of
+    ``_word_slots``: one per RK4 product of that length.
     """
     n, dim = parts.shape[0], parts.shape[1]
-    ku, lu = _pair_indices(n)
-    pairs = np.empty((n, n), dtype=int)  # position of the pair {k, l} in triu order
-    pairs[ku, lu] = pairs[lu, ku] = np.arange(len(ku))
-    monomials = np.zeros((n, len(ku), n, dim, dim))
-    monomials[0, 0, 0] = np.eye(dim)
-    words = {(): np.eye(dim)}
-    for length in range(1, 5):
-        words = {w + (k,): words[w] @ parts[k] for w in words for k in range(n)}
-        for weight, stages in _RK4_PRODUCTS:
-            if len(stages) != length:
-                continue
-            for word, product in words.items():
-                # the factor index per stage; 0 (the static part) where a stage is absent
-                at = {1: [], 2: [], 3: []}
-                for stage, k in zip(stages, word):
-                    at[stage].append(k)
-                start, mid, end = at[1] + [0], at[2] + [0, 0], at[3] + [0]
-                monomials[start[0], pairs[mid[0], mid[1]], end[0]] += weight * dt ** length * product
+    monomials = np.zeros((n * n * n * (n + 1) // 2, dim, dim))  # K, as in step_map_size
+    monomials[0] = np.eye(dim)
+    words = [np.eye(dim)]
+    for length, terms in enumerate(_word_slots(n), 1):
+        words = [w @ p for w in words for p in parts]
+        scale = dt ** length
+        for weight, word, slot in terms:
+            monomials[slot] += weight * scale * words[word]
     return monomials.reshape(-1, dim * dim)
 
 
@@ -490,14 +516,16 @@ def _step_factors(table):
 class _StepMapRun:
     """The step-map path of one ``integrate`` run.
 
-    Holds what the run's blocks share, formed once: the flat (K, d^4)
-    ``_step_monomials``, the ``_step_factors`` of the run's drive table
-    (None undriven), and one (CHECK_BLOCK + 1, d^2 + p + 1) coordinate
-    buffer laid out as ``_state_index`` reads it, whose last column is
-    zero, with the list of its rows' coordinate views.  Row 0 holds the
-    coordinates of the state before the next block: carried over from
-    the last row of a block this path took, or read from the states
-    after one it did not.
+    Takes the run CHECK_BLOCK steps at a time, whatever span of blocks
+    ``integrate`` checks at once: the bits of a block's step maps depend
+    on its row count.  Holds what the run's blocks share, formed once:
+    the flat (K, d^4) ``_step_monomials``, the ``_step_factors`` of the
+    run's drive table (None undriven), and one (CHECK_BLOCK + 1,
+    d^2 + p + 1) coordinate buffer laid out as ``_state_index`` reads it,
+    whose last column is zero, with the list of its rows' coordinate
+    views.  Row 0 holds the coordinates of the state before the next
+    block: carried over from the last row of a block this path took, or
+    read from the states after one it did not.
     """
 
     def __init__(self, model: LindbladModel, dt: float, table):
@@ -550,10 +578,14 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
 
     One drive table per run holds the drive coefficients at the start,
     midpoint and end of every step, one array per coefficient
-    (``_drive_table``); each CHECK_BLOCK of steps reads its slice.  Models
-    with ``step_map_size(model) <= STEP_MAP_MAX`` take each step as one
-    real matvec ``x -> P_n x`` on the d^2 Hermitian coordinates of the
-    state.  The K monomial maps of P and, from the table, the factors of
+    (``_drive_table``); each CHECK_BLOCK of steps reads its slice.  Steps
+    are taken in blocks of CHECK_BLOCK (64) whatever the check span: a
+    block's (steps, K) @ (K, d^4) product rounds differently at other row
+    counts, and a block the step maps cannot take is taken whole by the
+    stage loop, so blocks of another size would change states' bits.
+    Models with ``step_map_size(model) <= STEP_MAP_MAX`` take each step
+    as one real matvec ``x -> P_n x`` on the d^2 Hermitian coordinates of
+    the state.  The K monomial maps of P and, from the table, the factors of
     their monomials are formed once per call; each block forms its P_n
     with one (steps, K) @ (K, d^4) product, or, undriven (K = 1), reuses
     the one constant P.  The coordinates live in one buffer across
@@ -568,9 +600,12 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
 
     This function is the one place that checks and raises.  Trace drift
     and negative eigenvalues of every step taken are checked, never
-    corrected: one ``linalg`` state verdict per block.  The first step
-    past TAU_TRACE / TAU_PSD_RUN, or with a non-finite entry, aborts the
-    run with its time, at most one block later.
+    corrected: one ``linalg`` state verdict per CHECK_SPAN (four blocks,
+    256 steps; the last span holds the steps left over), each on exactly
+    the states taken since the check before, so every state is checked
+    once.  The first step past TAU_TRACE / TAU_PSD_RUN, or with a
+    non-finite entry, aborts the run with its time, at most one span
+    later; the blocks after it in its span are taken first.
     A drive coefficient that raised while the table was built stops the
     table short; its error is raised after the steps before it pass.
     """
@@ -593,11 +628,13 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
         *table, error = _drive_table(model.drive, times, dt)
         taken = len(table[1])  # short of n_steps if a drive coefficient raised
         step_maps = _StepMapRun(model, dt, table) if step_map_size(model) <= STEP_MAP_MAX else None
-        for start in range(1, taken + 1, CHECK_BLOCK):
-            stop = min(start + CHECK_BLOCK, taken + 1)
-            if step_maps is None or not step_maps.map_block(states, start, stop):
-                _stage_block(model, states, dt, start, [c[start - 1:stop - 1] for c in table])
-            _check_steps(states[start:stop], times[start:stop])
+        for span in range(1, taken + 1, CHECK_SPAN):
+            end = min(span + CHECK_SPAN, taken + 1)
+            for start in range(span, end, CHECK_BLOCK):
+                stop = min(start + CHECK_BLOCK, end)
+                if step_maps is None or not step_maps.map_block(states, start, stop):
+                    _stage_block(model, states, dt, start, [c[start - 1:stop - 1] for c in table])
+            _check_steps(states[span:end], times[span:end])
         if error is not None:
             raise error
     states.setflags(write=False)

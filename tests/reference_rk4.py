@@ -9,11 +9,14 @@ except that these checks compare with ``>`` and so let a NaN state pass.
 Cholesky screen: a full ``eigvalsh`` of every state.
 
 ``block_integrate`` is ``dynamics.integrate`` as it was before its tables
-were built once per run: each CHECK_BLOCK of steps evaluates its own
-drive table and monomial values, reads its first coordinates back from
-the states, and writes its states with six fancy-index writes; its
-generator parts come from one stacked matmul over every term and basis
-matrix.  Tests hold integrate to it bit for bit, failures included.
+were built once per run and its checks spanned several blocks: each
+CHECK_BLOCK of steps evaluates its own drive table and monomial values,
+reads its first coordinates back from the states, writes its states
+with six fancy-index writes and is checked on its own; its generator
+parts come from one stacked matmul over every term and basis matrix,
+and its monomial matrices from ``step_monomials``, which sorts each
+word's factors by stage as it goes.  Tests hold integrate to it bit for
+bit, failures included.
 """
 
 import numpy as np
@@ -130,6 +133,31 @@ def generator_parts(model):
     return dynamics._coordinates(np.stack(parts)).transpose(0, 2, 1)
 
 
+def step_monomials(parts, dt):
+    """(K, d^4) step-map monomial matrices, each word's monomial found by
+    sorting its factors by stage as it is added."""
+    n, dim = parts.shape[0], parts.shape[1]
+    ku, lu = np.triu_indices(n)
+    pairs = np.empty((n, n), dtype=int)  # position of the pair {k, l} in triu order
+    pairs[ku, lu] = pairs[lu, ku] = np.arange(len(ku))
+    monomials = np.zeros((n, len(ku), n, dim, dim))
+    monomials[0, 0, 0] = np.eye(dim)
+    words = {(): np.eye(dim)}
+    for length in range(1, 5):
+        words = {w + (k,): words[w] @ parts[k] for w in words for k in range(n)}
+        for weight, stages in dynamics._RK4_PRODUCTS:
+            if len(stages) != length:
+                continue
+            for word, product in words.items():
+                # the factor index per stage; 0 (the static part) where a stage is absent
+                at = {1: [], 2: [], 3: []}
+                for stage, k in zip(stages, word):
+                    at[stage].append(k)
+                start, mid, end = at[1] + [0], at[2] + [0, 0], at[3] + [0]
+                monomials[start[0], pairs[mid[0], mid[1]], end[0]] += weight * dt ** length * product
+    return monomials.reshape(-1, dim * dim)
+
+
 def map_block(model, monomials, states, start, table):
     """Step-map RK4 from states[start - 1]; False, writing nothing, if a
     state comes out non-finite."""
@@ -164,7 +192,7 @@ def block_integrate(model, rho0, t_max, dt):
     with np.errstate(over="ignore", invalid="ignore"):
         monomials = None
         if dynamics.step_map_size(model) <= dynamics.STEP_MAP_MAX:
-            monomials = dynamics._step_monomials(generator_parts(model), dt)
+            monomials = step_monomials(generator_parts(model), dt)
         for start in range(1, n_steps + 1, block):
             stop = min(start + block, n_steps + 1)
             *table, error = drive_table(model.drive, times[start - 1:stop], dt)

@@ -15,12 +15,13 @@ from conftest import (
     random_state,
 )
 from numpy.testing import assert_allclose
-from reference_rk4 import block_integrate, generator_parts, reference_integrate, reference_rhs
+from reference_rk4 import block_integrate, generator_parts, reference_integrate, reference_rhs, step_monomials
 from reference_rk4 import check_steps as reference_check_steps
 
 from fluctuation_bounds import dynamics
 from fluctuation_bounds.dynamics import (
     CHECK_BLOCK,
+    CHECK_SPAN,
     G_MIN,
     STEP_MAP_MAX,
     TAU_PSD_RUN,
@@ -489,7 +490,9 @@ def bits(a):
 @pytest.mark.parametrize("path", ["step map", "stage loop"])
 def test_integrate_matches_the_block_reference_bit_for_bit(path, monkeypatch):
     # d = 2..8 with 0..3 drives (kinds cycling with d), over one step, one
-    # block short of, at and past CHECK_BLOCK, and three blocks and one step.
+    # block short of, at and past CHECK_BLOCK, three blocks and one step,
+    # one check span (four blocks) and one step past it, and nine blocks
+    # and three steps: two spans, then a short one.
     if path == "stage loop":
         monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
     rng = np.random.default_rng(2121)
@@ -499,7 +502,8 @@ def test_integrate_matches_the_block_reference_bit_for_bit(path, monkeypatch):
             model = model_with_drives(rng, dim, n_drives, n_jumps=1 + dim % 3, first_kind=dim + n_drives)
             paths.add(step_map_size(model) <= dynamics.STEP_MAP_MAX)
             rho0 = random_state(rng, dim)
-            for steps in (1, CHECK_BLOCK - 1, CHECK_BLOCK, CHECK_BLOCK + 1, 3 * CHECK_BLOCK + 1):
+            for steps in (1, CHECK_BLOCK - 1, CHECK_BLOCK, CHECK_BLOCK + 1, 3 * CHECK_BLOCK + 1,
+                          CHECK_SPAN, CHECK_SPAN + 1, 9 * CHECK_BLOCK + 3):
                 traj = integrate(model, rho0, t_max=steps * 2e-3, dt=2e-3)
                 times, states = block_integrate(model, rho0, steps * 2e-3, 2e-3)
                 assert np.array_equal(bits(traj.times), bits(times))
@@ -511,7 +515,8 @@ def test_integrate_matches_the_block_reference_bit_for_bit(path, monkeypatch):
 def test_negative_zero_coordinates_match_the_block_reference(path, monkeypatch):
     # A diagonal state whose coherences are -0.0 under a diagonal
     # Hamiltonian and decay: the coherences stay zero, signed as each
-    # path's arithmetic leaves them, over three blocks and one step.
+    # path's arithmetic leaves them, over three blocks and one step and
+    # over runs at and across check span boundaries.
     if path == "stage loop":
         monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
     d = 3
@@ -521,11 +526,12 @@ def test_negative_zero_coordinates_match_the_block_reference(path, monkeypatch):
     for drive in (constant(1.0), sine(0.7, 1.3, 0.2)):
         h = observable([(constant(0.5), np.diag([1.0, 0.0, -1.0])), (drive, np.diag([0.0, 1.0, 0.0]))])
         model = lindblad_model(h, [0.4 * lower])
-        traj = integrate(model, rho0, t_max=(3 * CHECK_BLOCK + 1) * 0.01, dt=0.01)
-        _, states = block_integrate(model, rho0, (3 * CHECK_BLOCK + 1) * 0.01, 0.01)
-        x = dynamics._coordinates(traj.states[0])
-        assert np.signbit(x[x == 0]).any()
-        assert np.array_equal(bits(traj.states), bits(states))
+        for steps in (3 * CHECK_BLOCK + 1, CHECK_SPAN, CHECK_SPAN + 1, 9 * CHECK_BLOCK + 3):
+            traj = integrate(model, rho0, t_max=steps * 0.01, dt=0.01)
+            _, states = block_integrate(model, rho0, steps * 0.01, 0.01)
+            x = dynamics._coordinates(traj.states[0])
+            assert np.signbit(x[x == 0]).any()
+            assert np.array_equal(bits(traj.states), bits(states)), steps
 
 
 def test_a_block_after_a_stage_loop_block_reads_its_coordinates_again(monkeypatch):
@@ -575,6 +581,80 @@ def test_failures_match_the_block_reference(path, case, monkeypatch):
         monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
     expected = _failure(lambda: block_integrate(model, rho0, t_max, dt))
     assert _failure(lambda: integrate(model, rho0, t_max=t_max, dt=dt)) == expected
+
+
+@pytest.mark.parametrize("path", ["step map", "stage loop"])
+@pytest.mark.parametrize("case", ["positivity in the first block of a span", "non-finite step map mid-span",
+                                  "positivity, then drive overflow mid-span"])
+def test_failures_inside_a_check_span_match_the_block_reference(path, case, monkeypatch):
+    # The run takes the rest of the span after its first bad step; the
+    # per-block reference stops at the end of that step's block.
+    if case == "positivity in the first block of a span":
+        # Gamma dt just past RK4's real stability limit: positivity is
+        # lost at step 270, in the first block of the second span.
+        model = lindblad_model(None, [sigma_minus])
+        rho0, t_max, dt, step = np.eye(2, dtype=complex) / 2, 600 * 2.787, 2.787, 270
+    elif case == "non-finite step map mid-span":
+        # c(t) = 7e11 exp(1e90 t) on a grid of 1e-90: c^4 overflows in the
+        # third block, which the stage loop takes again, and its state
+        # at step 181 loses positivity once c dt reaches about 1.
+        model = lindblad_model(observable([(constant(0.5), sigma_z), (exponential_decay(7e11, -1e90), sigma_x)]),
+                               [0.5 * sigma_minus])
+        rho0, t_max, dt, step = np.diag([0.3, 0.7]).astype(complex), 400e-90, 1e-90, 181
+    else:
+        # Positivity is lost at step 32; the zero-amplitude exp(1.69 t)
+        # overflows at the end of step 150, in the third block.
+        model = lindblad_model(observable([(exponential_decay(0.0, -1.69), sigma_x)]), [sigma_minus])
+        rho0, t_max, dt, step = np.eye(2, dtype=complex) / 2, 300 * 2.8, 2.8, 32
+        times = dt * np.arange(301)
+        assert CHECK_BLOCK < len(dynamics._drive_table(model.drive, times, dt)[1]) == 149 < CHECK_SPAN
+    assert step_map_size(model) <= STEP_MAP_MAX
+    if path == "stage loop":
+        monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
+    blocks = []
+    stage_block = dynamics._stage_block
+
+    def counted(model, states, dt, start, table):
+        blocks.append(start)
+        stage_block(model, states, dt, start, table)
+
+    monkeypatch.setattr(dynamics, "_stage_block", counted)
+    expected = _failure(lambda: block_integrate(model, rho0, t_max, dt))
+    assert expected[0] is IntegrationError and expected[2] == pytest.approx(step * dt)
+    blocks.clear()
+    assert _failure(lambda: integrate(model, rho0, t_max=t_max, dt=dt)) == expected
+    if case == "non-finite step map mid-span" and path == "step map":
+        assert blocks == [2 * CHECK_BLOCK + 1, 3 * CHECK_BLOCK + 1]
+
+
+@pytest.mark.parametrize("path", ["step map", "stage loop"])
+def test_integrate_checks_each_step_once_per_span(path, monkeypatch):
+    if path == "stage loop":
+        monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
+    spans = []
+    check_steps = dynamics._check_steps
+
+    def recorded(states, times):
+        assert len(states) == len(times)
+        spans.append((int(round(times[0] / 1e-3)), int(round(times[-1] / 1e-3))))
+        check_steps(states, times)
+
+    monkeypatch.setattr(dynamics, "_check_steps", recorded)
+    integrate(damping_model(1.0, omega=1.0), PROJ_1, t_max=1.5, dt=1e-3)
+    assert CHECK_SPAN == 4 * CHECK_BLOCK
+    assert len(spans) == 6
+    assert [first for first, _ in spans] == [1] + [last + 1 for _, last in spans[:-1]]
+    assert spans[-1][1] == 1500
+    assert all(last - first + 1 == CHECK_SPAN for first, last in spans[:-1])
+
+
+def test_step_monomials_match_the_stage_sorted_reference():
+    rng = np.random.default_rng(2123)
+    for n_drives in range(4):
+        for dim in (2, 3, 5):
+            parts = rng.standard_normal((n_drives + 1, dim * dim, dim * dim))
+            got = dynamics._step_monomials(parts, 3e-3)
+            assert np.array_equal(bits(got), bits(step_monomials(parts, 3e-3)))
 
 
 def test_generator_parts_match_the_stacked_product():
