@@ -6,11 +6,13 @@ Every error is reported as one JSON line on stderr so callers can parse
 failures without scraping text.
 
 The argparse parser is built once per process and shared by every
-``cli_main`` call.  CSV is written by ``scenarios.rows_to_csv_text``,
-which formats a result table's column values as plain tuples; for
-figure1, ``builtin`` writes the FIGURE_COLUMNS view of its table
-instead.  ``verify`` reads the table's bound reports, its Cauchy-Schwarz
-margins and its ``t`` column, and counts the points that fail a check.
+``cli_main`` call.  A run's ResultTable is its only record: CSV is
+written by ``scenarios.rows_to_csv_text``, which formats a table's
+column values as plain tuples (for figure1, ``builtin`` writes a table
+of the FIGURE_COLUMNS view of its run instead), and ``verify`` reads
+the margin columns and ``t`` and counts the points that fail a check.
+``builtin`` and ``verify --builtin`` read a builtin through the same
+``builtin_scenario_dict`` and ``parse_scenario``.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from .bounds import TAU_BOUND
 from .scenarios import (
     BUILTIN_NAMES,
     FIGURE_COLUMNS,
+    RESULT_COLUMNS,
+    ResultTable,
     ScenarioError,
     builtin_scenario_dict,
-    load_builtin,
     load_scenario,
     parse_scenario,
     read_scenario,
@@ -104,22 +107,30 @@ def _apply_overrides(data: dict, dt=None, t_max=None, gamma=None, omega=None) ->
     return out
 
 
+# Each check verify reads: its kind, its margin column, and the column
+# that is nan exactly where the check was not evaluated (not requested,
+# or a skipped point).
+_VERIFY_CHECKS = (
+    ("open", "margin_open", "lhs_open"),
+    ("closed", "margin_closed", "lhs_closed"),
+    ("cauchy_schwarz", "cauchy_schwarz", "cauchy_schwarz"),
+)
+
+
 def _verify_failures(table):
-    """How many points have a non-skipped check that came out negative,
-    and the first such check as (kind, t, margin): earliest time first,
-    then open, closed, cauchy_schwarz at one time.  (0, None) when no
-    point has one."""
-    checks = [(r.kind, ~r.satisfied & r.live, r.margin) for r in (table.open, table.closed)
-              if r is not None]
-    if table.cauchy_schwarz is not None:
-        checks.append(("cauchy_schwarz", table.cauchy_schwarz < -TAU_BOUND, table.cauchy_schwarz))
-    failed = np.array([mask for _, mask, _ in checks])  # (check, point)
+    """How many points have an evaluated check whose margin is not at
+    least -TAU_BOUND (nan included), and the first such check as (kind,
+    t, margin): earliest time first, then open, closed, cauchy_schwarz
+    at one time.  (0, None) when no point has one."""
+    c = table.columns
+    failed = np.array([~(c[margin] >= -TAU_BOUND) & ~np.isnan(c[evaluated])
+                       for _, margin, evaluated in _VERIFY_CHECKS])  # (check, point)
     if not failed.any():
         return 0, None
     points = np.flatnonzero(failed.any(axis=0))
     j = int(points[0])
-    kind, _, margin = checks[int(np.flatnonzero(failed[:, j])[0])]
-    return len(points), (kind, float(table.columns["t"][j]), float(margin[j]))
+    kind, margin, _ = _VERIFY_CHECKS[int(np.flatnonzero(failed[:, j])[0])]
+    return len(points), (kind, float(c["t"][j]), float(c[margin][j]))
 
 
 def _cmd_run(args) -> int:
@@ -133,21 +144,20 @@ def _cmd_builtin(args) -> int:
         dt=args.dt, t_max=args.t_max, gamma=args.gamma, omega=args.omega,
     )
     table = run_scenario(parse_scenario(data, default_name=args.name))
+    columns = RESULT_COLUMNS
     if args.name == "figure1":
         # its decay curves, v_A = <Adot^2>^(1/2) from Var(Adot) + <Adot>^2
         c = table.columns
         v_a = np.sqrt(c["rhs_closed"] + c["mean_rate"] ** 2)
         curves = (c["t"], c["mean"], c["sigma"], v_a, c["margin_closed"])
-        text = rows_to_csv_text(list(zip(*(x.tolist() for x in curves))), FIGURE_COLUMNS)
-    else:
-        text = rows_to_csv_text(table)
-    _emit(text, args.out)
+        table, columns = ResultTable(dict(zip(FIGURE_COLUMNS, curves))), FIGURE_COLUMNS
+    _emit(rows_to_csv_text(table, columns), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     if args.builtin is not None:
-        spec = load_builtin(args.builtin)
+        spec = parse_scenario(builtin_scenario_dict(args.builtin), default_name=args.builtin)
     else:
         spec = load_scenario(args.scenario)
     table = run_scenario(spec)

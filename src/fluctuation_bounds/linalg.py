@@ -53,6 +53,7 @@ numpy's at most d.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,6 +293,14 @@ def matrix_exponential_antihermitian(g: np.ndarray, s: float) -> np.ndarray:
     return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
 
 
+def _is_number(x) -> bool:
+    """A real number that is not a bool: a JSON int or float, or numpy's.
+    The one number rule of the scenario reader; a JSON number is let
+    through by its exact type, before the slower test against the
+    ``numbers.Real`` ABC."""
+    return type(x) in (int, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
 def json_object(value, name: str = "") -> dict:
     """``value`` if it is a JSON object (a dict), else TypeError
     "<name>: must be an object, got <repr>" (no name: from "must")."""
@@ -301,10 +310,20 @@ def json_object(value, name: str = "") -> dict:
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
-    """A matrix from paired real/imaginary row-major grids; "im" may be
-    omitted for real input."""
+    """A matrix from paired real/imaginary row-major grids of numbers;
+    "im" may be omitted for real input.
+
+    Both grids are converted to floats first, so a ragged grid or an int
+    too large for a float fails as numpy fails on it; then the first
+    entry of "re", and then of "im", that is not a number (a string, a
+    bool, null) raises TypeError.
+    """
     re = np.asarray(json_object(d)["re"], dtype=float)
     im = np.asarray(d.get("im", np.zeros_like(re)), dtype=float)
+    for grid in (d["re"], d.get("im", 0.0)):
+        for x in np.asarray(grid, dtype=object).flat:
+            if not _is_number(x):
+                raise TypeError(f"matrix entries must be numbers, got {x!r}")
     if re.shape != im.shape:
         raise ValueError("re/im grids must have identical shapes")
     return as_matrix(re + 1j * im)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, json_object, matrix_from_dict, require_hermitian
+from .linalg import _is_number, as_matrix, json_object, matrix_from_dict, require_hermitian
 
 MAX_POLY_DEGREE = 8
 
@@ -73,11 +72,6 @@ class CoefficientFunction:
             except ValueError as err:
                 return out[:k], err
         return out, None
-
-
-def _is_number(x) -> bool:
-    """A real number that is not a bool: a JSON int or float, or numpy's."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _finite_params(params, kind: str) -> tuple:

@@ -2,14 +2,22 @@
 
 A scenario is a JSON description of one model + observable pair together
 with a time grid and the set of checks to evaluate.  Execution produces
-one row per interior grid point with a fixed column order, formatted for
-byte-stable regression files.  Every builtin, figure1 included, is a
-packaged scenario file run through the same pipeline; FIGURE_COLUMNS
-names the columns of the view the CLI writes of a figure1 run.
+a ResultTable, one column of values per quantity over the interior grid
+points, and that table is the run's only record: its CSV, in a fixed
+column order formatted for byte-stable regression files, and the CLI's
+verdict are both read off its columns.  Every builtin, figure1 included,
+is a packaged scenario file run through the same pipeline;
+FIGURE_COLUMNS names the columns of the view the CLI writes of a
+figure1 run.
 
 Validation is all-at-once: every violated invariant is collected and
 reported in a single structured error, so a bad file shows all of its
-problems on the first run.
+problems on the first run.  The four matrix-valued fields (the initial
+state, the hamiltonian, each jump operator and the observable) go
+through one rule: parse, run the field's check, compare the dimension,
+each failure one violation under the field's label.  Every number in a
+scenario, matrix entries included, must be a JSON number
+(``linalg._is_number``).
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    BoundReport,
     cauchy_schwarz_margin,
     closed_bound,
     open_bound,
@@ -37,8 +44,8 @@ from .dynamics import (
     lindblad_model,
     trajectory_from_states,
 )
-from .linalg import as_density_matrix, json_object, matrix_from_dict
-from .observables import TimeDependentObservable, _is_number, observable_from_dict
+from .linalg import _is_number, as_density_matrix, json_object, matrix_from_dict
+from .observables import TimeDependentObservable, observable_from_dict
 from .stats import variance_rate
 
 BOUND_NAMES = ("open", "closed", "var_rate_residual", "cauchy_schwarz")
@@ -87,21 +94,20 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Every interior grid point of a run, one column per RESULT_COLUMNS name.
+    """Every interior grid point of a run, one column per quantity.
 
-    ``columns`` maps each name to a 1-D array of its values in grid order
-    (an object array of strings for ``skipped_flags``), and ``mean_rate``,
-    which no CSV of RESULT_COLUMNS writes, to the StatPoint's d<A>/dt.
-    ``open`` and ``closed`` are the grid BoundReport objects of the
-    requested bounds and ``cauchy_schwarz`` the array of Cauchy-Schwarz
-    margins; each is None when its check was not requested.  ``len``
-    gives the number of points.
+    ``columns`` maps each RESULT_COLUMNS name to a 1-D array of its
+    values in grid order (an object array of strings for
+    ``skipped_flags``), and two names no CSV of RESULT_COLUMNS writes:
+    ``mean_rate`` to the StatPoint's d<A>/dt and ``cauchy_schwarz`` to
+    the Cauchy-Schwarz margins.  A check that was not requested leaves
+    its columns nan, and a requested bound leaves its lhs, rhs and
+    margin nan at a point it skipped, so ``lhs_open``, ``lhs_closed`` and
+    ``cauchy_schwarz`` are nan exactly where their check was not
+    evaluated.  ``len`` gives the number of points.
     """
 
     columns: dict
-    open: BoundReport | None
-    closed: BoundReport | None
-    cauchy_schwarz: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.columns["t"])
@@ -119,6 +125,31 @@ def _finite_number(x) -> bool:
     return _is_number(x) and abs(x) <= sys.float_info.max
 
 
+def _jump_term(entry) -> tuple:
+    """(matrix, rate or None) of one jump_operators entry.  A rate that
+    is not a number raises; its sign is _nonnegative_rate's check."""
+    entry = json_object(entry)
+    m = matrix_from_dict(json_object(entry["matrix"], "matrix"))
+    rate = entry.get("rate")
+    if rate is not None and not _is_number(rate):
+        kind = "nonnegative" if isinstance(rate, bool) else "a number"
+        raise TypeError(f"rate must be {kind}, got {rate!r}")
+    return m, None if rate is None else float(rate)
+
+
+def _nonnegative_rate(term) -> None:
+    rate = term[1]
+    if rate is not None and not (rate >= 0.0 and math.isfinite(rate)):
+        raise ValueError(f"rate must be nonnegative, got {rate}")
+
+
+def _dimension(parsed) -> int:
+    """The dimension of a parsed matrix, observable or jump term."""
+    if isinstance(parsed, TimeDependentObservable):
+        return parsed.dim
+    return len(parsed[0] if isinstance(parsed, tuple) else parsed)
+
+
 def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
     violations = []
 
@@ -132,66 +163,43 @@ def parse_scenario(data: dict, default_name: str = "unnamed") -> ScenarioSpec:
         violations.append("dimension: must be a positive integer")
         dimension = 0
 
-    initial_state = None
-    if "initial_state" not in data:
-        violations.append("initial_state: missing")
-    else:
+    def field(label, value, parse, check=None):
+        """parse(value), then check(parsed) and the parsed dimension against
+        ``dimension``, each failure one violation under label; None where
+        value does not parse."""
         try:
-            initial_state = matrix_from_dict(data["initial_state"])
-            as_density_matrix(initial_state)
+            parsed = parse(value)
         except _FIELD_ERRORS as err:
-            violations.append(f"initial_state: {err}")
-    if initial_state is not None and dimension and initial_state.shape[0] != dimension:
-        violations.append(
-            f"initial_state: dimension {initial_state.shape[0]} does not match {dimension}"
-        )
+            violations.append(f"{label}: {err}")
+            return None
+        try:
+            if check is not None:
+                check(parsed)
+        except _FIELD_ERRORS as err:
+            violations.append(f"{label}: {err}")
+        d = _dimension(parsed)
+        if dimension and d != dimension:
+            violations.append(f"{label}: dimension {d} does not match {dimension}")
+        return parsed
 
+    def required(key, parse, check=None):
+        """The field under key, or None and "<key>: missing" without one."""
+        if key in data:
+            return field(key, data[key], parse, check)
+        violations.append(f"{key}: missing")
+        return None
+
+    initial_state = required("initial_state", matrix_from_dict, as_density_matrix)
     hamiltonian = None
     if data.get("hamiltonian") is not None:
-        try:
-            hamiltonian = observable_from_dict(data["hamiltonian"])
-            if dimension and hamiltonian.dim != dimension:
-                violations.append(
-                    f"hamiltonian: dimension {hamiltonian.dim} does not match {dimension}"
-                )
-        except _FIELD_ERRORS as err:
-            violations.append(f"hamiltonian: {err}")
-
-    jump_terms = []
+        hamiltonian = field("hamiltonian", data["hamiltonian"], observable_from_dict)
     jump_entries = data.get("jump_operators", [])
     if not isinstance(jump_entries, list):
         violations.append(f"jump_operators: must be a list, got {jump_entries!r}")
         jump_entries = []
-    for i, entry in enumerate(jump_entries):
-        try:
-            entry = json_object(entry)
-            m = matrix_from_dict(json_object(entry["matrix"], "matrix"))
-            rate = entry.get("rate")
-            if rate is not None:
-                if not _is_number(rate):
-                    kind = "nonnegative" if isinstance(rate, bool) else "a number"
-                    raise TypeError(f"rate must be {kind}, got {rate!r}")
-                rate = float(rate)
-                if not (rate >= 0.0 and math.isfinite(rate)):
-                    violations.append(f"jump_operators[{i}]: rate must be nonnegative, got {rate}")
-            if dimension and m.shape[0] != dimension:
-                violations.append(
-                    f"jump_operators[{i}]: dimension {m.shape[0]} does not match {dimension}"
-                )
-            jump_terms.append((m, rate))
-        except _FIELD_ERRORS as err:
-            violations.append(f"jump_operators[{i}]: {err}")
-
-    obs = None
-    if "observable" not in data:
-        violations.append("observable: missing")
-    else:
-        try:
-            obs = observable_from_dict(data["observable"])
-            if dimension and obs.dim != dimension:
-                violations.append(f"observable: dimension {obs.dim} does not match {dimension}")
-        except _FIELD_ERRORS as err:
-            violations.append(f"observable: {err}")
+    jump_terms = [field(f"jump_operators[{i}]", entry, _jump_term, _nonnegative_rate)
+                  for i, entry in enumerate(jump_entries)]
+    obs = required("observable", observable_from_dict)
 
     dt = data.get("dt", 0.0)
     t_max = data.get("t_max", 0.0)
@@ -260,10 +268,6 @@ def builtin_scenario_dict(name: str) -> dict:
         raise ValueError(f"no builtin scenario file named {name!r}")
     ref = importlib.resources.files("fluctuation_bounds") / "builtin_scenarios" / f"{name}.json"
     return json.loads(ref.read_text(encoding="utf-8"))
-
-
-def load_builtin(name: str) -> ScenarioSpec:
-    return parse_scenario(builtin_scenario_dict(name), default_name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +351,8 @@ def _evaluate_points(spec, traj, times) -> ResultTable:
     a = spec.observable
     nan = np.full(len(times), np.nan)
     sp = variance_rate(traj, a, times, spec.rho_dot_mode)
-    open_reports = closed_reports = cs_margins = None
-    residuals = nan
+    open_reports = closed_reports = None
+    residuals = cs_margins = nan
     if "open" in spec.bounds:
         open_reports = open_bound(traj, a, times, stat=sp)
     if "closed" in spec.bounds:
@@ -370,25 +374,23 @@ def _evaluate_points(spec, traj, times) -> ResultTable:
     values = (sp.t, sp.mean, sp.sigma, sp.variance, sp.var_rate, *bound_columns, residuals)
     columns = dict(zip(RESULT_COLUMNS, values + (np.array(flags, dtype=object),)))
     columns["mean_rate"] = sp.mean_rate
-    return ResultTable(
-        columns=columns, open=open_reports, closed=closed_reports, cauchy_schwarz=cs_margins,
-    )
+    columns["cauchy_schwarz"] = cs_margins
+    return ResultTable(columns)
 
 
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def rows_to_csv_text(rows, columns=RESULT_COLUMNS) -> str:
-    """CSV text of a ResultTable or of a sequence of equal-length tuples.
+def rows_to_csv_text(table: ResultTable, columns=RESULT_COLUMNS) -> str:
+    """CSV text of the named columns of a ResultTable.
 
-    A table's rows are plain tuples zipped from its columns, one
-    ``tolist`` each.  Numbers are written as %.11e and strings as they
-    are, which column is which read off the first row.
+    Its rows are plain tuples zipped from the columns, one ``tolist``
+    each.  Numbers are written as %.11e and strings as they are, which
+    column is which read off the first row.
     """
-    if isinstance(rows, ResultTable):
-        rows = list(zip(*(rows.columns[c].tolist() for c in columns)))
+    rows = list(zip(*(table.columns[c].tolist() for c in columns)))
     lines = [",".join(columns)]
-    if len(rows):
+    if rows:
         fmt = ",".join("%s" if isinstance(v, str) else "%.11e" for v in rows[0])
-        lines += [fmt % tuple(row) for row in rows]
+        lines += [fmt % row for row in rows]
     return "\n".join(lines) + "\n"

@@ -15,18 +15,24 @@ import pytest
 import reference_points
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from conftest import figure1_view
+from conftest import figure1_view, random_hermitian, random_jump, random_observable, random_state
 from reference_points import reference_evaluate_scenario
 
 from fluctuation_bounds import cli, scenarios
-from fluctuation_bounds.bounds import TAU_BOUND
+from fluctuation_bounds.bounds import TAU_BOUND, cauchy_schwarz_margin, closed_bound, open_bound
 from fluctuation_bounds.cli import cli_main
+from fluctuation_bounds.linalg import sigma_minus, sigma_x
+from fluctuation_bounds.observables import constant, cosine, observable, polynomial
 from fluctuation_bounds.scenarios import (
+    BOUND_NAMES,
     FIGURE_COLUMNS,
     RESULT_COLUMNS,
+    ResultTable,
+    ScenarioSpec,
     builtin_scenario_dict,
     parse_scenario,
 )
+from fluctuation_bounds.stats import variance_rate
 
 
 def write_small_scenario(tmp_path, name="small", t_max=0.2, dt=0.001, **extra):
@@ -89,6 +95,15 @@ def test_run_invalid_scenario_lists_violations(tmp_path, capsys):
     assert cli_main(["run", "--scenario", str(p)]) == 2
     payload, _ = last_stderr_json(capsys)
     assert any(v.startswith("dt:") for v in payload["violations"])
+
+
+def test_run_matrix_entry_that_is_a_string_exits_2(tmp_path, capsys):
+    # numpy reads "1" as 1.0; the scenario reader does not
+    scen = write_small_scenario(tmp_path, initial_state={"re": [["1", 0], [0, 0]]})
+    assert cli_main(["run", "--scenario", str(scen)]) == 2
+    payload, captured = last_stderr_json(capsys)
+    assert captured.out == ""
+    assert payload["violations"] == ["initial_state: matrix entries must be numbers, got '1'"]
 
 
 def test_run_non_utf8_file_exits_2(tmp_path, capsys):
@@ -346,6 +361,82 @@ def test_verify_verdict_matches_the_reference(tmp_path, capsys, monkeypatch):
     kind, t, margin = failures[0]
     assert (payload["first"]["kind"], payload["first"]["t"]) == (kind, t) == ("closed", 0.001)
     assert payload["first"]["margin"] == pytest.approx(margin, rel=1e-12)
+
+
+def reference_verify_failures(times, reports, cs_margins):
+    """verify's verdict read off the bound reports and the Cauchy-Schwarz
+    margins, as it was before the table held only columns: a report fails
+    at a point where it is live and not satisfied, a margin where it is
+    below -TAU_BOUND.  (count of failing points, (kind, t, margin) of the
+    first failure) or (0, None)."""
+    checks = [(r.kind, ~r.satisfied & r.live, r.margin) for r in reports]
+    if cs_margins is not None:
+        checks.append(("cauchy_schwarz", cs_margins < -TAU_BOUND, cs_margins))
+    failed = np.array([mask for _, mask, _ in checks]).reshape(len(checks), len(times))
+    if not failed.any():
+        return 0, None
+    points = np.flatnonzero(failed.any(axis=0))
+    j = int(points[0])
+    kind, _, margin = checks[int(np.flatnonzero(failed[:, j])[0])]
+    return len(points), (kind, float(times[j]), float(margin[j]))
+
+
+def verify_case(seed):
+    """For seed 0, a qubit whose observable has zero spread at t = 0.5
+    only; otherwise a seeded driven model at d = 2..4 decaying down a
+    ladder from near its top level, which fails the closed bound at some
+    points for most seeds, with every check."""
+    if seed == 0:
+        return ScenarioSpec(
+            name="skipped", dimension=2, initial_state=np.diag([0.3, 0.7]).astype(complex),
+            hamiltonian=None, jump_terms=((sigma_minus, None),),
+            observable=observable([(polynomial([-0.5, 1.0]), sigma_x)]),
+            t_max=1.25, dt=0.125, bounds=BOUND_NAMES, rho_dot_mode="analytic")
+    rng = np.random.default_rng(700 + seed)
+    dim = 2 + seed % 3
+    jump = rng.uniform(1.0, 2.0) * np.diag(np.ones(dim - 1), 1) + 0.1 * random_jump(rng, dim, 1.0)
+    hamiltonian = observable([(constant(0.2), random_hermitian(rng, dim)),
+                              (cosine(0.1, 1.5, 0.3), random_hermitian(rng, dim))])
+    psi = np.eye(dim)[-1] + 0.1 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    rho = 0.95 * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real + 0.05 * np.eye(dim) / dim
+    obs = observable([(constant(1.0), np.diag(rng.uniform(-1.0, 1.0, dim)).astype(complex)),
+                      (cosine(0.3, 1.0), 0.3 * random_hermitian(rng, dim))])
+    return ScenarioSpec(
+        name=f"ladder-{seed}", dimension=dim, initial_state=rho, hamiltonian=hamiltonian,
+        jump_terms=((jump, None),), observable=obs, t_max=0.5, dt=0.01,
+        bounds=BOUND_NAMES, rho_dot_mode=("analytic", "finite_difference")[seed % 2])
+
+
+def test_verify_verdict_from_columns_matches_the_report_rule():
+    verdicts = []
+    for seed in range(9):
+        spec = verify_case(seed)
+        traj = scenarios.build_trajectory(spec)
+        a, times = spec.observable, traj.times[1:-1]
+        stat = variance_rate(traj, a, times, spec.rho_dot_mode)
+        reports = (open_bound(traj, a, times, stat=stat),
+                   closed_bound(traj, traj.model, a, times, stat=stat))
+        want = reference_verify_failures(
+            times, reports, cauchy_schwarz_margin(traj, a, times, stat=stat))
+        got = cli._verify_failures(scenarios.run_scenario(spec))
+        assert repr(got) == repr(want), spec.name
+        verdicts.append((want[0], sum(r.skipped for r in reports)))
+    # the rules are compared on skipped points and on failing ones
+    assert verdicts[0][1] == 2
+    assert sum(count > 0 for count, _ in verdicts) >= 5
+
+
+def test_verify_counts_a_live_point_whose_sides_both_overflowed():
+    # lhs = rhs = inf: the margin is nan, and the point was evaluated, so
+    # it fails.  The point whose lhs is nan was skipped and does not.
+    nan, inf = math.nan, math.inf
+    lhs = np.array([1.0, inf, nan])
+    columns = {c: np.full(3, nan) for c in RESULT_COLUMNS[:-1] + ("cauchy_schwarz",)}
+    columns.update(t=np.array([0.1, 0.2, 0.3]), lhs_open=lhs, rhs_open=np.array([2.0, inf, nan]))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        columns["margin_open"] = columns["rhs_open"] - lhs
+    count, (kind, t, margin) = cli._verify_failures(ResultTable(columns))
+    assert (count, kind, t) == (1, "open", 0.2) and math.isnan(margin)
 
 
 def test_verify_figure1_reports_the_closed_bound_violation(capsys):

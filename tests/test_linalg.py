@@ -587,6 +587,26 @@ def test_matrix_from_dict_real_only():
     assert np.array_equal(m, sigma_z)
 
 
+@pytest.mark.parametrize("value", ["1", True, None])
+def test_matrix_from_dict_names_the_first_entry_that_is_not_a_number(value):
+    # "re" is searched before "im", each in row-major order
+    grid = [[1.0, 0.0], [value, "2"]]
+    with pytest.raises(TypeError, match=re.escape(f"matrix entries must be numbers, got {value!r}")):
+        matrix_from_dict({"re": grid, "im": [[False, 0.0], [0.0, 0.0]]})
+    with pytest.raises(TypeError, match=re.escape(f"matrix entries must be numbers, got {value!r}")):
+        matrix_from_dict({"re": [[1.0, 0.0], [0.0, 0.0]], "im": grid})
+
+
+@pytest.mark.parametrize("grid, error, message", [
+    ([[1.0, "1"], [0.0]], ValueError, "setting an array element with a sequence"),
+    ([["x", 0.0], [0.0, 0.0]], ValueError, "could not convert string to float: 'x'"),
+    ([["1", 0.0], [0.0, 10**400]], OverflowError, "int too large to convert to float"),
+])
+def test_matrix_from_dict_converts_to_floats_before_the_number_rule(grid, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        matrix_from_dict({"re": grid})
+
+
 def test_matrix_from_dict_shape_mismatch():
     with pytest.raises(ValueError, match="re/im"):
         matrix_from_dict({"re": [[1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})

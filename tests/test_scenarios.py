@@ -29,16 +29,21 @@ from fluctuation_bounds.scenarios import (
     BUILTIN_NAMES,
     FIGURE_COLUMNS,
     RESULT_COLUMNS,
+    ResultTable,
     ScenarioError,
     builtin_scenario_dict,
     build_trajectory,
-    load_builtin,
     load_scenario,
     parse_scenario,
     read_scenario,
     rows_to_csv_text,
     run_scenario,
 )
+
+
+def builtin_spec(name):
+    """The builtin's spec, read as ``builtin`` and ``verify --builtin`` read it."""
+    return parse_scenario(builtin_scenario_dict(name), default_name=name)
 
 
 def small_example1(t_max=0.5, dt=0.001, **extra):
@@ -192,6 +197,25 @@ def test_json_values_that_are_not_numbers_are_one_violation(field, value, violat
     assert violations == (violation,)
 
 
+@pytest.mark.parametrize("value", ["1", True, None])
+@pytest.mark.parametrize("grid", ["re", "im"])
+@pytest.mark.parametrize("site, label", [
+    ("initial_state", "initial_state"),
+    ("jump_operators", "jump_operators[0]"),
+    ("observable", "observable"),
+    ("hamiltonian", "hamiltonian"),
+])
+def test_matrix_entries_that_are_not_numbers_are_one_violation(site, label, grid, value):
+    data = builtin_scenario_dict("example2")
+    matrix = {"initial_state": data["initial_state"],
+              "jump_operators": data["jump_operators"][0]["matrix"],
+              "observable": data["observable"]["terms"][1]["matrix"],
+              "hamiltonian": data["hamiltonian"]["terms"][0]["matrix"]}[site]
+    matrix[grid][1][0] = value
+    violations = parse_violations(data)
+    assert violations == (f"{label}: matrix entries must be numbers, got {value!r}",)
+
+
 @pytest.mark.parametrize("field, value, violation", [
     ("hamiltonian", [], "hamiltonian: must be an object, got []"),
     ("hamiltonian", 5, "hamiltonian: must be an object, got 5"),
@@ -292,9 +316,9 @@ def test_load_scenario_bad_json(tmp_path):
 # amplitude-damping fast path
 
 def test_damping_params_detected_for_builtins():
-    g1, w1 = sc._damping_params(load_builtin("example1"))
+    g1, w1 = sc._damping_params(builtin_spec("example1"))
     assert g1 == 1.0 and w1 == 0.0
-    g2, w2 = sc._damping_params(load_builtin("example2"))
+    g2, w2 = sc._damping_params(builtin_spec("example2"))
     assert g2 == 1.0 and w2 == 1.0
 
 
@@ -535,7 +559,9 @@ def test_result_columns_match_row_fields():
 
 
 def test_csv_format_is_stable():
-    text = rows_to_csv_text([(math.pi, "why", float("nan"))], columns=("a", "b", "c"))
+    table = ResultTable({"a": np.array([math.pi]), "b": np.array(["why"], dtype=object),
+                         "c": np.array([float("nan")])})
+    text = rows_to_csv_text(table, columns=("a", "b", "c"))
     assert text == "a,b,c\n3.14159265359e+00,why,nan\n"
 
 
@@ -585,7 +611,7 @@ def test_csv_from_columns_matches_the_row_writer(case):
     elif case == "driven-d4":
         spec = driven_d4_spec()
     else:
-        spec = dataclasses.replace(load_builtin(case), bounds=sc.BOUND_NAMES)
+        spec = dataclasses.replace(builtin_spec(case), bounds=sc.BOUND_NAMES)
     table = run_scenario(spec)
     if case == "skipped":
         assert table.columns["skipped_flags"][3].startswith("open:sigma")
@@ -595,4 +621,5 @@ def test_csv_from_columns_matches_the_row_writer(case):
 
 def test_csv_of_figure1_tuples_matches_the_row_writer():
     rows = figure1_curves(1.0, 5.0, 0.01)
-    assert rows_to_csv_text(rows, FIGURE_COLUMNS) == reference_csv_text(rows, FIGURE_COLUMNS)
+    table = ResultTable(dict(zip(FIGURE_COLUMNS, np.array(rows).T)))
+    assert rows_to_csv_text(table, FIGURE_COLUMNS) == reference_csv_text(rows, FIGURE_COLUMNS)
