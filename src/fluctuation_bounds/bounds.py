@@ -14,7 +14,10 @@ takes the StatPoint of stats.variance_rate as its required ``stat`` and
 reads its moments, times and grid indices there, so only variance_rate
 assembles moments and maps times to the grid.  The ``a`` and ``t`` each
 check takes are the stat's observable and times; a scalar stat gives
-scalar results and a stat over a 1-D array of times gives arrays.
+scalar results and a stat over a 1-D array of times gives arrays.  No
+check validates a state: the Trajectory's states passed
+``as_density_matrix`` where they were made (``dynamics.integrate`` or
+``dynamics.trajectory_from_states``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LindbladModel, Trajectory
-from .linalg import as_density_matrix
 from .observables import TimeDependentObservable, finite_times
 # variance_rate is not called here, but it stays bound: the benchmark's
 # tracer test names bounds.variance_rate as a patched binding site.
@@ -111,12 +113,10 @@ def open_bound(
     lhs = var_rate^2 / (4 sigma^2) is (d sigma_A/dt)^2; points with
     sigma below EPS_SIGMA are reported as skipped, not errors.  Every
     term comes from the StatPoint ``stat`` of A at times t; a stat over
-    a 1-D array of times is evaluated in one batched pass (states
-    checked only at the points not skipped).
+    a 1-D array of times is evaluated in one batched pass.
     """
 
     def rhs_at(times, rho, live):
-        as_density_matrix(rho)
         partial_sq, rd_term, var = (
             np.atleast_1d(x)[live] for x in (stat.partial_sq, stat.rho_dot_term, stat.variance))
         return 2.0 * (partial_sq + _squared(rd_term) / (4.0 * var))
@@ -214,11 +214,10 @@ def cauchy_schwarz_margin(
 ):
     """sigma_A^2 <(partial_t A)^2> - Cov(A, partial_t A)^2, nonnegative up to round-off.
 
-    The moments come from ``stat``, as in the bounds, and every state is
-    checked at TAU_PSD.  A stat over a 1-D array of times gives the n
-    margins.
+    The moments come from ``stat``, as in the bounds, on states the
+    Trajectory already holds as density matrices.  A stat over a 1-D
+    array of times gives the n margins.
     """
     cov_sq = _squared(np.asarray(stat.cov))
-    as_density_matrix(traj.states[stat.k])
     margin = stat.variance * stat.partial_sq - cov_sq
     return float(margin) if np.ndim(stat.t) == 0 else margin

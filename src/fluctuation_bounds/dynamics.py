@@ -39,6 +39,13 @@ positivity of every step taken, one batch per CHECK_SPAN of four blocks
 aborts with the failing time in the message, at most one span after
 that step was taken; only then is a drive coefficient's deferred error
 raised.
+
+Every state is checked once, where it is made, at the floors of
+``linalg.as_density_matrix`` (TAU_TRACE, TAU_PSD): by ``integrate`` or
+by ``trajectory_from_states``.  A Trajectory they return holds density
+matrices, and the bounds read its states without checking them again,
+so whether a run fails on a state does not depend on the checks it asks
+for.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ from .linalg import (
 )
 from .observables import TimeDependentObservable, finite_times
 
-TAU_PSD_RUN = 1e-8   # positivity floor while integrating
 CHECK_BLOCK = 64     # RK4 steps per step-map product, drive-table slice and stage-loop fallback
 CHECK_SPAN = 4 * CHECK_BLOCK  # RK4 steps per batched trace/positivity check
 STEP_MAP_MAX = 300_000  # largest step_map_size that integrate advances by step maps
@@ -230,8 +236,11 @@ class Trajectory:
     """States on a uniform time grid.
 
     ``integrate`` and ``trajectory_from_states`` hand over read-only
-    states, so the spectral series that ``eigenflow_rate_terms`` reads can
-    be built from them once, on its first call.
+    states that have passed ``as_density_matrix``: finite, Hermitian,
+    trace within TAU_TRACE of 1 and no eigenvalue below -TAU_PSD.  The
+    bounds rely on that and check no state; the spectral series that
+    ``eigenflow_rate_terms`` reads can be built from the states once, on
+    its first call.
     """
 
     times: np.ndarray  # (n,)
@@ -265,7 +274,9 @@ class Trajectory:
 
 def trajectory_from_states(times, states, model=None) -> Trajectory:
     """Wrap a read-only copy of externally produced states, enforcing grid
-    and state invariants; the caller's array stays as it was."""
+    and state invariants; the caller's array stays as it was.  The states
+    pass ``as_density_matrix`` or its ValueError is raised, at the same
+    floors as ``integrate``'s checks."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] < 2:
         raise ValueError("trajectory needs at least two grid points")
@@ -274,7 +285,7 @@ def trajectory_from_states(times, states, model=None) -> Trajectory:
         dt = steps[0]
         if not (dt > 0 and np.max(np.abs(steps - dt)) <= 1e-9 * dt):
             raise ValueError("trajectory grid must be uniform and increasing")
-    checked = as_density_matrix(np.array(states, dtype=complex), tau_psd=TAU_PSD_RUN)
+    checked = as_density_matrix(np.array(states, dtype=complex))
     if checked.shape[:-2] != times.shape:
         raise ValueError("times and states lengths differ")
     checked.setflags(write=False)
@@ -282,7 +293,8 @@ def trajectory_from_states(times, states, model=None) -> Trajectory:
 
 
 def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
-    """Trace and positivity of a span of integrated states, at TAU_PSD_RUN.
+    """Trace and positivity of a span of integrated states, at TAU_TRACE
+    and TAU_PSD, the floors of ``as_density_matrix``.
 
     Both RK4 paths build exactly Hermitian states, so a finite span is
     accepted by the state verdict's trace test and ``_psd_screen`` alone,
@@ -291,10 +303,9 @@ def _check_steps(states: np.ndarray, times: np.ndarray) -> None:
     first as for one step: a non-finite trace fails as drift, and a state
     with a non-finite entry whose trace holds has minimum eigenvalue nan.
     """
-    if (np.isfinite(states).all() and not _trace_drift(states)[1].any()
-            and _psd_screen(states, TAU_PSD_RUN)):
+    if np.isfinite(states).all() and not _trace_drift(states)[1].any() and _psd_screen(states):
         return
-    j, failure, lo = _state_verdict(states, TAU_PSD_RUN)
+    j, failure, lo = _state_verdict(states)
     if failure is None:
         return
     t = float(times[j])
@@ -598,14 +609,16 @@ def integrate(model: LindbladModel, rho0, t_max: float, dt: float) -> Trajectory
     time, and states are re-symmetrized every step; the block after it
     reads its coordinates from the states again.
 
-    This function is the one place that checks and raises.  Trace drift
-    and negative eigenvalues of every step taken are checked, never
-    corrected: one ``linalg`` state verdict per CHECK_SPAN (four blocks,
-    256 steps; the last span holds the steps left over), each on exactly
-    the states taken since the check before, so every state is checked
-    once.  The first step past TAU_TRACE / TAU_PSD_RUN, or with a
-    non-finite entry, aborts the run with its time, at most one span
-    later; the blocks after it in its span are taken first.
+    This function is the one place that checks its states and raises;
+    nothing downstream checks them again.  Trace drift and negative
+    eigenvalues of every step taken are checked, never corrected: one
+    ``linalg`` state verdict per CHECK_SPAN (four blocks, 256 steps; the
+    last span holds the steps left over), each on exactly the states
+    taken since the check before, so every state is checked once.  The
+    first step past TAU_TRACE / TAU_PSD, the floors of
+    ``as_density_matrix``, or with a non-finite entry, aborts the run
+    with its time, at most one span later, whatever checks the run asks
+    for; the blocks after it in its span are taken first.
     A drive coefficient that raised while the table was built stops the
     table short; its error is raised after the steps before it pass.
     """
@@ -765,14 +778,14 @@ def dyson_propagator(h: TimeDependentObservable, t0: float, dt: float, order: in
 
 def _stack_spectra(states: np.ndarray):
     """(dec, failures, gaps) for an (n, d, d) stack of states: the stacked
-    eigendecomposition, and per state its ``_state_verdict`` message at
-    TAU_PSD_RUN (None for a density matrix) and smallest eigenvalue gap.
+    eigendecomposition, and per state its ``_state_verdict`` message
+    (None for a density matrix) and smallest eigenvalue gap.
     When the stack passes, that is one verdict, one decomposition and one
     gap test; else each state takes a verdict of its own, and a failing
     one is decomposed as the identity, not to be read."""
     failures = [None] * len(states)
-    if _state_verdict(states, TAU_PSD_RUN)[1] is not None:
-        failures = [_state_verdict(rho[None], TAU_PSD_RUN)[1] for rho in states]
+    if _state_verdict(states)[1] is not None:
+        failures = [_state_verdict(rho[None])[1] for rho in states]
         ok = np.array([f is None for f in failures])
         states = np.where(ok[:, None, None], states, np.eye(states.shape[-1]))
     dec = hermitian_eigendecomposition(states)

@@ -9,10 +9,12 @@ matrix that violates one; it never repairs its input.  Equal eigenvalues
 keep ``eigh``'s order.
 
 ``_state_verdict`` is the one implementation of the density-matrix
-invariants (finite entries, Hermiticity, unit trace, positivity):
-``as_density_matrix`` raises its message, and the integrator's block
-check and the eigenvector-flow spectral series in ``dynamics`` read it
-too.
+invariants (finite entries, Hermiticity, unit trace within TAU_TRACE,
+no eigenvalue below -TAU_PSD): ``as_density_matrix`` raises its message,
+and the integrator's span check and the eigenvector-flow spectral
+series in ``dynamics`` read it too.  TAU_PSD is the one positivity
+floor: a state is checked once, where it is made, at the same floor
+whichever check reads it later.
 
 ``traces`` is the one trace of the package: every stacked statistic,
 bound and state check reads it.  numpy's ``trace`` reduces each matrix
@@ -145,13 +147,15 @@ def _first_non_hermitian(stack: np.ndarray, failure: str):
     TAU_HERM * max(max |m_ij|, 1); (n, None) if none has.  ``failure``
     starts the defect message.
     """
-    if np.isfinite(stack).all():
-        # Every scale is at least 1, so this alone accepts the whole stack.
-        if np.abs(stack - stack.conj().transpose(0, 2, 1)).max(initial=0.0) <= TAU_HERM:
-            return len(stack), None
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):  # inf - inf, in a matrix that fails as non-finite
+    # A difference of huge finite entries overflows to a defect of inf,
+    # and inf - inf is nan in a matrix that fails as non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(stack).all():
+            # Every scale is at least 1, so this alone accepts the whole stack.
+            if np.abs(stack - stack.conj().transpose(0, 2, 1)).max(initial=0.0) <= TAU_HERM:
+                return len(stack), None
         defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    finite = np.isfinite(stack).all(axis=(1, 2))
     scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
     bad = ~(finite & (defect <= TAU_HERM * scale))
     k = int(np.argmax(bad))
@@ -185,16 +189,16 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def _psd_screen(stack: np.ndarray, tau: float) -> bool:
+def _psd_screen(stack: np.ndarray) -> bool:
     """True only if the finite (n, d, d) stack has n > 1 and ``stack +
-    (tau/2) I`` has a Cholesky factor (from the lower triangle, which
+    (TAU_PSD/2) I`` has a Cholesky factor (from the lower triangle, which
     ``eigvalsh`` reads too): every smallest eigenvalue is then at least
-    -tau/2 - O(d eps), so above -tau.  False decides nothing; a single
-    matrix costs ``eigvalsh`` less than this screen."""
+    -TAU_PSD/2 - O(d eps), so above -TAU_PSD.  False decides nothing; a
+    single matrix costs ``eigvalsh`` less than this screen."""
     if len(stack) < 2:
         return False
     try:
-        np.linalg.cholesky(stack + (0.5 * tau) * np.eye(stack.shape[-1]))
+        np.linalg.cholesky(stack + (0.5 * TAU_PSD) * np.eye(stack.shape[-1]))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -207,7 +211,7 @@ def _trace_drift(stack: np.ndarray):
     return tr, np.abs(tr - 1.0) > TAU_TRACE
 
 
-def _state_verdict(stack: np.ndarray, tau_psd: float):
+def _state_verdict(stack: np.ndarray):
     """(k, message, lo) for the first state of an (n, d, d) stack that
     breaks an invariant, as ``as_density_matrix`` names it, and lo its
     minimum eigenvalue (nan if it is not finite and Hermitian); (n, None,
@@ -222,9 +226,9 @@ def _state_verdict(stack: np.ndarray, tau_psd: float):
     half = 0.5 * valid  # halved before adding: the Hermitian part stays finite
     hermitian = half + half.conj().transpose(0, 2, 1)
     lo = np.nan
-    if drifted.any() or not _psd_screen(hermitian, tau_psd):
+    if drifted.any() or not _psd_screen(hermitian):
         lows = np.linalg.eigvalsh(hermitian)[:, 0]  # ascending
-        bad = drifted | ~(lows >= -tau_psd)  # a nan eigenvalue fails
+        bad = drifted | ~(lows >= -TAU_PSD)  # a nan eigenvalue fails
         if bad.any():
             k = int(np.argmax(bad))
             lo = float(lows[k])
@@ -235,15 +239,16 @@ def _state_verdict(stack: np.ndarray, tau_psd: float):
     return k, failure, lo
 
 
-def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
+def as_density_matrix(m) -> np.ndarray:
     """Validate one (d, d) state or an (n, d, d) stack; return the array.
 
     The first state that breaks an invariant raises ``ValueError`` naming
-    the first it breaks: finite entries, "hermiticity", "trace" or
-    "positivity".
+    the first it breaks: finite entries, "hermiticity", "trace" (within
+    TAU_TRACE of 1) or "positivity" (no eigenvalue below -TAU_PSD).  The
+    package has this one floor: every state a run reads has passed it.
     """
     rho = _square(m)
-    _, failure, _ = _state_verdict(rho.reshape(-1, rho.shape[-1], rho.shape[-1]), tau_psd)
+    _, failure, _ = _state_verdict(rho.reshape(-1, rho.shape[-1], rho.shape[-1]))
     if failure is not None:
         raise ValueError(failure)
     return rho
@@ -326,4 +331,5 @@ def matrix_from_dict(d: dict) -> np.ndarray:
                 raise TypeError(f"matrix entries must be numbers, got {x!r}")
     if re.shape != im.shape:
         raise ValueError("re/im grids must have identical shapes")
-    return as_matrix(re + 1j * im)
+    with np.errstate(invalid="ignore"):  # 1j * inf has a nan real part; as_matrix rejects it
+        return as_matrix(re + 1j * im)

@@ -13,12 +13,12 @@ eigendecomposition, so it does not change with the code it checks.
 import numpy as np
 from reference_linalg import as_density_matrix, hermitian_eigendecomposition, symmetrize
 
-from fluctuation_bounds.dynamics import G_MIN, TAU_PSD_RUN, Trajectory
+from fluctuation_bounds.dynamics import G_MIN, Trajectory
 from fluctuation_bounds.observables import TimeDependentObservable
 
 
 def _nondegenerate_decomposition(rho, what: str):
-    dec = hermitian_eigendecomposition(as_density_matrix(rho, tau_psd=TAU_PSD_RUN))
+    dec = hermitian_eigendecomposition(as_density_matrix(rho))
     gaps = -np.diff(dec.eigenvalues)
     if dec.eigenvalues.shape[-1] > 1 and float(np.min(gaps)) < G_MIN:
         raise ValueError(

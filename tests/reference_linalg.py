@@ -56,7 +56,7 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
+def as_density_matrix(m) -> np.ndarray:
     """Validate the three density-matrix invariants and return the array.
 
     Raises ``ValueError`` naming the violated invariant: "hermiticity",
@@ -71,7 +71,7 @@ def as_density_matrix(m, *, tau_psd: float = TAU_PSD) -> np.ndarray:
     if abs(tr - 1.0) > TAU_TRACE:
         raise ValueError(f"density matrix violates trace normalization (tr = {tr:.12g})")
     lo = float(np.min(np.linalg.eigvalsh(symmetrize(rho))))
-    if lo < -tau_psd:
+    if lo < -TAU_PSD:
         raise ValueError(f"density matrix violates positivity (min eigenvalue {lo:.3e})")
     return rho
 

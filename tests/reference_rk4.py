@@ -22,8 +22,8 @@ bit, failures included.
 import numpy as np
 
 from fluctuation_bounds import dynamics
-from fluctuation_bounds.dynamics import TAU_PSD_RUN, IntegrationError
-from fluctuation_bounds.linalg import TAU_TRACE, as_density_matrix, as_matrix, symmetrize
+from fluctuation_bounds.dynamics import IntegrationError
+from fluctuation_bounds.linalg import TAU_PSD, TAU_TRACE, as_density_matrix, as_matrix, symmetrize
 
 
 def reference_rhs(model, rho, t=0.0):
@@ -58,7 +58,7 @@ def reference_integrate(model, rho0, t_max, dt):
         if drift > TAU_TRACE:
             raise IntegrationError(f"trace drift {drift:.3e} at t = {t_next:.6g}", t_next)
         lo = float(np.min(np.linalg.eigvalsh(rho)))
-        if lo < -TAU_PSD_RUN:
+        if lo < -TAU_PSD:
             raise IntegrationError(
                 f"positivity lost (min eigenvalue {lo:.3e}) at t = {t_next:.6g}", t_next
             )
@@ -73,7 +73,7 @@ def check_steps(states, times):
     non-finite trace or eigenvalue fails."""
     drift = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     lo = np.min(np.linalg.eigvalsh(states), axis=1)
-    bad = ~((drift <= TAU_TRACE) & (-lo <= TAU_PSD_RUN))
+    bad = ~((drift <= TAU_TRACE) & (-lo <= TAU_PSD))
     if not bad.any():
         return
     j = int(np.argmax(bad))

@@ -205,6 +205,37 @@ def test_trajectory_too_large_to_hold_is_run_failed(command, tmp_path, capsys, m
     assert "Traceback" not in captured.err
 
 
+# A closed qutrit under a cosine drive, from a pure state.  At dt = 0.02
+# RK4 takes it to a state with minimum eigenvalue -1.050e-10 at t = 0.26,
+# just below the TAU_PSD floor; at dt = 0.01 every state stays above it.
+PURE_QUTRIT = {
+    "name": "pure", "dimension": 3, "t_max": 5.0,
+    "initial_state": {"re": [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]]},
+    "hamiltonian": {"terms": [
+        {"kind": "constant", "value": 1, "matrix": {"re": [[1, 0.3, 0], [0.3, -0.5, 0.2], [0, 0.2, 0.1]]}},
+        {"kind": "cosine", "amplitude": 0.3, "omega": 1.0, "matrix": {"re": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}},
+    ]},
+    "observable": {"terms": [{"kind": "constant", "value": 1, "matrix": {"re": [[1, 0, 0], [0, 0, 0], [0, 0, -1]]}}]},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("check", BOUND_NAMES)
+def test_positivity_verdict_does_not_depend_on_the_check(command, check, tmp_path, capsys):
+    path = tmp_path / "pure.json"
+    for dt, code in ((0.02, 2), (0.01, 0)):
+        path.write_text(json.dumps(dict(PURE_QUTRIT, dt=dt, bounds=[check])), encoding="utf-8")
+        assert cli_main([command, "--scenario", str(path)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == json.dumps({
+                "error": "run-failed", "detail": "positivity lost (min eigenvalue -1.050e-10) at t = 0.26"}) + "\n"
+        else:
+            assert captured.err == ""
+            assert len(captured.out.splitlines()) == (500 if command == "run" else 1)
+
+
 # ---------------------------------------------------------------------------
 # builtin
 

@@ -24,7 +24,6 @@ from fluctuation_bounds.dynamics import (
     CHECK_SPAN,
     G_MIN,
     STEP_MAP_MAX,
-    TAU_PSD_RUN,
     IntegrationError,
     analytic_amplitude_damping,
     eigenflow_rate_terms,
@@ -37,6 +36,7 @@ from fluctuation_bounds.dynamics import (
     trajectory_from_states,
 )
 from fluctuation_bounds.linalg import (
+    TAU_PSD,
     TAU_TRACE,
     matrix_exponential_antihermitian,
     sigma_minus,
@@ -233,6 +233,25 @@ def test_integrate_positivity_failure_inside_block_reports_reference_step():
             integrate(damping_model(1.0), mixed, t_max=300 * dt, dt=dt)
         assert str(err.value) == str(ref)
         assert err.value.t == ref.t
+
+
+@pytest.mark.parametrize("stage_loop", [False, True])
+def test_integrate_checks_positivity_at_tau_psd(monkeypatch, stage_loop):
+    # One RK4 step of Gamma dt = 3 multiplies the excited population by
+    # R(-3) = 1.375, so the ground population 1 - 1.375 e it leaves is the
+    # state's smallest eigenvalue: rejected at -5e-10, below -TAU_PSD, as
+    # as_density_matrix rejects it, and accepted at -5e-11.
+    if stage_loop:
+        monkeypatch.setattr(dynamics, "STEP_MAP_MAX", 0)
+
+    def one_step(lowest):
+        excited = (1.0 - lowest) / 1.375
+        return integrate(damping_model(1.0), np.diag([1.0 - excited, excited]), t_max=3.0, dt=3.0)
+
+    with pytest.raises(IntegrationError) as err:
+        one_step(-5e-10)
+    assert str(err.value) == "positivity lost (min eigenvalue -5.000e-10) at t = 3"
+    assert np.linalg.eigvalsh(one_step(-5e-11).states[1])[0] == pytest.approx(-5e-11, rel=1e-5)
 
 
 def test_integrate_reports_failed_step_before_a_later_exception():
@@ -707,7 +726,7 @@ def test_block_check_screen_matches_the_eigvalsh_reference(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     for dim in (2, 3, 5, 8):
-        cases = positivity_cases(rng, dim, TAU_PSD_RUN)
+        cases = positivity_cases(rng, dim, TAU_PSD)
         for name_a, name_b in itertools.product(cases, repeat=2):
             for names in (["valid", name_a, "valid", name_b], [name_a, name_b], []):
                 states = np.array([cases[n] for n in names], dtype=complex).reshape(-1, dim, dim)
@@ -839,6 +858,14 @@ def test_trajectory_from_states_rejects_bad_input():
         trajectory_from_states([0.0, 0.1], [good, np.diag([1.5, -0.5]).astype(complex)])
     with pytest.raises(ValueError, match="grid"):
         trajectory_from_states([0.0, 0.1], [good, good]).index_of(0.05)
+
+
+def test_trajectory_from_states_checks_positivity_at_tau_psd():
+    good = np.diag([0.6, 0.4]).astype(complex)
+    with pytest.raises(ValueError) as err:
+        trajectory_from_states([0.0, 0.1], [good, np.diag([1.0 + 5e-10, -5e-10]).astype(complex)])
+    assert str(err.value) == "density matrix violates positivity (min eigenvalue -5.000e-10)"
+    trajectory_from_states([0.0, 0.1], [good, np.diag([1.0 + 5e-11, -5e-11]).astype(complex)])
 
 
 def test_trajectory_from_states_rejects_non_finite_grid():

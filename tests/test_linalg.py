@@ -456,7 +456,7 @@ def test_density_matrix_stack_matches_single_checks():
     with pytest.raises(ValueError, match="trace"):
         as_density_matrix([good[0], bad["trace"], bad["positivity"]])
     with pytest.raises(ValueError, match="positivity"):
-        as_density_matrix([bad["positivity"], bad["trace"]], tau_psd=1e-8)
+        as_density_matrix([bad["positivity"], bad["trace"]])
 
 
 def _skewed(diagonal, defect):
@@ -525,8 +525,7 @@ def test_validators_match_the_reference_on_matrices_and_stacks(validator):
         assert validation_outcome(merged, stack) == (want_a if want_a is not None else want_b)
 
 
-@pytest.mark.parametrize("tau", [TAU_PSD, 1e-8])
-def test_positivity_screen_matches_the_eigvalsh_reference(tau, monkeypatch):
+def test_positivity_screen_matches_the_eigvalsh_reference(monkeypatch):
     rng = np.random.default_rng(61)
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -536,10 +535,9 @@ def test_positivity_screen_matches_the_eigvalsh_reference(tau, monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    merged = lambda m: as_density_matrix(m, tau_psd=tau)  # noqa: E731
-    reference = lambda m: reference_linalg.as_density_matrix(m, tau_psd=tau)  # noqa: E731
+    reference = reference_linalg.as_density_matrix
     for dim in (2, 3, 5, 8):
-        cases = positivity_cases(rng, dim, tau)
+        cases = positivity_cases(rng, dim, TAU_PSD)
         expected = {name: validation_outcome(reference, m) for name, m in cases.items()}
         assert expected["lowest -2 tau"] is not None and expected["lowest -0.6 tau"] is None
         for name_a, name_b in itertools.product(cases, repeat=2):
@@ -547,7 +545,7 @@ def test_positivity_screen_matches_the_eigvalsh_reference(tau, monkeypatch):
             for names in (["valid", name_a, "valid", name_b], [name_a, name_b]):
                 calls.clear()
                 want = next((expected[n] for n in names if expected[n] is not None), None)
-                assert validation_outcome(merged, [cases[n] for n in names]) == want
+                assert validation_outcome(as_density_matrix, [cases[n] for n in names]) == want
                 # The states before the first non-finite one are checked
                 # with no eigenvalue when there are two or more and all
                 # are at or above -0.4 tau.

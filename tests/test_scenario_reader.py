@@ -3,6 +3,7 @@ mutations of the builtin scenario dicts that must give the reference's
 violations, in the reference's order."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -239,3 +240,30 @@ def test_a_state_that_fails_its_check_still_has_its_dimension_compared():
         "initial_state: density matrix violates trace normalization (tr = 0.5+0j)",
         "initial_state: dimension 3 does not match 2",
     )
+
+
+INF_IM = {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[float("inf"), 0.0], [0.0, 0.0]]}
+HUGE_SKEW = {"re": [[0.5, 1e308], [-1e308, 0.5]]}  # m - m^dagger overflows
+
+
+@pytest.mark.parametrize("field, matrix, violation", [
+    ("initial_state", INF_IM, "initial_state: matrix entries must be finite"),
+    ("initial_state", HUGE_SKEW, "initial_state: density matrix violates hermiticity (defect inf)"),
+    ("hamiltonian", INF_IM, "hamiltonian: matrix entries must be finite"),
+    ("hamiltonian", HUGE_SKEW, "hamiltonian: observable basis matrix is not Hermitian (defect inf)"),
+    ("jump_operators", INF_IM, "jump_operators[0]: matrix entries must be finite"),
+    ("observable", INF_IM, "observable: matrix entries must be finite"),
+    ("observable", HUGE_SKEW, "observable: observable basis matrix is not Hermitian (defect inf)"),
+])
+def test_inf_and_overflowing_entries_are_violations_not_warnings(field, matrix, violation):
+    data = builtin_scenario_dict("example1")
+    if field == "initial_state":
+        data[field] = matrix
+    elif field == "jump_operators":
+        data[field][0]["matrix"] = matrix
+    else:
+        data[field] = {"terms": [{"kind": "constant", "value": 1.0, "matrix": matrix}]}
+    with warnings.catch_warnings(), pytest.raises(ScenarioError) as info:
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        parse_scenario(data)
+    assert info.value.violations == (violation,)
