@@ -8,7 +8,7 @@ failures without scraping text.
 The argparse parser is built once per process and shared by every
 ``cli_main`` call.  A run's ResultTable is its only record: CSV is
 written by ``scenarios.rows_to_csv_text``, which formats a table's
-column values as plain tuples (for figure1, ``builtin`` writes a table
+columns in one vectorised pass (for figure1, ``builtin`` writes a table
 of the FIGURE_COLUMNS view of its run instead), and ``verify`` reads
 the margin columns and ``t`` and counts the points that fail a check.
 ``builtin`` and ``verify --builtin`` read a builtin through the same

@@ -22,6 +22,7 @@ scenario, matrix entries included, must be a JSON number
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -381,16 +382,98 @@ def _evaluate_points(spec, traj, times) -> ResultTable:
 # ---------------------------------------------------------------------------
 # CSV emission
 
+@functools.cache
+def _format_tables():
+    """Read-only tables of the CSV number field, built on first use.
+
+    A field is 24 bytes, three 8-byte words: "-d.ddd" and two pad bytes,
+    eight digits, and "e+ddd," and two pad bytes.  The tables are the
+    first word of 0000..9999, then of nan and inf; the 4-digit half word
+    of 0000..9999; the last word of the exponents -300..300; the bytes a
+    field keeps, by its form (bit 0: a sign, bit 1: a 3-digit exponent,
+    bit 2: nan or inf; 8: a text field, 9: a row left to the fallback);
+    and the correctly rounded 10**k for k = -300..305.
+    """
+    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    head = np.zeros((10002, 8), dtype=np.uint8)
+    head[:, 0] = ord("-")
+    head[:10000, 2] = ord(".")
+    head[:10000, [1, 3, 4, 5]] = digits
+    head[10000:, 1:4] = np.frombuffer(b"naninf", dtype=np.uint8).reshape(2, 3)
+    e = np.arange(-300, 301)
+    tail = np.zeros((601, 8), dtype=np.uint8)
+    tail[:, 0] = ord("e")
+    tail[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    tail[:, 2:5] = digits[abs(e), 1:]
+    tail[:, 5] = ord(",")
+    forms = np.arange(8)
+    keep = np.zeros((10, 24), dtype=bool)
+    keep[:8] = np.array([0, 1, 1, 1, 1, 1, 0, 0] + [1] * 8 + [1, 1, 0, 1, 1, 1, 0, 0], dtype=bool)
+    keep[:8, 0], keep[:8, 18] = forms & 1, forms & 2
+    keep[4:8, 4:21] = False
+    keep[8, 21] = True
+    powers = np.array([float(f"1e{k}") for k in range(-300, 306)])
+    tables = (head.view(np.uint64)[:, 0], digits.view(np.uint32)[:, 0], tail.view(np.uint64)[:, 0], keep, powers)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def rows_to_csv_text(table: ResultTable, columns=RESULT_COLUMNS) -> str:
     """CSV text of the named columns of a ResultTable.
 
-    Its rows are plain tuples zipped from the columns, one ``tolist``
-    each.  Numbers are written as %.11e and strings as they are, which
-    column is which read off the first row.
+    Numbers are written as Python's %.11e and strings as they are.  A
+    column of dtype kind O, U or S holds strings.  All numbers are
+    formatted at once by array arithmetic: a nonzero |x| in [1e-290,
+    1e290] is scaled by the correctly rounded 10**(11 - e), e from
+    log10, so the scaled value lies within 3e-4 of exact; rounded to an
+    integer of 12 digits, it is written from digit tables.  A row falls
+    back to one %-format, its number columns %.11e and its string columns
+    %s as the first row reads them, when its text is not empty or one of
+    its numbers is nonzero outside that range, within 1e-3 of a rounding
+    tie, or has an exponent estimate that does not settle.
     """
-    rows = list(zip(*(table.columns[c].tolist() for c in columns)))
-    lines = [",".join(columns)]
-    if rows:
-        fmt = ",".join("%s" if isinstance(v, str) else "%.11e" for v in rows[0])
-        lines += [fmt % row for row in rows]
-    return "\n".join(lines) + "\n"
+    arrays = [table.columns[c] for c in columns]
+    header = ",".join(columns) + "\n"
+    n, m = (len(arrays[0]) if arrays else 0), len(arrays)
+    if n == 0:
+        return header
+    head, quad, tail, keep, powers = _format_tables()
+    text = np.array([a.dtype.kind in "OUS" for a in arrays])
+    x = np.zeros((n, m))
+    slow = np.zeros(n, dtype=bool)
+    for j, a in enumerate(arrays):
+        if text[j]:
+            slow |= a != ""
+        else:
+            x[:, j] = a
+    mag = np.abs(x)
+    fast = (mag >= 1e-290) & (mag <= 1e290)
+    e = np.floor(np.log10(np.where(fast, mag, 1.0)))
+    s = np.where(fast, mag, 0.0) * powers[(311 - e).astype(np.intp)]  # 10**(11 - e)
+    q = np.rint(s)
+    exact = (s >= 1e11) & (q <= 1e12) & (np.abs(s - q) <= 0.499)
+    finite = mag < np.inf
+    slow |= (finite & (mag > 0) & ~exact).any(axis=1)
+    top = q == 1e12  # rounded up to the next power of ten
+    q = np.where(top, 1e11, q).astype(np.int64)
+    e = (e + top).astype(np.intp)
+    words = np.empty((n, m, 3), dtype=np.uint64)
+    words[..., 0] = head[np.where(finite, q // 10**8, 10000 + np.isinf(x))]
+    words.view(np.uint32)[..., 2] = quad[q // 10**4 % 10**4]
+    words.view(np.uint32)[..., 3] = quad[q % 10**4]
+    words[..., 2] = tail[e + 300]
+    byte = words.view(np.uint8)
+    byte[:, -1, 21] = ord("\n")
+    form = (np.signbit(x) & ~np.isnan(x)) + 2 * (np.abs(e) >= 100) + 4 * ~finite
+    form[:, text] = 8
+    form[slow] = 9
+    body = byte[keep[form]].tobytes().decode("ascii")
+    if slow.any():
+        fmt = ",".join("%s" if isinstance(a[0], str) else "%.11e" for a in arrays)
+        rows = zip(*(a[slow].tolist() for a in arrays))
+        lines = body.split("\n")
+        for j, row in zip(np.flatnonzero(slow).tolist(), rows):
+            lines.insert(j, fmt % row)
+        body = "\n".join(lines)
+    return header + body

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from conftest import (
     random_state,
     sanity_check_figure_sigma,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_figure1 import figure1_curves
 from reference_points import reference_csv_text
@@ -623,3 +627,59 @@ def test_csv_of_figure1_tuples_matches_the_row_writer():
     rows = figure1_curves(1.0, 5.0, 0.01)
     table = ResultTable(dict(zip(FIGURE_COLUMNS, np.array(rows).T)))
     assert rows_to_csv_text(table, FIGURE_COLUMNS) == reference_csv_text(rows, FIGURE_COLUMNS)
+
+
+# Values the vectorised writer must hand to its per-row fallback or place
+# exactly: the ends of its range, subnormals, 12th-digit ties and values
+# that round up to the next power of ten.
+CSV_EDGE_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                   1e-290, -1e-290, 1e290, -1e290, 9.999999999995, -9.999999999995e-100, 9.9999999999949)
+csv_floats = st.one_of(
+    st.floats(),
+    st.sampled_from(CSV_EDGE_FLOATS),
+    st.builds(lambda k, j, sign: sign * (k + 0.5) * 10.0**j,
+              st.integers(10**11, 10**12 - 1), st.integers(-310, 290), st.sampled_from((1.0, -1.0))),
+    st.builds(lambda j, ulps: 10.0**j * (1.0 + ulps * 2.0**-52), st.integers(-300, 300), st.integers(-3, 3)),
+    st.builds(lambda f, j, sign: sign * f * 10.0**j,
+              st.floats(9.99999999999, 10.0), st.integers(-300, 300), st.sampled_from((1.0, -1.0))),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A table of 0 to 14 float columns and a text column at any position."""
+    n = draw(st.integers(0, 12))
+    numbers = draw(st.lists(st.lists(csv_floats, min_size=n, max_size=n), max_size=14))
+    columns = {f"x{j}": np.array(values, dtype=float) for j, values in enumerate(numbers)}
+    names = list(columns)
+    names.insert(draw(st.integers(0, len(names))), "flags")
+    flags = draw(st.lists(st.sampled_from(["", "", "open:sigma", "a;b"]) | st.text(max_size=4), min_size=n, max_size=n))
+    columns["flags"] = np.array(flags, dtype=draw(st.sampled_from([object, str])))
+    columns["t"] = np.zeros(n)  # ResultTable's length; not written
+    return ResultTable(columns), tuple(names)
+
+
+def csv_table_of(values, flags):
+    """A table of one float column, one value a row, and a text column."""
+    return ResultTable({"t": np.array(values, dtype=float), "flags": np.array(flags, dtype=object)})
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=csv_tables())
+@example(case=(csv_table_of(CSV_EDGE_FLOATS, [""] * len(CSV_EDGE_FLOATS)), ("flags", "t")))
+@example(case=(csv_table_of([], []), ("t", "flags")))
+def test_csv_writer_matches_the_row_writer_on_any_table(case):
+    table, names = case
+    assert rows_to_csv_text(table, names) == reference_csv_text(table, names)
+
+
+def test_csv_format_tables_are_built_on_first_use_read_only():
+    src = str(Path(sc.__file__).resolve().parent.parent)
+    code = ("import fluctuation_bounds.cli, fluctuation_bounds.scenarios as s; "
+            "print(s._format_tables.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+    tables = sc._format_tables()
+    assert sc._format_tables() is tables
+    assert not any(t.flags.writeable for t in tables)
