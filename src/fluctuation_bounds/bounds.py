@@ -38,7 +38,8 @@ TAU_BOUND = 1e-9  # absolute slack separating violations from round-off
 @dataclass(frozen=True)
 class BoundReport:
     """One bound at one time (Python scalars), or at a 1-D array of n
-    times ((n,) arrays, ``reason`` a tuple of n strings), as StatPoint.
+    times ((n,) arrays, ``reason`` a tuple of n strings), as StatPoint,
+    whose ``t`` gives the times.
 
     ``lhs``, ``rhs`` and ``margin`` are nan where ``live`` is False
     (sigma below EPS_SIGMA); ``reason`` gives the skip reason there and
@@ -46,17 +47,12 @@ class BoundReport:
     where skipped.
     """
 
-    kind: str  # "open" | "closed"
-    t: float | np.ndarray
     lhs: float | np.ndarray
     rhs: float | np.ndarray
     margin: float | np.ndarray
     satisfied: bool | np.ndarray
     live: bool | np.ndarray
     reason: str | tuple
-
-    def __len__(self) -> int:
-        return np.size(self.live)
 
     @property
     def skipped(self) -> int:
@@ -74,32 +70,29 @@ def _squared(x: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _bound(kind, traj, sp, rhs_at) -> BoundReport:
-    """Shared skeleton of the two bounds, at the times and grid indices
-    of the StatPoint sp.
+def _bound(sp, rhs_at) -> BoundReport:
+    """Shared skeleton of the two bounds, at the times of the StatPoint sp.
 
     Points with sigma below EPS_SIGMA are skipped; at the others lhs =
-    var_rate^2 / (4 sigma^2), and rhs_at(times, states, live) gives the
-    right side at all of them (``live`` masks them) in one call.  For a
-    scalar sp.t the report holds element 0 of each array.
+    var_rate^2 / (4 sigma^2), and rhs_at(live) gives the right side at
+    all of them (``live`` masks sp's points) in one call.  For a scalar
+    sp.t the report holds element 0 of each array.
     """
-    times = np.atleast_1d(np.asarray(sp.t, dtype=float))
     sigma, var, var_rate = (np.atleast_1d(x) for x in (sp.sigma, sp.variance, sp.var_rate))
     live = ~(sigma < EPS_SIGMA)
-    lhs = np.full(len(times), np.nan)
-    rhs = np.full(len(times), np.nan)
+    lhs = np.full(len(live), np.nan)
+    rhs = np.full(len(live), np.nan)
     if live.any():
         lhs[live] = _squared(var_rate[live]) / (4.0 * var[live])
-        rho = traj.states[np.atleast_1d(sp.k)[live]]
-        rhs[live] = rhs_at(times[live], rho, live)
-    reason = [""] * len(times)
+        rhs[live] = rhs_at(live)
+    reason = [""] * len(live)
     for j in np.flatnonzero(~live):
         reason[j] = f"sigma {float(sigma[j]):.3e} below {EPS_SIGMA:.0e}"
     margin = rhs - lhs
-    fields = (times, lhs, rhs, margin, margin >= -TAU_BOUND, live)
+    fields = (lhs, rhs, margin, margin >= -TAU_BOUND, live)
     if np.ndim(sp.t) > 0:
-        return BoundReport(kind, *fields, tuple(reason))
-    return BoundReport(kind, *(x[0].item() for x in fields), reason[0])
+        return BoundReport(*fields, tuple(reason))
+    return BoundReport(*(x[0].item() for x in fields), reason[0])
 
 
 def open_bound(
@@ -116,12 +109,12 @@ def open_bound(
     a 1-D array of times is evaluated in one batched pass.
     """
 
-    def rhs_at(times, rho, live):
+    def rhs_at(live):
         partial_sq, rd_term, var = (
             np.atleast_1d(x)[live] for x in (stat.partial_sq, stat.rho_dot_term, stat.variance))
         return 2.0 * (partial_sq + _squared(rd_term) / (4.0 * var))
 
-    return _bound("open", traj, stat, rhs_at)
+    return _bound(stat, rhs_at)
 
 
 def adjoint_heisenberg_rate(model: LindbladModel, a: TimeDependentObservable, t) -> np.ndarray:
@@ -166,10 +159,11 @@ def closed_bound(
     times, like :func:`open_bound`.
     """
 
-    def rhs_at(times, rho, live):
-        return variance(rho, adjoint_heisenberg_rate(model, a, times))
+    def rhs_at(live):
+        times, ks = (np.atleast_1d(x)[live] for x in (stat.t, stat.k))
+        return variance(traj.states[ks], adjoint_heisenberg_rate(model, a, times))
 
-    return _bound("closed", traj, stat, rhs_at)
+    return _bound(stat, rhs_at)
 
 
 def var_rate_residual(

@@ -6,11 +6,12 @@ Every error is reported as one JSON line on stderr so callers can parse
 failures without scraping text.
 
 The argparse parser is built once per process and shared by every
-``cli_main`` call.  A run's ResultTable is its only record: CSV is
-written by ``scenarios.rows_to_csv_text``, which formats a table's
-columns in one vectorised pass (for figure1, ``builtin`` writes a table
-of the FIGURE_COLUMNS view of its run instead), and ``verify`` reads
-the margin columns and ``t`` and counts the points that fail a check.
+``cli_main`` call.  A run's result table, the dict of columns that
+``run_scenario`` returns, is its only record: CSV is written by
+``scenarios.rows_to_csv_text``, which formats a table's columns in one
+vectorised pass (for figure1, ``builtin`` writes a table of the
+FIGURE_COLUMNS view of its run instead), and ``verify`` reads the
+margin columns and ``t`` and counts the points that fail a check.
 ``builtin`` and ``verify --builtin`` read a builtin through the same
 ``builtin_scenario_dict`` and ``parse_scenario``.
 """
@@ -31,7 +32,6 @@ from .scenarios import (
     BUILTIN_NAMES,
     FIGURE_COLUMNS,
     RESULT_COLUMNS,
-    ResultTable,
     ScenarioError,
     builtin_scenario_dict,
     load_scenario,
@@ -122,15 +122,14 @@ def _verify_failures(table):
     least -TAU_BOUND (nan included), and the first such check as (kind,
     t, margin): earliest time first, then open, closed, cauchy_schwarz
     at one time.  (0, None) when no point has one."""
-    c = table.columns
-    failed = np.array([~(c[margin] >= -TAU_BOUND) & ~np.isnan(c[evaluated])
+    failed = np.array([~(table[margin] >= -TAU_BOUND) & ~np.isnan(table[evaluated])
                        for _, margin, evaluated in _VERIFY_CHECKS])  # (check, point)
     if not failed.any():
         return 0, None
     points = np.flatnonzero(failed.any(axis=0))
     j = int(points[0])
     kind, margin, _ = _VERIFY_CHECKS[int(np.flatnonzero(failed[:, j])[0])]
-    return len(points), (kind, float(c["t"][j]), float(c[margin][j]))
+    return len(points), (kind, float(table["t"][j]), float(table[margin][j]))
 
 
 def _cmd_run(args) -> int:
@@ -147,10 +146,9 @@ def _cmd_builtin(args) -> int:
     columns = RESULT_COLUMNS
     if args.name == "figure1":
         # its decay curves, v_A = <Adot^2>^(1/2) from Var(Adot) + <Adot>^2
-        c = table.columns
-        v_a = np.sqrt(c["rhs_closed"] + c["mean_rate"] ** 2)
-        curves = (c["t"], c["mean"], c["sigma"], v_a, c["margin_closed"])
-        table, columns = ResultTable(dict(zip(FIGURE_COLUMNS, curves))), FIGURE_COLUMNS
+        v_a = np.sqrt(table["rhs_closed"] + table["mean_rate"] ** 2)
+        curves = (table["t"], table["mean"], table["sigma"], v_a, table["margin_closed"])
+        table, columns = dict(zip(FIGURE_COLUMNS, curves)), FIGURE_COLUMNS
     _emit(rows_to_csv_text(table, columns), args.out)
     return 0
 
@@ -161,17 +159,18 @@ def _cmd_verify(args) -> int:
     else:
         spec = load_scenario(args.scenario)
     table = run_scenario(spec)
+    points = len(table["t"])
     count, first = _verify_failures(table)
     if first is not None:
         kind, t, margin = first
         _error(
             "bound-violation",
-            f"{count} of {len(table)} points violate a requested bound",
+            f"{count} of {points} points violate a requested bound",
             scenario=spec.name,
             first={"kind": kind, "t": t, "margin": margin},
         )
         return 1
-    print(f"{spec.name}: {len(table)} points, all requested bounds satisfied")
+    print(f"{spec.name}: {points} points, all requested bounds satisfied")
     return 0
 
 
@@ -192,11 +191,11 @@ def _sweep_job(job) -> dict:
         with np.errstate(all="ignore"):
             overridden = _apply_overrides(data, **{param: float(value_text)})
             spec = parse_scenario(overridden, default_name=data.get("name", "sweep"))
-            rows = run_scenario(spec)
-            _emit(rows_to_csv_text(rows), out_path)
+            table = run_scenario(spec)
+            _emit(rows_to_csv_text(table), out_path)
     except (ValueError, RuntimeError, OSError, MemoryError) as err:
         return {"ok": False, "param": param, "value": value_text, "detail": _detail(err)}
-    return {"ok": True, "param": param, "value": value_text, "rows": len(rows), "out": out_path}
+    return {"ok": True, "param": param, "value": value_text, "rows": len(table["t"]), "out": out_path}
 
 
 def _cmd_sweep(args) -> int:

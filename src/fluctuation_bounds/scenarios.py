@@ -2,13 +2,13 @@
 
 A scenario is a JSON description of one model + observable pair together
 with a time grid and the set of checks to evaluate.  Execution produces
-a ResultTable, one column of values per quantity over the interior grid
-points, and that table is the run's only record: its CSV, in a fixed
-column order formatted for byte-stable regression files, and the CLI's
-verdict are both read off its columns.  Every builtin, figure1 included,
-is a packaged scenario file run through the same pipeline;
-FIGURE_COLUMNS names the columns of the view the CLI writes of a
-figure1 run.
+the result table, a dict mapping each quantity's name to its column of
+values over the interior grid points, and that table is the run's only
+record: its CSV, in a fixed column order formatted for byte-stable
+regression files, and the CLI's verdict are both read off its columns.
+Every builtin, figure1 included, is a packaged scenario file run
+through the same pipeline; FIGURE_COLUMNS names the columns of the view
+the CLI writes of a figure1 run.
 
 Validation is all-at-once: every violated invariant is collected and
 reported in a single structured error, so a bad file shows all of its
@@ -91,27 +91,6 @@ class ScenarioSpec:
     dt: float
     bounds: tuple
     rho_dot_mode: str
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    """Every interior grid point of a run, one column per quantity.
-
-    ``columns`` maps each RESULT_COLUMNS name to a 1-D array of its
-    values in grid order (an object array of strings for
-    ``skipped_flags``), and two names no CSV of RESULT_COLUMNS writes:
-    ``mean_rate`` to the StatPoint's d<A>/dt and ``cauchy_schwarz`` to
-    the Cauchy-Schwarz margins.  A check that was not requested leaves
-    its columns nan, and a requested bound leaves its lhs, rhs and
-    margin nan at a point it skipped, so ``lhs_open``, ``lhs_closed`` and
-    ``cauchy_schwarz`` are nan exactly where their check was not
-    evaluated.  ``len`` gives the number of points.
-    """
-
-    columns: dict
-
-    def __len__(self) -> int:
-        return len(self.columns["t"])
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +293,18 @@ def build_trajectory(spec: ScenarioSpec) -> Trajectory:
     return integrate(model, spec.initial_state, spec.t_max, spec.dt)
 
 
-def run_scenario(spec: ScenarioSpec) -> ResultTable:
-    """The ResultTable of every interior grid point.
+def run_scenario(spec: ScenarioSpec) -> dict:
+    """The result table of every interior grid point, one column per quantity.
+
+    The table maps each RESULT_COLUMNS name to a 1-D array of its values
+    in grid order (an object array of strings for ``skipped_flags``),
+    and two names no CSV of RESULT_COLUMNS writes: ``mean_rate`` to the
+    StatPoint's d<A>/dt and ``cauchy_schwarz`` to the Cauchy-Schwarz
+    margins.  ``len(table["t"])`` is the number of points.  A check that
+    was not requested leaves its columns nan, and a requested bound
+    leaves its lhs, rhs and margin nan at a point it skipped, so
+    ``lhs_open``, ``lhs_closed`` and ``cauchy_schwarz`` are nan exactly
+    where their check was not evaluated.
 
     All points are evaluated in one batched pass, one call per requested
     check.  If that pass raises, the points are replayed one at a time in
@@ -347,8 +336,8 @@ def run_scenario(spec: ScenarioSpec) -> ResultTable:
     raise RuntimeError(f"scenario {spec.name!r} failed: {batch_error}") from batch_error
 
 
-def _evaluate_points(spec, traj, times) -> ResultTable:
-    """The ResultTable at a 1-D array of grid times, every check batched."""
+def _evaluate_points(spec, traj, times) -> dict:
+    """The result table at a 1-D array of grid times, every check batched."""
     a = spec.observable
     nan = np.full(len(times), np.nan)
     sp = variance_rate(traj, a, times, spec.rho_dot_mode)
@@ -365,18 +354,18 @@ def _evaluate_points(spec, traj, times) -> ResultTable:
 
     flags = [""] * len(times)
     bound_columns = []
-    for reports in (open_reports, closed_reports):
+    for kind, reports in (("open", open_reports), ("closed", closed_reports)):
         if reports is None:
             bound_columns += [nan] * 3
             continue
         bound_columns += [reports.lhs, reports.rhs, reports.margin]
         for j in np.flatnonzero(~reports.live):
-            flags[j] += f"{';' if flags[j] else ''}{reports.kind}:{reports.reason[j]}"
+            flags[j] += f"{';' if flags[j] else ''}{kind}:{reports.reason[j]}"
     values = (sp.t, sp.mean, sp.sigma, sp.variance, sp.var_rate, *bound_columns, residuals)
     columns = dict(zip(RESULT_COLUMNS, values + (np.array(flags, dtype=object),)))
     columns["mean_rate"] = sp.mean_rate
     columns["cauchy_schwarz"] = cs_margins
-    return ResultTable(columns)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +408,8 @@ def _format_tables():
     return tables
 
 
-def rows_to_csv_text(table: ResultTable, columns=RESULT_COLUMNS) -> str:
-    """CSV text of the named columns of a ResultTable.
+def rows_to_csv_text(table: dict, columns=RESULT_COLUMNS) -> str:
+    """CSV text of the named columns of a result table.
 
     Numbers are written as Python's %.11e and strings as they are.  A
     column of dtype kind O, U or S holds strings.  All numbers are
@@ -433,7 +422,7 @@ def rows_to_csv_text(table: ResultTable, columns=RESULT_COLUMNS) -> str:
     its numbers is nonzero outside that range, within 1e-3 of a rounding
     tie, or has an exponent estimate that does not settle.
     """
-    arrays = [table.columns[c] for c in columns]
+    arrays = [table[c] for c in columns]
     header = ",".join(columns) + "\n"
     n, m = (len(arrays[0]) if arrays else 0), len(arrays)
     if n == 0:

@@ -7,7 +7,6 @@ renormalized.
 
 import numpy as np
 
-from fluctuation_bounds.channels import KrausChannel
 from fluctuation_bounds.linalg import as_matrix
 
 TAU_KRAUS = 1e-10
@@ -28,7 +27,7 @@ def completeness_residual(operators) -> float:
     return float(np.max(np.abs(acc - np.eye(dim))))
 
 
-def kraus_channel(operators) -> KrausChannel:
+def kraus_channel(operators) -> tuple:
     ops = [as_matrix(e) for e in operators]
     if not ops:
         raise ValueError("channel needs at least one Kraus operator")
@@ -39,4 +38,4 @@ def kraus_channel(operators) -> KrausChannel:
     res = completeness_residual(ops)
     if res > TAU_KRAUS:
         raise ValueError(f"channel violates completeness (residual {res:.3e})")
-    return KrausChannel(operators=tuple(ops))
+    return tuple(ops)

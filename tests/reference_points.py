@@ -8,7 +8,7 @@ failures alike.  Model, observable, trajectory and report types and
 tolerances come from the package, but every report is built here;
 matrices and states are validated by the one-matrix checks in
 tests/reference_linalg.py.  ``reference_csv_text`` is the CSV writer
-that formatted a ResultTable one row tuple at a time.
+that formatted a result table one row tuple at a time.
 """
 
 import math
@@ -21,7 +21,7 @@ from reference_linalg import as_density_matrix, require_hermitian
 from fluctuation_bounds.bounds import TAU_BOUND, BoundReport
 from fluctuation_bounds.dynamics import LindbladModel, Trajectory, lindblad_rhs
 from fluctuation_bounds.observables import TimeDependentObservable
-from fluctuation_bounds.scenarios import RESULT_COLUMNS, ResultTable, build_trajectory
+from fluctuation_bounds.scenarios import RESULT_COLUMNS, build_trajectory
 from fluctuation_bounds.stats import EPS_SIGMA, RHO_DOT_MODES, VARIANCE_FLOOR, StatPoint
 
 _NAN = float("nan")
@@ -39,16 +39,14 @@ class PointRecord:
     cs_margin: float | None
 
 
-def _skipped(kind: str, t: float, sigma: float) -> BoundReport:
+def _skipped(sigma: float) -> BoundReport:
     reason = f"sigma {sigma:.3e} below {EPS_SIGMA:.0e}"
-    return BoundReport(kind, t, _NAN, _NAN, _NAN, satisfied=False, live=False, reason=reason)
+    return BoundReport(_NAN, _NAN, _NAN, satisfied=False, live=False, reason=reason)
 
 
-def _report(kind: str, t: float, lhs: float, rhs: float) -> BoundReport:
+def _report(lhs: float, rhs: float) -> BoundReport:
     margin = rhs - lhs
-    return BoundReport(
-        kind, t, lhs, rhs, margin, satisfied=margin >= -TAU_BOUND, live=True, reason=""
-    )
+    return BoundReport(lhs, rhs, margin, satisfied=margin >= -TAU_BOUND, live=True, reason="")
 
 
 def reference_evaluate_scenario(spec, traj=None):
@@ -203,14 +201,14 @@ def open_bound(
     moments come from the StatPoint stat of A at t.
     """
     if stat.sigma < EPS_SIGMA:
-        return _skipped("open", t, stat.sigma)
+        return _skipped(stat.sigma)
     lhs = stat.var_rate**2 / (4.0 * stat.variance)
     rho = traj.states[traj.index_of(t)]
     rhs = 2.0 * (
         squared_partial_expectation(a, t, rho)
         + stat.rho_dot_term**2 / (4.0 * stat.variance)
     )
-    return _report("open", t, lhs, rhs)
+    return _report(lhs, rhs)
 
 
 def adjoint_heisenberg_rate(
@@ -242,11 +240,11 @@ def closed_bound(
     crossover time shows up); violations set satisfied=False.
     """
     if stat.sigma < EPS_SIGMA:
-        return _skipped("closed", t, stat.sigma)
+        return _skipped(stat.sigma)
     lhs = stat.var_rate**2 / (4.0 * stat.variance)
     rho = traj.states[traj.index_of(t)]
     rhs = variance(rho, adjoint_heisenberg_rate(model, a, t))
-    return _report("closed", t, lhs, rhs)
+    return _report(lhs, rhs)
 
 
 def closed_system_anticommutator_rate(
@@ -348,11 +346,12 @@ def _evaluate_point(spec, traj, model, t) -> PointRecord:
 
 
 def reference_csv_text(rows, columns=RESULT_COLUMNS) -> str:
-    """CSV text of a sequence of equal-length tuples, or of a ResultTable
-    read one point at a time; each row formatted as %.11e numbers and bare
-    strings, which column is which read off the first row."""
-    if isinstance(rows, ResultTable):
-        rows = [tuple(rows.columns[c][j] for c in columns) for j in range(len(rows))]
+    """CSV text of a sequence of equal-length tuples, or of a result table
+    (a dict of columns) read one point at a time; each row formatted as
+    %.11e numbers and bare strings, which column is which read off the
+    first row."""
+    if isinstance(rows, dict):
+        rows = [tuple(rows[c][j] for c in columns) for j in range(len(rows["t"]))]
     lines = [",".join(columns)]
     if len(rows):
         fmt = ",".join("%s" if isinstance(v, str) else "%.11e" for v in rows[0])

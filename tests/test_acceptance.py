@@ -75,7 +75,7 @@ def criterion(num, summary):
 @criterion(1, "damping scenario reproduces its closed forms with rhs = 2*lhs")
 def test_criterion_01_damping_closed_forms():
     start = time.perf_counter()
-    cols = run_scenario(parse_scenario(builtin_scenario_dict("example1"))).columns
+    cols = run_scenario(parse_scenario(builtin_scenario_dict("example1")))
     elapsed = time.perf_counter() - start
     worst_rel = worst_double = 0.0
     checked = 0
@@ -97,16 +97,15 @@ def test_criterion_01_damping_closed_forms():
 @criterion(2, "rotating observable collapses the bound to 0 <= 2")
 def test_criterion_02_rotating_observable():
     start = time.perf_counter()
-    table = run_scenario(parse_scenario(builtin_scenario_dict("example2")))
+    cols = run_scenario(parse_scenario(builtin_scenario_dict("example2")))
     elapsed = time.perf_counter() - start
-    cols = table.columns
     worst_mean = max(abs(x) for x in cols["mean"].tolist())
     worst_lhs = max(abs(x) for x in cols["lhs_open"].tolist())
     worst_rhs = max(abs(x - 2.0) for x in cols["rhs_open"].tolist())
     assert worst_mean <= 1e-10, f"mean drifts to {worst_mean:.3e}"
     assert worst_lhs <= 1e-8 and worst_rhs <= 1e-8
     assert elapsed < 5.0, f"run took {elapsed:.2f}s"
-    return f"{len(table)} rows, |mean| <= {worst_mean:.1e}, runtime {elapsed:.2f}s"
+    return f"{len(cols['t'])} rows, |mean| <= {worst_mean:.1e}, runtime {elapsed:.2f}s"
 
 
 @criterion(3, "closed-bound verdict flips at the damping threshold")
@@ -116,16 +115,16 @@ def test_criterion_03_crossover_threshold():
         data = builtin_scenario_dict("crossover")
         data["jump_operators"][0]["rate"] = gamma
         table = run_scenario(parse_scenario(data))
-        times = table.columns["t"].tolist()
+        times = table["t"].tolist()
         t_star = math.log(4.0 / 3.0) / gamma
-        flags = (table.columns["margin_closed"] >= -TAU_BOUND).tolist()
+        flags = (table["margin_closed"] >= -TAU_BOUND).tolist()
         flips = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
         assert len(flips) == 1, f"gamma={gamma}: {len(flips)} verdict flips"
         lo, hi = times[flips[0]], times[flips[0] + 1]
         assert not flags[0] and flags[-1]
         assert lo < t_star <= hi + 1e-12, f"gamma={gamma}: flip at ({lo}, {hi}], t*={t_star}"
         worst = 0.0
-        for t, rhs in zip(times, table.columns["rhs_closed"].tolist()):
+        for t, rhs in zip(times, table["rhs_closed"].tolist()):
             g = 1.0 - math.exp(-gamma * t)
             ref = 2.0 * gamma * math.sqrt(g * (1.0 - g))
             worst = max(worst, abs(math.sqrt(rhs) - ref))

@@ -28,11 +28,11 @@ def random_unitary(rng, dim=2):
 
 def test_amplitude_damping_endpoints():
     ch0 = amplitude_damping(0.0)
-    assert_allclose(ch0.operators[0], np.eye(2), atol=0)
-    assert_allclose(ch0.operators[1], np.zeros((2, 2)), atol=0)
+    assert_allclose(ch0[0], np.eye(2), atol=0)
+    assert_allclose(ch0[1], np.zeros((2, 2)), atol=0)
     ch1 = amplitude_damping(1.0)
-    assert_allclose(ch1.operators[0], np.diag([1.0, 0.0]), atol=0)
-    assert_allclose(ch1.operators[1], sigma_minus, atol=0)
+    assert_allclose(ch1[0], np.diag([1.0, 0.0]), atol=0)
+    assert_allclose(ch1[1], sigma_minus, atol=0)
 
 
 def test_amplitude_damping_half_life():
@@ -40,7 +40,7 @@ def test_amplitude_damping_half_life():
     gamma = 1.0 - np.exp(-np.log(2.0))
     assert gamma == pytest.approx(0.5, abs=1e-15)
     ch = amplitude_damping(gamma)
-    assert ch.operators[1][0, 1] == pytest.approx(np.sqrt(0.5), abs=1e-15)
+    assert ch[1][0, 1] == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
 
 def test_amplitude_damping_rejects_bad_gamma():
@@ -94,7 +94,7 @@ def test_apply_preserves_trace_and_hermiticity():
         u = random_unitary(rng)
         v = random_unitary(rng)
         base = amplitude_damping(rng.uniform(0, 1))
-        ch = kraus_channel([u @ e @ v for e in base.operators])
+        ch = kraus_channel([u @ e @ v for e in base])
         out = apply(ch, random_state(rng))
         assert abs(np.trace(out).real - 1.0) < 1e-12
         assert np.array_equal(out, out.conj().T)
@@ -104,7 +104,7 @@ def test_apply_preserves_trace_and_hermiticity():
 # completeness residual
 
 def test_completeness_residual_valid_channel():
-    assert completeness_residual(amplitude_damping(0.3).operators) < 1e-15
+    assert completeness_residual(amplitude_damping(0.3)) < 1e-15
 
 
 def test_completeness_residual_half_identity():

@@ -19,7 +19,14 @@ from conftest import figure1_view, random_hermitian, random_jump, random_observa
 from reference_points import reference_evaluate_scenario
 
 from fluctuation_bounds import cli, scenarios
-from fluctuation_bounds.bounds import TAU_BOUND, cauchy_schwarz_margin, closed_bound, open_bound
+from fluctuation_bounds.bounds import (
+    TAU_BOUND,
+    cauchy_schwarz_margin,
+    closed_bound,
+    open_bound,
+    var_rate_residual,
+)
+from fluctuation_bounds.channels import amplitude_damping, apply
 from fluctuation_bounds.cli import cli_main
 from fluctuation_bounds.linalg import sigma_minus, sigma_x
 from fluctuation_bounds.observables import constant, cosine, observable, polynomial
@@ -27,7 +34,6 @@ from fluctuation_bounds.scenarios import (
     BOUND_NAMES,
     FIGURE_COLUMNS,
     RESULT_COLUMNS,
-    ResultTable,
     ScenarioSpec,
     builtin_scenario_dict,
     parse_scenario,
@@ -72,6 +78,24 @@ def test_run_stdout_default(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("t,mean,sigma")
     assert out.endswith("\n")
+
+
+def test_library_calls_of_perfbench_keep_their_types(tmp_path, capsys):
+    # perfbench/workloads.py makes these calls in-process: rk4_probe the
+    # single-time checks, cli_sweep rows_to_csv_text(run_scenario(spec)) as
+    # the CLI's CSV, eigenflow_probe channels.apply of amplitude_damping.
+    scen = write_small_scenario(tmp_path, t_max=0.05, bounds=list(BOUND_NAMES))
+    spec = scenarios.load_scenario(scen)
+    traj = scenarios.build_trajectory(spec)
+    a, t = spec.observable, float(traj.times[5])
+    stat = variance_rate(traj, a, t)
+    for report in (open_bound(traj, a, t, stat=stat), closed_bound(traj, traj.model, a, t, stat=stat)):
+        assert (type(report.skipped), type(report.satisfied), type(report.margin)) == (int, bool, float)
+    assert type(var_rate_residual(traj, a, t, stat=stat)) is float
+    assert cli_main(["run", "--scenario", str(scen)]) == 0
+    assert capsys.readouterr().out == scenarios.rows_to_csv_text(scenarios.run_scenario(spec))
+    out = apply(amplitude_damping(0.3), np.diag([0.0, 1.0]).astype(complex))
+    assert np.allclose(out, np.diag([0.3, 0.7]), rtol=0.0, atol=1e-15)
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -375,9 +399,9 @@ def test_verify_verdict_matches_the_reference(tmp_path, capsys, monkeypatch):
     records = reference_evaluate_scenario(parse_scenario(data))
     failures = []
     for rec in records:
-        for rep in (rec.open_report, rec.closed_report):
+        for kind, rep in (("open", rec.open_report), ("closed", rec.closed_report)):
             if not rep.skipped and not rep.satisfied:
-                failures.append((rep.kind, rep.t, rep.margin))
+                failures.append((kind, rec.row.t, rep.margin))
         if rec.cs_margin < -TAU_BOUND:
             failures.append(("cauchy_schwarz", rec.row.t, rec.cs_margin))
     assert [f[:2] for f in failures if f[0] == "cauchy_schwarz"] == [
@@ -395,12 +419,12 @@ def test_verify_verdict_matches_the_reference(tmp_path, capsys, monkeypatch):
 
 
 def reference_verify_failures(times, reports, cs_margins):
-    """verify's verdict read off the bound reports and the Cauchy-Schwarz
-    margins, as it was before the table held only columns: a report fails
-    at a point where it is live and not satisfied, a margin where it is
-    below -TAU_BOUND.  (count of failing points, (kind, t, margin) of the
-    first failure) or (0, None)."""
-    checks = [(r.kind, ~r.satisfied & r.live, r.margin) for r in reports]
+    """verify's verdict read off the (kind, report) pairs of the bounds and
+    the Cauchy-Schwarz margins, as it was before the table held only
+    columns: a report fails at a point where it is live and not satisfied,
+    a margin where it is below -TAU_BOUND.  (count of failing points,
+    (kind, t, margin) of the first failure) or (0, None)."""
+    checks = [(kind, ~r.satisfied & r.live, r.margin) for kind, r in reports]
     if cs_margins is not None:
         checks.append(("cauchy_schwarz", cs_margins < -TAU_BOUND, cs_margins))
     failed = np.array([mask for _, mask, _ in checks]).reshape(len(checks), len(times))
@@ -445,13 +469,13 @@ def test_verify_verdict_from_columns_matches_the_report_rule():
         traj = scenarios.build_trajectory(spec)
         a, times = spec.observable, traj.times[1:-1]
         stat = variance_rate(traj, a, times, spec.rho_dot_mode)
-        reports = (open_bound(traj, a, times, stat=stat),
-                   closed_bound(traj, traj.model, a, times, stat=stat))
+        reports = (("open", open_bound(traj, a, times, stat=stat)),
+                   ("closed", closed_bound(traj, traj.model, a, times, stat=stat)))
         want = reference_verify_failures(
             times, reports, cauchy_schwarz_margin(traj, a, times, stat=stat))
         got = cli._verify_failures(scenarios.run_scenario(spec))
         assert repr(got) == repr(want), spec.name
-        verdicts.append((want[0], sum(r.skipped for r in reports)))
+        verdicts.append((want[0], sum(r.skipped for _, r in reports)))
     # the rules are compared on skipped points and on failing ones
     assert verdicts[0][1] == 2
     assert sum(count > 0 for count, _ in verdicts) >= 5
@@ -466,7 +490,7 @@ def test_verify_counts_a_live_point_whose_sides_both_overflowed():
     columns.update(t=np.array([0.1, 0.2, 0.3]), lhs_open=lhs, rhs_open=np.array([2.0, inf, nan]))
     with np.errstate(invalid="ignore"):  # inf - inf
         columns["margin_open"] = columns["rhs_open"] - lhs
-    count, (kind, t, margin) = cli._verify_failures(ResultTable(columns))
+    count, (kind, t, margin) = cli._verify_failures(columns)
     assert (count, kind, t) == (1, "open", 0.2) and math.isnan(margin)
 
 

@@ -70,28 +70,28 @@ def assert_same_number(got, want, what):
 
 
 def assert_same_records(got, want):
-    """A ResultTable against the reference's PointRecords.
+    """A result table against the reference's PointRecords.
 
     A bound's lhs, rhs and margin columns are nan where the reference has
     no report or a skipped one; where it has a live one they hold its
     values, and the margin is satisfied where the report is.
     """
-    assert len(got) == len(want)
+    assert len(got["t"]) == len(want)
     for k, w in enumerate(want):
         for col in RESULT_COLUMNS[:-1]:
-            assert_same_number(got.columns[col][k], getattr(w.row, col), f"t={w.row.t} {col}")
-        assert got.columns["skipped_flags"][k] == w.row.skipped_flags
+            assert_same_number(got[col][k], getattr(w.row, col), f"t={w.row.t} {col}")
+        assert got["skipped_flags"][k] == w.row.skipped_flags
         for kind, rw in (("open", w.open_report), ("closed", w.closed_report)):
-            lhs, rhs, margin = (got.columns[f"{f}_{kind}"][k] for f in ("lhs", "rhs", "margin"))
+            lhs, rhs, margin = (got[f"{f}_{kind}"][k] for f in ("lhs", "rhs", "margin"))
             if rw is None or not rw.live:
                 assert math.isnan(lhs) and math.isnan(rhs) and math.isnan(margin)
-                assert rw is None or f"{kind}:{rw.reason}" in got.columns["skipped_flags"][k]
+                assert rw is None or f"{kind}:{rw.reason}" in got["skipped_flags"][k]
                 continue
-            assert (rw.kind, got.columns["t"][k], margin >= -TAU_BOUND) == (kind, rw.t, rw.satisfied)
+            assert (margin >= -TAU_BOUND) == rw.satisfied
             for f, value in (("lhs", lhs), ("rhs", rhs), ("margin", margin)):
-                assert_same_number(value, getattr(rw, f), f"t={rw.t} {rw.kind}.{f}")
+                assert_same_number(value, getattr(rw, f), f"t={w.row.t} {kind}.{f}")
         cs = math.nan if w.cs_margin is None else w.cs_margin
-        assert_same_number(got.columns["cauchy_schwarz"][k], cs, f"t={w.row.t} cs_margin")
+        assert_same_number(got["cauchy_schwarz"][k], cs, f"t={w.row.t} cs_margin")
 
 
 def spec_for(model_parts, rho0, obs, t_max, dt, bounds=ALL_CHECKS, mode="analytic", name="grid"):
@@ -146,7 +146,7 @@ def test_random_driven_models_match_reference(dim, mode):
     obs = random_observable(rng, dim, time_dependent=True)
     spec = spec_for((hamiltonian, jumps), random_state(rng, dim), obs, 0.3, 0.01, mode=mode)
     got = run_scenario(spec)
-    assert len(got) == 29
+    assert len(got["t"]) == 29
     assert_same_records(got, reference_evaluate_scenario(spec))
 
 
@@ -166,19 +166,19 @@ def test_zero_spread_points_match_reference():
     one_zero = observable([(polynomial([-0.5, 1.0]), sigma_x)])
     spec = spec_for((None, [DAMPING]), rho0, one_zero, 1.25, DT)
     got = run_scenario(spec)
-    flags = got.columns["skipped_flags"].tolist()
-    assert [f != "" for f in flags] == (got.columns["t"] == 0.5).tolist()
+    flags = got["skipped_flags"].tolist()
+    assert [f != "" for f in flags] == (got["t"] == 0.5).tolist()
     assert flags[3].startswith("open:sigma") and ";closed:sigma" in flags[3]
     assert_same_records(got, reference_evaluate_scenario(spec))
 
     traj = sc.build_trajectory(spec)
     times = traj.times[1:-1]
     reports = open_bound(traj, one_zero, times, stat=stats.variance_rate(traj, one_zero, times))
-    assert len(reports) == 9 and reports.skipped == 1 and not reports.live[3]
+    assert len(reports.live) == 9 and reports.skipped == 1 and not reports.live[3]
 
     flat = spec_for((None, [DAMPING]), rho0, static_observable(np.eye(2)), 1.25, DT)
     got = run_scenario(flat)
-    assert np.isnan(got.columns["lhs_open"]).all() and np.isnan(got.columns["lhs_closed"]).all()
+    assert np.isnan(got["lhs_open"]).all() and np.isnan(got["lhs_closed"]).all()
     assert_same_records(got, reference_evaluate_scenario(flat))
 
 
@@ -191,8 +191,8 @@ def test_clean_run_is_one_batched_pass(monkeypatch):
         return real(traj, a, t, mode)
 
     monkeypatch.setattr(sc, "variance_rate", counting)
-    records = run_scenario(short_builtin("example1", 50))
-    assert len(records) == 50 and calls == [1]
+    table = run_scenario(short_builtin("example1", 50))
+    assert len(table["t"]) == 50 and calls == [1]
 
 
 def test_all_checks_evaluate_a_and_its_derivative_once_per_use(monkeypatch):
@@ -207,7 +207,7 @@ def test_all_checks_evaluate_a_and_its_derivative_once_per_use(monkeypatch):
         monkeypatch.setattr(TimeDependentObservable, name, counting)
     data = builtin_scenario_dict("example1")
     data.update(t_max=51 * data["dt"], bounds=list(ALL_CHECKS))
-    assert len(run_scenario(parse_scenario(data))) == 50
+    assert len(run_scenario(parse_scenario(data))["t"]) == 50
     assert calls == {"evaluate": [1, 1, 1], "partial_time": [1, 1]}
 
 
@@ -366,12 +366,12 @@ def test_one_time_report_is_element_k_of_the_grid_report(kind):
                  traj, traj.model, one_zero, t, stats.variance_rate(traj, one_zero, t))}[kind]
     times = traj.times[1:-1]
     grid = check(times)
-    assert grid.kind == kind and len(grid) == len(times) and grid.skipped == 1
-    scalar_types = {"t": float, "lhs": float, "rhs": float, "margin": float,
+    assert len(grid.live) == len(times) and grid.skipped == 1
+    scalar_types = {"lhs": float, "rhs": float, "margin": float,
                     "satisfied": bool, "live": bool, "reason": str}
     for k, t in enumerate(times.tolist()):
         one = check(t)
-        assert one.kind == kind and len(one) == 1 and one.skipped == int(not grid.live[k])
+        assert one.skipped == int(not grid.live[k])
         for name, scalar_type in scalar_types.items():
             got, want = getattr(one, name), getattr(grid, name)[k]
             assert type(got) is scalar_type, f"t={t} {name}: {type(got)}"
@@ -477,7 +477,7 @@ def test_empty_times_give_empty_results(mode):
     sp = stats.variance_rate(traj, a, none, mode)
     assert all(np.shape(getattr(sp, f.name)) == (0,) for f in dataclasses.fields(sp))
     for report in (open_bound(traj, a, none, sp), closed_bound(traj, traj.model, a, none, sp)):
-        assert len(report) == 0 and report.reason == () and report.margin.shape == (0,)
+        assert report.live.shape == report.margin.shape == (0,) and report.reason == ()
     assert var_rate_residual(traj, a, none, sp).shape == (0,)
     assert cauchy_schwarz_margin(traj, a, none, sp).shape == (0,)
 
@@ -504,7 +504,7 @@ def test_grid_pass_maps_times_to_indices_once(monkeypatch, name):
     spec = parse_scenario(data)
     calls = counting_index_maps(monkeypatch)
     table = run_scenario(spec)
-    assert len(table) == int(round(spec.t_max / spec.dt)) - 1
+    assert len(table["t"]) == int(round(spec.t_max / spec.dt)) - 1
     assert calls == [1]
 
 

@@ -33,7 +33,6 @@ from fluctuation_bounds.scenarios import (
     BUILTIN_NAMES,
     FIGURE_COLUMNS,
     RESULT_COLUMNS,
-    ResultTable,
     ScenarioError,
     builtin_scenario_dict,
     build_trajectory,
@@ -365,12 +364,11 @@ def test_integrator_path_matches_analytic_path():
 # builtin runs
 
 def test_example1_rows_match_closed_forms():
-    table = run_scenario(small_example1(t_max=1.0))
-    cols = table.columns
-    assert len(table) == 999  # interior points only
+    cols = run_scenario(small_example1(t_max=1.0))
+    assert len(cols["t"]) == 999  # interior points only
     assert cols["t"][0] == pytest.approx(0.001)
     assert cols["t"][-1] == pytest.approx(0.999)
-    for k in range(0, len(table), 97):
+    for k in range(0, len(cols["t"]), 97):
         u = math.exp(-cols["t"][k])
         lhs = u * (1.0 - 2.0 * u) ** 2 / (1.0 - u)
         assert cols["lhs_open"][k] == pytest.approx(lhs, rel=1e-6)
@@ -382,7 +380,7 @@ def test_example1_rows_match_closed_forms():
 def test_example2_rows_reduce_to_zero_le_two():
     data = builtin_scenario_dict("example2")
     data["t_max"] = 0.5
-    cols = run_scenario(parse_scenario(data)).columns
+    cols = run_scenario(parse_scenario(data))
     for k in range(0, len(cols["t"]), 53):
         assert abs(cols["mean"][k]) <= 1e-10
         assert abs(cols["lhs_open"][k]) <= 1e-10
@@ -393,7 +391,7 @@ def test_example2_rows_reduce_to_zero_le_two():
 def test_crossover_margin_flips_once_near_threshold():
     data = builtin_scenario_dict("crossover")
     data["t_max"] = 0.6
-    cols = run_scenario(parse_scenario(data)).columns
+    cols = run_scenario(parse_scenario(data))
     signs = (cols["margin_closed"] >= 0).tolist()
     flips = [i for i in range(len(signs) - 1) if signs[i] != signs[i + 1]]
     assert len(flips) == 1
@@ -403,7 +401,7 @@ def test_crossover_margin_flips_once_near_threshold():
 
 
 def test_unrequested_bounds_stay_nan():
-    cols = run_scenario(small_example1(bounds=["closed"])).columns
+    cols = run_scenario(small_example1(bounds=["closed"]))
     assert math.isnan(cols["lhs_open"][100]) and math.isnan(cols["var_rate_residual"][100])
     assert math.isfinite(cols["lhs_closed"][100])
 
@@ -416,10 +414,9 @@ def test_zero_spread_points_are_flagged_not_fatal():
         ]
     }
     spec = small_example1(t_max=0.1, observable=identity_obs, bounds=["open"])
-    table = run_scenario(spec)
-    assert len(table)
-    cols = table.columns
-    for k in range(len(table)):
+    cols = run_scenario(spec)
+    assert len(cols["t"])
+    for k in range(len(cols["t"])):
         assert cols["skipped_flags"][k].startswith("open:sigma")
         assert math.isnan(cols["margin_open"][k])
         assert cols["mean"][k] == pytest.approx(1.0)
@@ -563,24 +560,24 @@ def test_result_columns_match_row_fields():
 
 
 def test_csv_format_is_stable():
-    table = ResultTable({"a": np.array([math.pi]), "b": np.array(["why"], dtype=object),
-                         "c": np.array([float("nan")])})
+    table = {"a": np.array([math.pi]), "b": np.array(["why"], dtype=object),
+             "c": np.array([float("nan")])}
     text = rows_to_csv_text(table, columns=("a", "b", "c"))
     assert text == "a,b,c\n3.14159265359e+00,why,nan\n"
 
 
 def test_csv_file_bytes(tmp_path):
-    rows = run_scenario(small_example1(t_max=0.05))
+    table = run_scenario(small_example1(t_max=0.05))
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    _emit(rows_to_csv_text(rows), p1)
-    _emit(rows_to_csv_text(rows), p2)
+    _emit(rows_to_csv_text(table), p1)
+    _emit(rows_to_csv_text(table), p2)
     blob = p1.read_bytes()
     assert blob == p2.read_bytes()
     assert b"\r" not in blob
     header = blob.decode("utf-8").splitlines()[0]
     assert header == ",".join(RESULT_COLUMNS)
-    assert len(blob.decode("utf-8").splitlines()) == len(rows) + 1
+    assert len(blob.decode("utf-8").splitlines()) == len(table["t"]) + 1
 
 
 def driven_d4_spec():
@@ -608,6 +605,20 @@ def skipped_points_spec():
     )
 
 
+def assert_same_csv(got, want):
+    """got == want, compared as lists of lines: a failure names the first
+    line that differs and gives both texts of it, so it reports at once
+    where a diff of two whole CSVs would take minutes."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    if got_lines == want_lines:
+        return
+    j = next((j for j, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+    got_line, want_line = (repr(lines[j]) if j < len(lines) else "no line" for lines in (got_lines, want_lines))
+    pytest.fail(f"CSV line {j} differs: got {got_line}, want {want_line} "
+                f"({len(got_lines)} vs {len(want_lines)} lines)", pytrace=False)
+
+
 @pytest.mark.parametrize("case", ["example1", "example2", "crossover", "skipped", "driven-d4"])
 def test_csv_from_columns_matches_the_row_writer(case):
     if case == "skipped":
@@ -618,15 +629,15 @@ def test_csv_from_columns_matches_the_row_writer(case):
         spec = dataclasses.replace(builtin_spec(case), bounds=sc.BOUND_NAMES)
     table = run_scenario(spec)
     if case == "skipped":
-        assert table.columns["skipped_flags"][3].startswith("open:sigma")
-        assert np.isnan(table.columns["margin_closed"]).all()
-    assert rows_to_csv_text(table) == reference_csv_text(table)
+        assert table["skipped_flags"][3].startswith("open:sigma")
+        assert np.isnan(table["margin_closed"]).all()
+    assert_same_csv(rows_to_csv_text(table), reference_csv_text(table))
 
 
 def test_csv_of_figure1_tuples_matches_the_row_writer():
     rows = figure1_curves(1.0, 5.0, 0.01)
-    table = ResultTable(dict(zip(FIGURE_COLUMNS, np.array(rows).T)))
-    assert rows_to_csv_text(table, FIGURE_COLUMNS) == reference_csv_text(rows, FIGURE_COLUMNS)
+    table = dict(zip(FIGURE_COLUMNS, np.array(rows).T))
+    assert_same_csv(rows_to_csv_text(table, FIGURE_COLUMNS), reference_csv_text(rows, FIGURE_COLUMNS))
 
 
 # Values the vectorised writer must hand to its per-row fallback or place
@@ -655,13 +666,13 @@ def csv_tables(draw):
     names.insert(draw(st.integers(0, len(names))), "flags")
     flags = draw(st.lists(st.sampled_from(["", "", "open:sigma", "a;b"]) | st.text(max_size=4), min_size=n, max_size=n))
     columns["flags"] = np.array(flags, dtype=draw(st.sampled_from([object, str])))
-    columns["t"] = np.zeros(n)  # ResultTable's length; not written
-    return ResultTable(columns), tuple(names)
+    columns["t"] = np.zeros(n)  # the table's length; not written
+    return columns, tuple(names)
 
 
 def csv_table_of(values, flags):
     """A table of one float column, one value a row, and a text column."""
-    return ResultTable({"t": np.array(values, dtype=float), "flags": np.array(flags, dtype=object)})
+    return {"t": np.array(values, dtype=float), "flags": np.array(flags, dtype=object)}
 
 
 @settings(deadline=None, max_examples=300)
@@ -670,7 +681,7 @@ def csv_table_of(values, flags):
 @example(case=(csv_table_of([], []), ("t", "flags")))
 def test_csv_writer_matches_the_row_writer_on_any_table(case):
     table, names = case
-    assert rows_to_csv_text(table, names) == reference_csv_text(table, names)
+    assert_same_csv(rows_to_csv_text(table, names), reference_csv_text(table, names))
 
 
 def test_csv_format_tables_are_built_on_first_use_read_only():
